@@ -23,6 +23,7 @@ from .hypotheses import (
     erm_exact_classification,
     erm_regression,
     erm_surrogate_classification,
+    fit,
 )
 from .losses import (
     LOSS_KINDS,
@@ -115,6 +116,7 @@ __all__ = [
     "erm_exact_classification",
     "erm_regression",
     "erm_surrogate_classification",
+    "fit",
     # risk bounds
     "NoFixedPointError",
     "RiskBracket",

@@ -14,16 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotheses import (
-    ErmReport,
-    LinearHypothesis,
-    erm_exact_classification,
-    erm_regression,
-    erm_surrogate_classification,
-)
+from .hypotheses import ErmReport, LinearHypothesis, fit
 from .losses import LossSpec
 from .projections import ProjectionMap, apply, sample_projection
-from .riskbounds import RiskEstimate, estimate_excess_risk
+from .riskbounds import RiskEstimate, _estimate_excess_risks
 from .seeds import derive_seed
 
 __all__ = ["EnsembleModel", "train_ensemble", "predict", "member_excess_risks", "model_summary"]
@@ -63,18 +57,6 @@ class EnsembleModel:
             raise ValueError("member projection seeds must be distinct")
 
 
-def _fit_member(U: np.ndarray, y: np.ndarray, loss: LossSpec, solver: str, iters: int) -> ErmReport:
-    if loss.kind == "zero_one":
-        if solver == "exact":
-            return erm_exact_classification(U, y)
-        if solver == "surrogate":
-            return erm_surrogate_classification(U, y, iters=iters)
-        raise ValueError(f"unknown classification solver {solver!r}")
-    if solver != "surrogate":
-        raise ValueError(f"solver {solver!r} is only defined for the zero-one loss")
-    return erm_regression(U, y, loss, iters=iters)
-
-
 def train_ensemble(
     X,
     y,
@@ -104,7 +86,7 @@ def train_ensemble(
     reports = []
     for i in range(m):
         pmap = sample_projection(family, k, d, derive_seed(master_seed, i))
-        report = _fit_member(apply(pmap, X), y, loss, solver, iters)
+        report = fit(apply(pmap, X), y, loss, solver, iters)
         members.append((pmap, report.hypothesis))
         reports.append(report)
     return EnsembleModel(
@@ -119,21 +101,25 @@ def train_ensemble(
     )
 
 
-def _member_outputs(model: EnsembleModel, X: np.ndarray) -> np.ndarray:
+def _member_outputs(model: EnsembleModel, X: np.ndarray, spare_rows: int = 0) -> np.ndarray:
+    """The m x N member outputs on X, followed by ``spare_rows`` unfilled rows."""
     X = np.asarray(X, dtype=float)
-    outputs = np.empty((model.m, X.shape[0]))
+    outputs = np.empty((model.m + spare_rows, X.shape[0]))
     for i, (pmap, hyp) in enumerate(model.members):
         outputs[i] = hyp.predict(apply(pmap, X))
     return outputs
 
 
+def _combine(loss: LossSpec, outputs: np.ndarray) -> np.ndarray:
+    """The loss's combination of the member output rows, one value per column."""
+    if loss.combiner == "mode":
+        return np.where(np.sum(outputs, axis=0) >= 0.0, 1.0, -1.0)
+    return np.clip(np.mean(outputs, axis=0), -loss.beta, loss.beta)
+
+
 def predict(model: EnsembleModel, X) -> np.ndarray:
     """Combined prediction: majority vote (ties to +1) or clipped mean."""
-    outputs = _member_outputs(model, X)
-    if model.loss.combiner == "mode":
-        return np.where(np.sum(outputs, axis=0) >= 0.0, 1.0, -1.0)
-    beta = model.loss.beta
-    return np.clip(np.mean(outputs, axis=0), -beta, beta)
+    return _combine(model.loss, _member_outputs(model, X))
 
 
 def member_excess_risks(
@@ -141,19 +127,23 @@ def member_excess_risks(
 ) -> tuple[list[RiskEstimate], RiskEstimate]:
     """Excess risk of each member alone and of the combined ensemble.
 
-    All estimates share the same evaluation seed, hence the same test draw,
-    so member-vs-ensemble comparisons are paired rather than independent.
+    One evaluation pass serves all m + 1 estimates: the test set is drawn
+    once from ``seed`` (or, for a finite-support law, the atoms are built
+    once), each member projects it once, and the combined prediction is
+    formed from those same member outputs.  Member-vs-ensemble comparisons
+    are therefore paired rather than independent, and each estimate equals
+    what ``estimate_excess_risk`` gives for that member, or for
+    ``predict(model, .)``, at the same ``n_test`` and ``seed``.
     """
-    member_estimates = []
-    for pmap, hyp in model.members:
-        def member_predictor(Xq, _pmap=pmap, _h=hyp):
-            return _h.predict(apply(_pmap, Xq))
+    m = model.m
 
-        member_estimates.append(estimate_excess_risk(member_predictor, dist, n_test=n_test, seed=seed))
-    ensemble_estimate = estimate_excess_risk(
-        lambda Xq: predict(model, Xq), dist, n_test=n_test, seed=seed
-    )
-    return member_estimates, ensemble_estimate
+    def all_rows(X):
+        rows = _member_outputs(model, X, spare_rows=1)
+        rows[m] = _combine(model.loss, rows[:m])
+        return rows
+
+    estimates = _estimate_excess_risks(all_rows, dist, n_test=n_test, seed=seed)
+    return estimates[:m], estimates[m]
 
 
 def model_summary(model: EnsembleModel) -> dict:

@@ -35,9 +35,11 @@ import numpy as np
 
 from ._version import __version__
 from .ensemble import member_excess_risks, train_ensemble
-from .losses import LOSS_KINDS, LossSpec, make_loss
+from .hypotheses import ScaleGuardError
+from .losses import LOSS_KINDS, LossDomainError, LossSpec, make_loss
 from .projections import FAMILIES
 from .riskbounds import (
+    NoFixedPointError,
     estimate_compressibility,
     optimal_k_classification,
     optimal_k_regression,
@@ -78,6 +80,10 @@ CSV_COLUMNS = (
 
 _K_RULES = ("fixed", "classification", "regression")
 
+#: The numerical failures a trial records in its row's error column.  Any
+#: other exception is a fault in the program or its input and ends the run.
+_TRIAL_FAILURES = (ScaleGuardError, LossDomainError, NoFixedPointError, np.linalg.LinAlgError)
+
 
 class ConfigError(ValueError):
     """Config validation failure; the message starts with the offending field path."""
@@ -98,13 +104,32 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+# JSON true/false arrive as bool, which subclasses int: both field helpers
+# reject it explicitly so that `true` never passes as 1.
+def _int_field(value, path: str, minimum: int = 1) -> int:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+        path,
+        f"must be an integer >= {minimum}",
+    )
+    return value
+
+
+def _number_field(value, path: str, message: str, in_range=None) -> float:
+    """A real number; ``in_range``, when given, is a further test it must pass."""
+    _require(
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and (in_range is None or in_range(value)),
+        path,
+        message,
+    )
+    return float(value)
+
+
 def _int_list(raw, path: str) -> tuple[int, ...]:
     _require(isinstance(raw, (list, tuple)) and len(raw) > 0, path, "must be a non-empty list")
-    out = []
-    for i, v in enumerate(raw):
-        _require(isinstance(v, int) and not isinstance(v, bool) and v >= 1, f"{path}[{i}]", "must be an integer >= 1")
-        out.append(v)
-    return tuple(out)
+    return tuple(_int_field(v, f"{path}[{i}]") for i, v in enumerate(raw))
 
 
 @dataclass(frozen=True)
@@ -170,10 +195,11 @@ class ExperimentConfig:
             _require(isinstance(loss_cfg, dict), "loss", "must be an object")
             kind = loss_cfg.get("kind")
             _require(kind in LOSS_KINDS, "loss.kind", f"must be one of {LOSS_KINDS}")
-            beta = loss_cfg.get("beta", 1.0)
-            _require(isinstance(beta, (int, float)) and beta > 0, "loss.beta", "must be positive")
+            beta = _number_field(
+                loss_cfg.get("beta", 1.0), "loss.beta", "must be positive", lambda v: v > 0
+            )
             try:
-                loss = make_loss(kind, float(beta))
+                loss = make_loss(kind, beta)
             except Exception as exc:
                 raise ConfigError(f"loss: {exc}") from exc
             _require(
@@ -199,16 +225,14 @@ class ExperimentConfig:
         rule = k_rule.get("rule")
         _require(rule in _K_RULES, "k_rule.rule", f"must be one of {_K_RULES}")
         if rule == "fixed":
-            k = k_rule.get("k")
-            _require(isinstance(k, int) and not isinstance(k, bool) and k >= 1, "k_rule.k", "must be an integer >= 1")
+            _int_field(k_rule.get("k"), "k_rule.k")
         elif rule == "classification":
             for name in ("gamma", "rho", "alpha"):
-                val = k_rule.get(name)
-                _require(isinstance(val, (int, float)), f"k_rule.{name}", "must be a number")
+                val = _number_field(k_rule.get(name), f"k_rule.{name}", "must be a number")
                 configured = getattr(dist, name, None)
                 if configured is not None:
                     _require(
-                        float(val) == float(configured),
+                        val == float(configured),
                         f"k_rule.{name}",
                         f"inconsistent with the distribution's value {configured}",
                     )
@@ -216,12 +240,9 @@ class ExperimentConfig:
             _require(k_rule["rho"] > 0, "k_rule.rho", "must be positive")
             _require(0 <= k_rule["alpha"] < 1, "k_rule.alpha", "must lie in [0, 1)")
 
-        trials = raw.get("trials")
-        _require(isinstance(trials, int) and not isinstance(trials, bool) and trials >= 1, "trials", "must be an integer >= 1")
-        n_test = raw.get("n_test", 100_000)
-        _require(isinstance(n_test, int) and n_test >= 1, "n_test", "must be an integer >= 1")
-        master_seed = raw.get("master_seed", 0)
-        _require(isinstance(master_seed, int) and not isinstance(master_seed, bool) and master_seed >= 0, "master_seed", "must be a nonnegative integer")
+        trials = _int_field(raw.get("trials"), "trials")
+        n_test = _int_field(raw.get("n_test", 100_000), "n_test")
+        master_seed = _int_field(raw.get("master_seed", 0), "master_seed", minimum=0)
 
         solver = raw.get("solver", "surrogate")
         _require(solver in ("surrogate", "exact"), "solver", "must be 'surrogate' or 'exact'")
@@ -229,7 +250,7 @@ class ExperimentConfig:
             _require(loss.kind == "zero_one", "solver", "'exact' is only defined for the zero-one loss")
         solver_iters = raw.get("solver_iters")
         if solver_iters is not None:
-            _require(isinstance(solver_iters, int) and solver_iters >= 1, "solver_iters", "must be an integer >= 1")
+            _int_field(solver_iters, "solver_iters")
 
         output = raw.get("output")
         _require(isinstance(output, str) and len(output) > 0, "output", "must be a non-empty path stem")
@@ -238,23 +259,17 @@ class ExperimentConfig:
         if compressibility is not None:
             _require(isinstance(compressibility, dict), "compressibility", "must be an object")
             for name in ("reps", "pop_factor"):
-                val = compressibility.get(name)
-                _require(isinstance(val, int) and val >= 1, f"compressibility.{name}", "must be an integer >= 1")
+                _int_field(compressibility.get(name), f"compressibility.{name}")
 
         bracket_alpha = raw.get("bracket_alpha")
         if bracket_alpha is not None:
-            _require(
-                isinstance(bracket_alpha, (int, float)) and 0 <= bracket_alpha <= 1,
-                "bracket_alpha",
-                "must lie in [0, 1]",
+            bracket_alpha = _number_field(
+                bracket_alpha, "bracket_alpha", "must lie in [0, 1]", lambda v: 0 <= v <= 1
             )
-            bracket_alpha = float(bracket_alpha)
-
-        delta = raw.get("delta", 0.05)
-        _require(isinstance(delta, (int, float)) and 0 < delta < 1, "delta", "must lie in (0, 1)")
-
-        threads = raw.get("threads", 1)
-        _require(isinstance(threads, int) and threads >= 1, "threads", "must be an integer >= 1")
+        delta = _number_field(
+            raw.get("delta", 0.05), "delta", "must lie in (0, 1)", lambda v: 0 < v < 1
+        )
+        threads = _int_field(raw.get("threads", 1), "threads")
 
         return cls(
             dist_config=dist_config,
@@ -271,7 +286,7 @@ class ExperimentConfig:
             output=output,
             compressibility=None if compressibility is None else dict(compressibility),
             bracket_alpha=bracket_alpha,
-            delta=float(delta),
+            delta=delta,
             threads=threads,
             raw=raw,
         )
@@ -404,7 +419,7 @@ def _run_trial(config: ExperimentConfig, dist, cell: Cell, trial: int, psi_hat: 
                 psi_hat=psi_hat,
             )
             row["bracket_total"] = bracket.total
-    except Exception as exc:  # partial failure: record and continue
+    except _TRIAL_FAILURES as exc:  # expected numerical failure: record and continue
         row["error"] = f"{type(exc).__name__}: {exc}"
     row["wall_time_ms"] = (time.perf_counter() - start) * 1e3
     return row
@@ -436,8 +451,10 @@ def run_experiment(config) -> str:
     """Run every configured cell and trial; return the results CSV path.
 
     Writes ``<output>.csv`` and ``<output>.manifest.jsonl``.  A trial that
-    raises is recorded as a row with the error column set and empty metrics;
-    the run continues.  Identical configs produce identical CSVs (wall-time
+    fails numerically (ScaleGuardError, LossDomainError, NoFixedPointError or
+    LinAlgError) is recorded as a row with the error column set and empty
+    metrics, and the run continues; any other exception propagates and no
+    results are written.  Identical configs produce identical CSVs (wall-time
     column aside) at any thread budget.
     """
     if isinstance(config, dict):

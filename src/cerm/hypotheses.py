@@ -21,6 +21,8 @@ Three solvers:
   the squared loss.  The clip's subgradient is the identity inside
   [-beta, beta] and 0 outside.
 
+``fit`` is the one dispatch from a (loss, solver) pair to these solvers.
+
 Every report's ``empirical_risk`` is recomputed from the returned hypothesis
 on the training pairs, never taken from solver internals.
 """
@@ -43,6 +45,7 @@ __all__ = [
     "erm_exact_classification",
     "erm_surrogate_classification",
     "erm_regression",
+    "fit",
     "ols_init",
 ]
 
@@ -449,3 +452,22 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
         solver="surrogate",
         objective_checkpoints=checkpoints,
     )
+
+
+def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000) -> ErmReport:
+    """Fit the compressed class of ``loss`` on (U, y) with the named solver.
+
+    The zero-one loss takes ``"exact"`` (the enumerator) or ``"surrogate"``
+    (logistic descent); the regression losses take ``"surrogate"`` only,
+    meaning descent on the clipped empirical risk.  Any other pairing raises
+    ValueError.
+    """
+    if loss.kind == "zero_one":
+        if solver == "exact":
+            return erm_exact_classification(U, y)
+        if solver == "surrogate":
+            return erm_surrogate_classification(U, y, iters=iters)
+        raise ValueError(f"unknown classification solver {solver!r}")
+    if solver != "surrogate":
+        raise ValueError(f"the {loss.kind} loss takes solver 'surrogate' only, got {solver!r}")
+    return erm_regression(U, y, loss, iters=iters)

@@ -28,11 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotheses import (
-    erm_exact_classification,
-    erm_regression,
-    erm_surrogate_classification,
-)
+from .hypotheses import fit
 from .losses import bayes_action, eval_loss
 from .projections import ProjectionMap, apply, sample_projection
 from .seeds import derive_seed
@@ -129,6 +125,56 @@ def _atom_conditional_risks(loss, predictions, label_values, label_probs):
     return np.sum(np.asarray(label_probs, float) * losses, axis=1)
 
 
+def _estimate_excess_risks(
+    predict_rows, dist, n_test: int = 100_000, seed: int = 0
+) -> list[RiskEstimate]:
+    """Excess risk of r predictors under ``dist``, all scored on one evaluation set.
+
+    ``predict_rows`` maps an N x d input to an r x N matrix whose row i is
+    predictor i's output.  It is called once, on the single evaluation set:
+    the atoms of a finite-support law, or else one draw of ``n_test`` points
+    that is a pure function of (dist, n_test, seed).  The Bayes side (the
+    eta weights, the Bayes predictions and the Bayes losses) is computed once
+    on that set, and each row is then scored against it on its own, so every
+    estimate is exactly what a separate call with the same seed would give.
+    """
+    loss = dist.loss_spec
+    if hasattr(dist, "atoms"):
+        points, probs, label_values, label_probs = dist.atoms()
+        bayes = [
+            bayes_action(loss, label_values[i], label_probs[i]) for i in range(len(probs))
+        ]
+        bayes_risk = _atom_conditional_risks(loss, np.array(bayes), label_values, label_probs)
+        probs = np.asarray(probs, float)
+        estimates = []
+        for row in _prediction_rows(predict_rows, points):
+            pred_risk = _atom_conditional_risks(loss, row, label_values, label_probs)
+            value = float(np.sum(probs * (pred_risk - bayes_risk)))
+            estimates.append(
+                RiskEstimate(value=value, std_error=0.0, n_samples=len(probs), exact=True)
+            )
+        return estimates
+
+    if loss.kind == "zero_one" and hasattr(dist, "eta"):
+        X, _ = dist.sample(n_test, seed)
+        weight = np.abs(2.0 * dist.eta(X) - 1.0)
+        bayes = dist.bayes_predict(X)
+        rows = _prediction_rows(predict_rows, X)
+        return [_mc_estimate(weight * (row != bayes)) for row in rows]
+
+    X, y = dist.sample(n_test, seed)
+    bayes_loss = eval_loss(loss, dist.bayes_predict(X), y)
+    rows = _prediction_rows(predict_rows, X)
+    return [_mc_estimate(eval_loss(loss, row, y) - bayes_loss) for row in rows]
+
+
+def _prediction_rows(predict_rows, X) -> np.ndarray:
+    rows = np.asarray(predict_rows(X))
+    if rows.ndim != 2 or rows.shape[1] != len(X):
+        raise ValueError(f"expected an r x {len(X)} prediction matrix, got shape {rows.shape}")
+    return rows
+
+
 def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) -> RiskEstimate:
     """Excess risk of ``predictor`` (a callable X -> predictions) under ``dist``.
 
@@ -137,36 +183,13 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
     disagrees with Bayes], whose terms are nonnegative and low-variance.
     Continuous regression laws use paired loss differences on a shared draw.
     The draw is a pure function of (dist, n_test, seed), so two estimates with
-    equal arguments share their test sample.
+    equal arguments share their test sample.  This is the one-predictor case
+    of the evaluation pass that ``member_excess_risks`` makes for a whole
+    ensemble, and it gives the same value for the same predictor and seed.
     """
-    loss = dist.loss_spec
-    if hasattr(dist, "atoms"):
-        points, probs, label_values, label_probs = dist.atoms()
-        pred_risk = _atom_conditional_risks(loss, predictor(points), label_values, label_probs)
-        bayes = [
-            bayes_action(loss, label_values[i], label_probs[i]) for i in range(len(probs))
-        ]
-        bayes_risk = _atom_conditional_risks(loss, np.array(bayes), label_values, label_probs)
-        value = float(np.sum(np.asarray(probs, float) * (pred_risk - bayes_risk)))
-        return RiskEstimate(value=value, std_error=0.0, n_samples=len(probs), exact=True)
-
-    if loss.kind == "zero_one" and hasattr(dist, "eta"):
-        X, _ = dist.sample(n_test, seed)
-        weight = np.abs(2.0 * dist.eta(X) - 1.0)
-        disagree = predictor(X) != dist.bayes_predict(X)
-        return _mc_estimate(weight * disagree)
-
-    X, y = dist.sample(n_test, seed)
-    diffs = eval_loss(loss, predictor(X), y) - eval_loss(loss, dist.bayes_predict(X), y)
-    return _mc_estimate(diffs)
-
-
-def _fit_compressed(U, y, loss, solver: str, iters: int):
-    if loss.kind == "zero_one":
-        if solver == "exact":
-            return erm_exact_classification(U, y)
-        return erm_surrogate_classification(U, y, iters=iters)
-    return erm_regression(U, y, loss, iters=iters)
+    return _estimate_excess_risks(
+        lambda X: np.asarray(predictor(X))[None], dist, n_test=n_test, seed=seed
+    )[0]
 
 
 def estimate_compressibility(
@@ -183,9 +206,12 @@ def estimate_compressibility(
 
     The inner infimum over the compressed class is uncomputable exactly; the
     proxy is an ERM fit on a fresh population-scale sample (``pop_n`` points)
-    compressed by each drawn map, evaluated independently.  The returned
-    standard error is across the ``reps`` map draws, which is the genuine
-    randomness being averaged.
+    compressed by each drawn map, evaluated independently.  Each rep makes one
+    evaluation pass on its own ``pop_n``-point draw, seeded apart from the
+    fitting draw, so reps share no test points.  The returned standard error
+    is across the ``reps`` map draws, which is the genuine randomness being
+    averaged.  ``solver`` is dispatched by ``hypotheses.fit``: a solver the
+    loss does not take raises ValueError.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -197,7 +223,7 @@ def estimate_compressibility(
         eval_seed = derive_seed(seed, 3 * rep + 2)
         X, y = dist.sample(pop_n, data_seed)
         pmap = sample_projection(family, k, dist.d, a_seed)
-        report = _fit_compressed(apply(pmap, X), y, loss, solver, iters)
+        report = fit(apply(pmap, X), y, loss, solver, iters)
 
         def compressed_predictor(Xq, _pmap=pmap, _h=report.hypothesis):
             return _h.predict(apply(_pmap, Xq))

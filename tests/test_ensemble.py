@@ -10,10 +10,11 @@ from cerm.ensemble import (
     predict,
     train_ensemble,
 )
-from cerm.losses import make_loss
+from cerm.losses import bayes_action, eval_loss, make_loss
 from cerm.projections import apply
+from cerm.riskbounds import estimate_excess_risk
 from cerm.seeds import derive_seed
-from cerm.synthdist import GaussMarginDist, RegressionDist
+from cerm.synthdist import AssouadDist, GaussMarginDist, RegressionDist
 
 
 def classification_data(n=120, d=8, seed=0):
@@ -130,6 +131,91 @@ def test_exact_solver_inside_ensemble():
     # same projections, so the exact member can never do worse
     for r_ex, r_su in zip(model.member_reports, surro.member_reports):
         assert r_ex.empirical_risk <= r_su.empirical_risk + 1e-15
+
+
+def _reference_excess_risk(predictor, dist, n_test, seed):
+    """One predictor's excess risk, scored on its own: the estimator written
+    out branch by branch, kept as the reference for the one-pass path."""
+    loss = dist.loss_spec
+    if hasattr(dist, "atoms"):
+        points, probs, label_values, label_probs = dist.atoms()
+
+        def conditional(pred):
+            losses = eval_loss(loss, np.asarray(pred, float)[:, None], label_values)
+            return np.sum(label_probs * losses, axis=1)
+
+        bayes = np.array(
+            [bayes_action(loss, label_values[i], label_probs[i]) for i in range(len(probs))]
+        )
+        return float(np.sum(probs * (conditional(predictor(points)) - conditional(bayes))))
+    X, y = dist.sample(n_test, seed)
+    if loss.kind == "zero_one":
+        values = np.abs(2.0 * dist.eta(X) - 1.0) * (predictor(X) != dist.bayes_predict(X))
+    else:
+        values = eval_loss(loss, predictor(X), y) - eval_loss(loss, dist.bayes_predict(X), y)
+    return float(np.mean(values))
+
+
+def _trained_case(case):
+    """(dist, model, n_test) for each branch of the excess-risk estimator."""
+    if case == "atoms":
+        sigma = np.where(np.arange(9) % 3 == 0, 1.0, -1.0)
+        dist = AssouadDist(q=9, r=2.0, v=0.6, epsilon=0.3, sigma=sigma)
+        X, y = dist.sample(120, seed=2)
+        model = train_ensemble(X, y, dist.loss_spec, "gaussian", k=2, m=5,
+                               solver="exact", master_seed=3)
+        return dist, model, 1000
+    if case == "eta":
+        dist, X, y = classification_data(n=200, seed=5)
+        model = train_ensemble(X, y, dist.loss_spec, "gaussian", k=4, m=6,
+                               master_seed=9, iters=100)
+        return dist, model, 3000
+    dist = RegressionDist(d=6, spectral_constant=1.0, spectral_decay=0.5,
+                          w=np.full(6, 0.5))
+    X, y = dist.sample(150, seed=4)
+    model = train_ensemble(X, y, dist.loss_spec, "gaussian", k=3, m=5,
+                           master_seed=2, iters=200)
+    return dist, model, 3000
+
+
+@pytest.mark.parametrize("case", ["atoms", "eta", "regression"])
+def test_member_excess_risks_match_separate_estimates_exactly(case):
+    dist, model, n_test = _trained_case(case)
+    members, ensemble = member_excess_risks(model, dist, n_test=n_test, seed=13)
+
+    predictors = [
+        lambda Xq, _p=pmap, _h=hyp: _h.predict(apply(_p, Xq)) for pmap, hyp in model.members
+    ]
+    separate = [estimate_excess_risk(f, dist, n_test=n_test, seed=13) for f in predictors]
+    combined = estimate_excess_risk(lambda Xq: predict(model, Xq), dist, n_test=n_test, seed=13)
+    assert members == separate
+    assert ensemble == combined
+    assert [e.value for e in members] == [
+        _reference_excess_risk(f, dist, n_test, 13) for f in predictors
+    ]
+    assert ensemble.value == _reference_excess_risk(
+        lambda Xq: predict(model, Xq), dist, n_test, 13
+    )
+    assert all(e.exact == (case == "atoms") for e in members + [ensemble])
+
+
+@pytest.mark.parametrize("case", ["atoms", "eta", "regression"])
+def test_member_excess_risks_draws_the_test_set_at_most_once(case):
+    dist, model, n_test = _trained_case(case)
+    calls = {"sample": 0, "atoms": 0}
+    for name in calls:
+        original = getattr(dist, name, None)
+        if original is None:
+            continue
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        setattr(dist, name, counted)
+    member_excess_risks(model, dist, n_test=n_test, seed=13)
+    assert calls["sample"] <= 1
+    assert calls["sample"] + calls["atoms"] == 1
 
 
 def test_model_summary_is_json_serializable():

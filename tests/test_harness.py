@@ -138,6 +138,22 @@ def test_config_list_and_scalar_validation(tmp_path):
         ExperimentConfig.from_dict(regression_config(tmp_path, m_list=[]))
     with pytest.raises(ConfigError, match="trials"):
         ExperimentConfig.from_dict(regression_config(tmp_path, trials=True))
+    # JSON true is a bool, which Python counts as the integer 1: every
+    # integer and number field must still refuse it.
+    for field in ("n_test", "threads", "solver_iters", "bracket_alpha"):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict(regression_config(tmp_path, **{field: True}))
+    for name in ("reps", "pop_factor"):
+        compressibility = {"reps": 2, "pop_factor": 2, name: True}
+        with pytest.raises(ConfigError, match=f"compressibility.{name}"):
+            ExperimentConfig.from_dict(regression_config(tmp_path, compressibility=compressibility))
+    with pytest.raises(ConfigError, match="loss.beta"):
+        ExperimentConfig.from_dict(
+            regression_config(tmp_path, loss={"kind": "squared", "beta": True})
+        )
+    for field in ("master_seed", "delta"):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict(regression_config(tmp_path, **{field: False}))
     with pytest.raises(ConfigError, match="delta"):
         ExperimentConfig.from_dict(regression_config(tmp_path, delta=1.0))
     with pytest.raises(ConfigError, match="output"):
@@ -255,6 +271,18 @@ def test_failed_trials_are_recorded_not_fatal(tmp_path):
         assert row["error"].startswith("ScaleGuardError")
         assert row["ensemble_excess"] == ""
         assert float(row["wall_time_ms"]) > 0.0
+
+
+def test_programming_errors_in_a_trial_end_the_run(tmp_path, monkeypatch):
+    def broken_training(*args, **kwargs):
+        raise NameError("name 'undefined_helper' is not defined")
+
+    monkeypatch.setattr("cerm.harness.train_ensemble", broken_training)
+    for threads in (1, 2):
+        cfg = regression_config(tmp_path, threads=threads)
+        with pytest.raises(NameError, match="undefined_helper"):
+            run_experiment(cfg)
+    assert not (tmp_path / "run.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cerm.hypotheses import (
     erm_exact_classification,
     erm_regression,
     erm_surrogate_classification,
+    fit,
     ols_init,
 )
 from cerm.losses import make_loss
@@ -216,6 +217,26 @@ def test_erm_is_deterministic():
     assert np.array_equal(a.hypothesis.w, b.hypothesis.w)
     assert a.hypothesis.t == b.hypothesis.t
     assert a.empirical_risk == b.empirical_risk
+
+
+def test_fit_dispatches_by_loss_and_solver():
+    rng = np.random.default_rng(21)
+    U = rng.standard_normal((40, 2))
+    labels = np.where(U[:, 0] >= 0.0, 1.0, -1.0)
+    zero_one = make_loss("zero_one")
+    assert fit(U, labels, zero_one, "exact").solver == "exact"
+    assert fit(U, labels, zero_one, "surrogate", iters=20).solver == "surrogate"
+    squared = make_loss("squared", 1.0)
+    report = fit(U, 0.5 * np.tanh(U[:, 0]), squared, iters=20)
+    assert report.hypothesis.mode == "clip"
+    targets = 0.5 * labels
+    for loss, y, solver in (
+        (zero_one, labels, "annealing"),
+        (squared, targets, "exact"),
+        (squared, targets, "annealing"),
+    ):
+        with pytest.raises(ValueError, match=solver):
+            fit(U, y, loss, solver)
 
 
 def _better_pattern_exists(U, y, achieved_errors):

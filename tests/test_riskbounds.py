@@ -120,6 +120,12 @@ def test_excess_risk_paired_regression_path():
     assert zero.value > 4.0 * zero.std_error
 
 
+def test_excess_risk_rejects_a_misshapen_prediction():
+    dist = GaussMarginDist(4, gamma=2.0, rho=3.0, alpha=0.5)
+    with pytest.raises(ValueError, match="prediction matrix"):
+        estimate_excess_risk(lambda X: np.ones((X.shape[0], 1)), dist, n_test=100, seed=0)
+
+
 def test_excess_risk_shares_the_draw():
     dist = GaussMarginDist(4, gamma=2.0, rho=3.0, alpha=0.5)
     a = estimate_excess_risk(lambda X: np.ones(X.shape[0]), dist, n_test=5_000, seed=9)
@@ -147,6 +153,16 @@ def test_compressibility_rejects_bad_reps():
     dist = RegressionDist(d=4, spectral_constant=1.0, spectral_decay=0.5, w=np.full(4, 0.2))
     with pytest.raises(ValueError):
         estimate_compressibility(dist, "gaussian", 2, reps=0)
+
+
+def test_compressibility_rejects_solvers_the_loss_does_not_take():
+    dist = RegressionDist(d=4, spectral_constant=1.0, spectral_decay=0.5, w=np.full(4, 0.2))
+    for solver in ("annealing", "exact"):
+        with pytest.raises(ValueError, match=solver):
+            estimate_compressibility(dist, "gaussian", 2, reps=1, pop_n=50, solver=solver)
+    cls = GaussMarginDist(4, gamma=2.0, rho=3.0, alpha=0.5)
+    with pytest.raises(ValueError, match="annealing"):
+        estimate_compressibility(cls, "gaussian", 2, reps=1, pop_n=50, solver="annealing")
 
 
 # ---------------------------------------------------------------------------
