@@ -7,12 +7,16 @@ Two hypothesis classes over compressed inputs u in R^k:
 
 Three solvers:
 
-* ``erm_exact_classification`` — a combinatorial enumerator that returns a
-  certified global minimizer of the empirical zero-one risk.  Every labeling a
-  hyperplane can realize on n points is realized by some hyperplane through at
-  most k of the points (completed with coordinate directions when fewer points
-  pin it down), tilted so the touched points land on their labeled sides.
-  Guarded to k <= 3 and n <= 200, where the enumeration is exhaustive and fast.
+* ``erm_exact_classification`` — a certified global minimizer of the
+  empirical zero-one risk: a rotational sweep for k <= 2, O(n^2 log n), and
+  enumeration at k = 3, O(n^4).  The sweep turns a line about every point in
+  turn and counts the errors on every arc between critical directions.  The
+  enumeration uses that every labeling a hyperplane can realize on n points
+  is realized by some hyperplane through at most k of the points (completed
+  with coordinate directions when fewer points pin it down), tilted so the
+  touched points land on their labeled sides.  The sweep's rule must make
+  exactly the errors the sweep counted, or the solve raises.  Guarded to
+  k <= 3 and n <= 200.
 * ``erm_surrogate_classification`` — full-batch gradient descent on the
   logistic surrogate with a backtracking step size, reporting the zero-one
   risk of the result, for scales where enumeration is infeasible.
@@ -54,7 +58,7 @@ EXACT_MAX_N = 200
 
 
 class ScaleGuardError(ValueError):
-    """Raised when the exact enumerator is asked to exceed its size limits."""
+    """Raised when the exact solver is asked to exceed its size limits."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,16 +99,15 @@ class LinearHypothesis:
 class ErmReport:
     """Outcome of one ERM solve.
 
-    ``surrogate_gap`` is the achieved empirical risk minus the best known
-    lower bound (the exact optimum when the enumerator is feasible); None when
-    no lower bound is available.  ``objective_checkpoints`` records the
-    surrogate objective along the descent for monotonicity diagnostics.
+    ``empirical_risk`` is the returned hypothesis's risk on the training
+    pairs; for ``solver == "exact"`` it is the global minimum.
+    ``objective_checkpoints`` records the descent objective for monotonicity
+    diagnostics; None for the exact solver.
     """
 
     hypothesis: LinearHypothesis
     empirical_risk: float
     solver: str  # "exact" or "surrogate"
-    surrogate_gap: float | None = None
     objective_checkpoints: tuple | None = None
 
 
@@ -186,36 +189,29 @@ def _index_chunks(n: int, j: int, chunk: int):
         yield np.array(block, dtype=int).reshape(len(block), j)
 
 
-def erm_exact_classification(U, y) -> ErmReport:
-    """Global minimizer of the empirical zero-one risk over sign-linear rules.
-
-    Enumerates a hyperplane through every subset of up to k points (completed
-    with coordinate directions when fewer points pin it down), in both
-    orientations, both as-is and tilted so the spanning points land on their
-    labeled sides; the two constant classifiers seed the search.  Every
-    candidate is scored as the concrete hypothesis it is, and the best one is
-    returned with its risk recomputed from scratch.  Scale-guarded to k <= 3,
-    n <= 200.
-    """
-    U, y = _validate_classification(U, y)
-    n, k = U.shape
-    if k > EXACT_MAX_K or n > EXACT_MAX_N:
-        raise ScaleGuardError(
-            f"exact enumeration limited to k <= {EXACT_MAX_K} and n <= {EXACT_MAX_N}, "
-            f"got k={k}, n={n}"
-        )
-    if k < 1:
-        raise ValueError("need k >= 1")
-
-    y_pos = y == 1.0
+def _best_constant(y_pos: np.ndarray, k: int) -> tuple[int, np.ndarray]:
+    """The better constant rule as (errors, v); v = (0, ..., 0, -1) predicts +1."""
     n_pos = int(np.count_nonzero(y_pos))
-    # Constant classifiers: v = (0, ..., 0, -1) predicts +1 everywhere.
-    best_errors = n - n_pos
-    best_v = np.zeros(k + 1)
-    best_v[k] = -1.0
-    if n_pos < best_errors:
-        best_errors = n_pos
-        best_v = -best_v
+    v = np.zeros(k + 1)
+    v[k] = -1.0
+    if n_pos < y_pos.size - n_pos:
+        return n_pos, -v
+    return y_pos.size - n_pos, v
+
+
+def _enumerate_hyperplanes(U, y) -> tuple[int, np.ndarray]:
+    """Best rule over hyperplanes through every subset of up to k points.
+
+    Each subset's hyperplane (completed with coordinate directions when fewer
+    points pin it down) is tried in both orientations, both as-is and tilted
+    so the spanning points land on their labeled sides; the two constant
+    classifiers seed the search.  Returns (errors, v) with v = (w, t), where
+    errors is the best candidate's count on the scores it was chosen by.
+    O(n^(k+1)); the production path at k = 3 and the sweep's test oracle.
+    """
+    n, k = U.shape
+    y_pos = y == 1.0
+    best_errors, best_v = _best_constant(y_pos, k)
 
     Z = np.concatenate([U, -np.ones((n, 1))], axis=1)
     ZT = Z.T
@@ -282,9 +278,143 @@ def erm_exact_classification(U, y) -> ErmReport:
                                 best_v = best_v + tau[local] * A[local]
                 if best_errors == 0:
                     break
+    return best_errors, best_v
 
-    hypothesis = LinearHypothesis(w=best_v[:k].copy(), t=float(best_v[k]), mode="sign")
+
+# ---------------------------------------------------------------------------
+# exact zero-one ERM in the plane by rotational sweep
+# ---------------------------------------------------------------------------
+#
+# Any labeling a line realizes with points on both sides is also realized by
+# a line through one point p (the pivot) whose normal lies inside an open arc
+# between critical normals: slide the line until it first touches a point;
+# if it then holds several, pivot on an extreme one and turn the line
+# slightly so the others fall back on the side they came from.  Only p's
+# exact duplicates stay on the line, and a small shift puts them on either
+# side.  Another point q changes side only where the normal is orthogonal to
+# d = q - p.  Turning the normal through half a circle, (-pi/2, pi/2], covers
+# both orientations, because the opposite normal puts every point off the
+# line on its other side.  Sorting the n - 1 critical normals per pivot and
+# summing the side changes counts the errors on every arc: O(n log n) per
+# pivot, O(n^2 log n) in all (Johnson & Preparata, "The densest hemisphere
+# problem", TCS 6, 1978).
+#
+# Collinear and antipodal points give the same critical normal.  It must be
+# one boundary, not two an ulp apart with a zero-length "arc" between them,
+# so sorted neighbours merge when their cross product is exactly 0.
+
+
+def _rotational_sweep(U, y) -> tuple[int, np.ndarray]:
+    """Best rule for k <= 2 by a rotational sweep about every point.
+
+    k = 1 runs as the plane with a zero second coordinate.  Returns
+    (errors, v) with v = (w, t) for the input's own k; the errors are the
+    sweep's count, which the caller certifies against the returned rule.
+    """
+    n, k = U.shape
+    y_pos = y == 1.0
+    best_errors, best_v = _best_constant(y_pos, k)
+    P = np.zeros((n, 2))
+    P[:, :k] = U
+
+    D = P[None, :, :] - P[:, None, :]  # D[i, j] = P[j] - P[i]
+    dx, dy = D[..., 0], D[..., 1]
+    dup = (dx == 0.0) & (dy == 0.0)  # pivot i's group, i included
+    # q's critical normal is d turned +90 degrees, where q leaves the + side
+    # as the normal turns counterclockwise, or its negation, where q rejoins
+    # it: whichever has cx > 0, or cx = 0 and cy > 0.  Adding 0.0 clears
+    # signed zeros, so a vertical normal always sorts at +pi/2.
+    cx, cy = -dy, dx
+    leaves = (cx > 0.0) | ((cx == 0.0) & (cy > 0.0))
+    cx = np.where(leaves, cx, -cx) + 0.0
+    cy = np.where(leaves, cy, -cy) + 0.0
+    angle = np.where(dup, np.inf, np.arctan2(cy, cx))  # the group sorts last
+    order = np.argsort(angle, axis=1)
+    flat = order + n * np.arange(n)[:, None]
+    angle, cx, cy = angle.ravel()[flat], cx.ravel()[flat], cy.ravel()[flat]
+    # Leaving costs an error when y_q = +1 and saves one otherwise.
+    flip = np.where(y_pos, 1, -1)
+    step = np.where(leaves, flip, -flip).ravel()[flat]
+
+    # Just counterclockwise of -pi/2 the normal is (0+, -1): q is + iff it
+    # lies below p, or level with p and to its right.
+    plus0 = (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
+    errors0 = np.count_nonzero((plus0 != y_pos) & ~dup, axis=1)[:, None]
+    # The count after crossing sorted normal c holds up to normal c + 1
+    # unless the two are the same; after the last one it is errors0 again.
+    errors = np.concatenate([errors0, errors0 + np.cumsum(step, axis=1)[:, :-1]], axis=1)
+    cross = cx[:, :-1] * cy[:, 1:] - cy[:, :-1] * cx[:, 1:]
+    opens = np.isfinite(angle[:, 1:]) & (cross != 0.0)
+
+    group = np.count_nonzero(dup, axis=1)
+    group_plus = np.count_nonzero(dup & y_pos, axis=1)
+    group_minus = group - group_plus
+    valid = np.concatenate([(group < n)[:, None], opens], axis=1)
+    turned = (n - group)[:, None] - errors  # the opposite normal's count
+    cost = np.minimum(errors, turned) + np.minimum(group_plus, group_minus)[:, None]
+    cost = np.where(valid, cost, n + 1)
+    i, c = divmod(int(np.argmin(cost)), n)
+    if cost[i, c] >= best_errors:
+        return best_errors, best_v
+
+    # The arc's mid normal, then a threshold halfway across the gap between
+    # the two sides along it; p's group takes its cheaper side.
+    if c == 0:
+        last = int(np.count_nonzero(np.isfinite(angle[i]))) - 1
+        lo_angle, hi_angle = angle[i, last] - np.pi, angle[i, 0]
+    else:
+        lo_angle, hi_angle = angle[i, c - 1], angle[i, c]
+    mid = 0.5 * (lo_angle + hi_angle)
+    normal = np.array([np.cos(mid), np.sin(mid)])
+    if turned[i, c] < errors[i, c]:
+        normal = -normal
+    s = P @ normal
+    plus = (s > s[i]) | ((s == s[i]) & (group_minus[i] <= group_plus[i]))
+    below, above = s[~plus], s[plus]
+    if below.size and above.size:
+        lo, hi = below.max(), above.min()
+        t = 0.5 * (lo + hi)
+        if not lo < t:  # adjacent floats
+            t = hi
+    else:  # a constant pattern cannot beat the seeds; certification refuses it
+        t = s[i]
+    return int(cost[i, c]), np.append(normal[:k], t)
+
+
+def erm_exact_classification(U, y) -> ErmReport:
+    """Global minimizer of the empirical zero-one risk over sign-linear rules.
+
+    At k <= 2 a rotational sweep finds it in O(n^2 log n), and the returned
+    rule's recomputed risk must equal the sweep's error count, or
+    RuntimeError is raised.  That can happen only where the best rule must
+    separate points closer than its floating-point evaluation resolves, such
+    as nearly collinear triples or near-duplicates.  At k = 3 the hyperplane
+    enumeration finds it in O(n^4).  The risk is always recomputed from the
+    returned rule.
+    Scale-guarded to k <= 3, n <= 200.
+    """
+    U, y = _validate_classification(U, y)
+    n, k = U.shape
+    if k > EXACT_MAX_K or n > EXACT_MAX_N:
+        raise ScaleGuardError(
+            f"exact enumeration limited to k <= {EXACT_MAX_K} and n <= {EXACT_MAX_N}, "
+            f"got k={k}, n={n}"
+        )
+    if k < 1:
+        raise ValueError("need k >= 1")
+
+    if k <= 2:
+        errors, v = _rotational_sweep(U, y)
+    else:
+        errors, v = _enumerate_hyperplanes(U, y)
+    hypothesis = LinearHypothesis(w=v[:k].copy(), t=float(v[k]), mode="sign")
     risk = _zero_one_risk(hypothesis, U, y)
+    # The enumerator's own count reads the sign of rounding noise for points
+    # on a candidate plane, so only the sweep's count certifies its rule.
+    if k <= 2 and risk != errors / n:
+        raise RuntimeError(
+            f"the sweep counted {errors} errors, but its rule makes {round(risk * n)}"
+        )
     return ErmReport(hypothesis=hypothesis, empirical_risk=risk, solver="exact")
 
 
@@ -343,9 +473,9 @@ def erm_surrogate_classification(
     """Logistic-surrogate gradient descent for the sign-linear class.
 
     Minimizes mean log(1 + exp(-y (w.u - t))) by full-batch descent, then
-    reports the zero-one empirical risk of the resulting sign rule.  When the
-    exact enumerator is feasible at this size it is run as well, and the gap
-    between the two risks is reported; otherwise the gap is unknown (None).
+    reports the zero-one empirical risk of the resulting sign rule.  It runs
+    no other solver; how far that risk is from the optimum is for a caller
+    to measure with ``erm_exact_classification`` where that is feasible.
     Non-convergence is not an error — the checkpoint trace is the diagnostic.
     """
     U, y = _validate_classification(U, y)
@@ -368,14 +498,10 @@ def erm_surrogate_classification(
 
     hypothesis = LinearHypothesis(w=x[:k], t=float(x[k]), mode="sign")
     risk = _zero_one_risk(hypothesis, U, y)
-    gap = None
-    if k <= EXACT_MAX_K and n <= EXACT_MAX_N:
-        gap = risk - erm_exact_classification(U, y).empirical_risk
     return ErmReport(
         hypothesis=hypothesis,
         empirical_risk=risk,
         solver="surrogate",
-        surrogate_gap=gap,
         objective_checkpoints=checkpoints,
     )
 
@@ -457,8 +583,9 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
 def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000) -> ErmReport:
     """Fit the compressed class of ``loss`` on (U, y) with the named solver.
 
-    The zero-one loss takes ``"exact"`` (the enumerator) or ``"surrogate"``
-    (logistic descent); the regression losses take ``"surrogate"`` only,
+    The zero-one loss takes ``"exact"`` (``erm_exact_classification``, the
+    sweep for k <= 2 and enumeration at k = 3) or ``"surrogate"`` (logistic
+    descent); the regression losses take ``"surrogate"`` only,
     meaning descent on the clipped empirical risk.  Any other pairing raises
     ValueError.
     """

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cerm import hypotheses
 from cerm.hypotheses import (
     EXACT_MAX_K,
     EXACT_MAX_N,
@@ -13,6 +14,8 @@ from cerm.hypotheses import (
     ols_init,
 )
 from cerm.losses import make_loss
+from cerm.projections import apply, sample_projection
+from cerm.synthdist import AssouadDist
 
 
 def brute_force_1d_risk(u, y):
@@ -131,18 +134,22 @@ def test_surrogate_reaches_exact_on_easy_instances():
         y = np.where(U @ w_true >= 0.2, 1.0, -1.0)
         report = erm_surrogate_classification(U, y)
         assert report.solver == "surrogate"
-        assert report.surrogate_gap is not None
-        gaps.append(report.surrogate_gap)
+        gaps.append(report.empirical_risk - erm_exact_classification(U, y).empirical_risk)
     assert np.mean(gaps) <= 0.02
     assert min(gaps) >= 0.0  # never better than the exact optimum
 
 
-def test_surrogate_gap_absent_when_exact_is_infeasible():
+def test_surrogate_never_runs_an_exact_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the surrogate solver ran an exact solver")
+
+    for name in ("_enumerate_hyperplanes", "_rotational_sweep", "erm_exact_classification"):
+        monkeypatch.setattr(hypotheses, name, refuse)
     rng = np.random.default_rng(14)
-    U = rng.standard_normal((50, 5))
-    y = rng.choice([-1.0, 1.0], size=50)
+    U = rng.standard_normal((EXACT_MAX_N, EXACT_MAX_K))
+    y = rng.choice([-1.0, 1.0], size=EXACT_MAX_N)
     report = erm_surrogate_classification(U, y)
-    assert report.surrogate_gap is None
+    assert report.solver == "surrogate"
 
 
 def test_surrogate_objective_checkpoints_decrease():
@@ -298,3 +305,68 @@ def test_exact_erm_is_unbeatable_on_random_instances():
             report = erm_exact_classification(U, y)
             errors = round(report.empirical_risk * n)
             assert not _better_pattern_exists(U, y, errors)
+
+
+def oracle_risk(U, y):
+    """The enumeration oracle's optimum: the error count of its best candidate.
+
+    On lattices its returned rule can make an error more than that count,
+    because points lying on a candidate plane read the sign of rounding
+    noise, so the count, not the rule's recomputed risk, is the reference.
+    """
+    errors, _ = hypotheses._enumerate_hyperplanes(U, y)
+    return errors / len(y)
+
+
+def test_sweep_matches_the_enumeration_oracle():
+    """k <= 2 runs the sweep; its optimum must equal the enumerator's.
+
+    Gaussian points at n from 1 to 200, lattices in {-2, ..., 2}^k (with
+    duplicates and collinear and antipodal triples), single-class labels,
+    and one fit shaped like the Assouad benchmark workload.
+    """
+    rng = np.random.default_rng(79)
+    cases = []
+    for k in (1, 2):
+        for n in list(range(1, 13)) + [20, 40, 80, 120, 160, 200]:
+            U = rng.standard_normal((n, k))
+            cases.append((U, rng.choice([-1.0, 1.0], size=n)))
+            noisy = U @ rng.standard_normal(k) - 0.3 + 0.5 * rng.standard_normal(n)
+            cases.append((U, np.where(noisy >= 0.0, 1.0, -1.0)))
+    for _ in range(300):
+        n, k = int(rng.integers(1, 41)), int(rng.integers(1, 3))
+        cases.append((rng.integers(-2, 3, size=(n, k)).astype(float), rng.choice([-1.0, 1.0], size=n)))
+    for U, _ in cases[::25]:
+        cases += [(U, np.ones(len(U))), (U, -np.ones(len(U)))]
+
+    q, gamma, rho, alpha = 3000, 2.0, 2.0, 0.5
+    two_gr = 2.0 * (gamma + rho)
+    dist = AssouadDist(
+        q,
+        q ** (gamma / two_gr),
+        q ** (-rho * gamma * alpha / two_gr),
+        q ** (-gamma * rho * (1.0 - alpha) / two_gr),
+        sigma=rng.choice([-1.0, 1.0], size=q),
+    )
+    X, y = dist.sample(EXACT_MAX_N, 80)
+    for member in range(3):
+        cases.append((apply(sample_projection("gaussian", 2, q + 1, member), X), y))
+
+    for U, y in cases:
+        report = erm_exact_classification(U, y)
+        assert report.empirical_risk == oracle_risk(U, y), (U.tolist(), y.tolist())
+
+
+def test_exact_erm_refuses_a_rule_that_misses_the_sweep_count(monkeypatch):
+    sweep = hypotheses._rotational_sweep
+
+    def off_by_one(U, y):
+        errors, v = sweep(U, y)
+        return errors - 1, v
+
+    monkeypatch.setattr(hypotheses, "_rotational_sweep", off_by_one)
+    rng = np.random.default_rng(81)
+    U = rng.standard_normal((30, 2))
+    y = rng.choice([-1.0, 1.0], size=30)
+    with pytest.raises(RuntimeError, match="sweep counted"):
+        erm_exact_classification(U, y)
