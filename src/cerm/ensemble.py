@@ -66,7 +66,7 @@ def train_ensemble(
     m: int,
     solver: str = "surrogate",
     master_seed: int = 0,
-    iters: int | None = None,
+    iters: int = 2000,
 ) -> EnsembleModel:
     """Fit an m-member ensemble on (X, y).
 
@@ -80,7 +80,6 @@ def train_ensemble(
         raise ValueError("X must be n x d with matching labels y")
     if m < 1:
         raise ValueError("m must be >= 1")
-    iters = 2000 if iters is None else int(iters)
     d = X.shape[1]
     members = []
     reports = []

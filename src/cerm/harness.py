@@ -35,7 +35,7 @@ import numpy as np
 
 from ._version import __version__
 from .ensemble import member_excess_risks, train_ensemble
-from .hypotheses import ScaleGuardError
+from .hypotheses import ScaleGuardError, SweepUncertifiedError
 from .losses import LOSS_KINDS, LossDomainError, LossSpec, make_loss
 from .projections import FAMILIES
 from .riskbounds import (
@@ -46,7 +46,7 @@ from .riskbounds import (
     risk_bound_bracket,
 )
 from .seeds import derive_seed
-from .synthdist import dist_from_config
+from .synthdist import AssouadDist, dist_from_config
 
 __all__ = [
     "ConfigError",
@@ -82,7 +82,13 @@ _K_RULES = ("fixed", "classification", "regression")
 
 #: The numerical failures a trial records in its row's error column.  Any
 #: other exception is a fault in the program or its input and ends the run.
-_TRIAL_FAILURES = (ScaleGuardError, LossDomainError, NoFixedPointError, np.linalg.LinAlgError)
+_TRIAL_FAILURES = (
+    ScaleGuardError,
+    SweepUncertifiedError,
+    LossDomainError,
+    NoFixedPointError,
+    np.linalg.LinAlgError,
+)
 
 
 class ConfigError(ValueError):
@@ -146,7 +152,7 @@ class ExperimentConfig:
     n_test: int
     master_seed: int
     solver: str
-    solver_iters: int | None
+    solver_iters: int
     output: str
     compressibility: dict | None
     bracket_alpha: float | None
@@ -187,6 +193,14 @@ class ExperimentConfig:
             dist = dist_from_config(dist_config)
         except Exception as exc:
             raise ConfigError(f"distribution: {exc}") from exc
+        if isinstance(dist, AssouadDist):
+            # Every trial's excess risk is summed over the atoms, which an
+            # Assouad law refuses to build above its size limit.
+            _require(
+                dist.atoms_feasible,
+                "distribution",
+                f"assouad q = {dist.q} needs more than {dist.MAX_ATOM_ENTRIES} atom coordinates",
+            )
 
         loss_cfg = raw.get("loss")
         if loss_cfg is None:
@@ -248,9 +262,7 @@ class ExperimentConfig:
         _require(solver in ("surrogate", "exact"), "solver", "must be 'surrogate' or 'exact'")
         if solver == "exact":
             _require(loss.kind == "zero_one", "solver", "'exact' is only defined for the zero-one loss")
-        solver_iters = raw.get("solver_iters")
-        if solver_iters is not None:
-            _int_field(solver_iters, "solver_iters")
+        solver_iters = _int_field(raw.get("solver_iters", 2000), "solver_iters")
 
         output = raw.get("output")
         _require(isinstance(output, str) and len(output) > 0, "output", "must be a non-empty path stem")
@@ -356,7 +368,6 @@ def _psi_cache(config: ExperimentConfig, cells: list[Cell]) -> dict[int, float]:
         return {}
     reps = config.compressibility["reps"]
     pop_n = config.compressibility["pop_factor"] * max(config.n_list)
-    iters = 2000 if config.solver_iters is None else config.solver_iters
     cache = {}
     for k_index, k in enumerate(sorted({cell.k for cell in cells})):
         est = estimate_compressibility(
@@ -367,7 +378,7 @@ def _psi_cache(config: ExperimentConfig, cells: list[Cell]) -> dict[int, float]:
             pop_n=pop_n,
             solver=config.solver,
             seed=derive_seed(config.master_seed, 1_000_000 + k_index),
-            iters=iters,
+            iters=config.solver_iters,
         )
         cache[k] = est.value
     return cache
@@ -451,8 +462,8 @@ def run_experiment(config) -> str:
     """Run every configured cell and trial; return the results CSV path.
 
     Writes ``<output>.csv`` and ``<output>.manifest.jsonl``.  A trial that
-    fails numerically (ScaleGuardError, LossDomainError, NoFixedPointError or
-    LinAlgError) is recorded as a row with the error column set and empty
+    fails numerically (ScaleGuardError, SweepUncertifiedError,
+    LossDomainError, NoFixedPointError or LinAlgError) is recorded as a row with the error column set and empty
     metrics, and the run continues; any other exception propagates and no
     results are written.  Identical configs produce identical CSVs (wall-time
     column aside) at any thread budget.

@@ -7,16 +7,19 @@ Two hypothesis classes over compressed inputs u in R^k:
 
 Three solvers:
 
-* ``erm_exact_classification`` — a certified global minimizer of the
-  empirical zero-one risk: a rotational sweep for k <= 2, O(n^2 log n), and
-  enumeration at k = 3, O(n^4).  The sweep turns a line about every point in
-  turn and counts the errors on every arc between critical directions.  The
-  enumeration uses that every labeling a hyperplane can realize on n points
-  is realized by some hyperplane through at most k of the points (completed
-  with coordinate directions when fewer points pin it down), tilted so the
-  touched points land on their labeled sides.  The sweep's rule must make
-  exactly the errors the sweep counted, or the solve raises.  Guarded to
-  k <= 3 and n <= 200.
+* ``erm_exact_classification`` — empirical zero-one risk minimization by a
+  rotational sweep for k <= 2, O(n^2 log n), and enumeration at k = 3,
+  O(n^4).  The sweep turns a line about every point in turn and counts the
+  errors on every arc between critical directions; its rule must make
+  exactly the errors it counted, or the solve raises
+  SweepUncertifiedError, so at k <= 2 the result is a certified global
+  minimizer.  The enumeration uses that every labeling a hyperplane can
+  realize on n points is realized by some hyperplane through at most k of
+  the points (completed with coordinate directions when fewer points pin it
+  down), tilted so the touched points land on their labeled sides.  It is
+  not certified: on degenerate inputs, where points lie on a candidate
+  plane, its rule can make more errors than the count it was chosen by.
+  Guarded to k <= 3 and n <= 200.
 * ``erm_surrogate_classification`` — full-batch gradient descent on the
   logistic surrogate with a backtracking step size, reporting the zero-one
   risk of the result, for scales where enumeration is infeasible.
@@ -39,13 +42,13 @@ from itertools import combinations, islice
 import numpy as np
 from scipy.special import expit
 
-from .losses import LossSpec, eval_loss
+from .losses import LossSpec, _loss_values, eval_loss
 
 __all__ = [
     "LinearHypothesis",
     "ErmReport",
-    "LrSchedule",
     "ScaleGuardError",
+    "SweepUncertifiedError",
     "erm_exact_classification",
     "erm_surrogate_classification",
     "erm_regression",
@@ -59,6 +62,15 @@ EXACT_MAX_N = 200
 
 class ScaleGuardError(ValueError):
     """Raised when the exact solver is asked to exceed its size limits."""
+
+
+class SweepUncertifiedError(RuntimeError):
+    """Raised when the exact solver's sweep finds a best arc but the rule it
+    builds from it does not make the counted errors.
+
+    This happens on near-degenerate inputs, where the best rule must separate
+    points closer than its floating-point evaluation resolves.
+    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +112,8 @@ class ErmReport:
     """Outcome of one ERM solve.
 
     ``empirical_risk`` is the returned hypothesis's risk on the training
-    pairs; for ``solver == "exact"`` it is the global minimum.
+    pairs; for ``solver == "exact"`` it is the certified global minimum at
+    k <= 2 and the enumeration's best rule, not certified, at k = 3.
     ``objective_checkpoints`` records the descent objective for monotonicity
     diagnostics; None for the exact solver.
     """
@@ -109,16 +122,6 @@ class ErmReport:
     empirical_risk: float
     solver: str  # "exact" or "surrogate"
     objective_checkpoints: tuple | None = None
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Backtracking step-size policy for the descent solvers."""
-
-    init: float = 1.0
-    grow: float = 1.3
-    shrink: float = 0.5
-    max_backtracks: int = 40
 
 
 def _validate_classification(U, y):
@@ -382,15 +385,17 @@ def _rotational_sweep(U, y) -> tuple[int, np.ndarray]:
 
 
 def erm_exact_classification(U, y) -> ErmReport:
-    """Global minimizer of the empirical zero-one risk over sign-linear rules.
+    """Empirical zero-one risk minimization over sign-linear rules.
 
-    At k <= 2 a rotational sweep finds it in O(n^2 log n), and the returned
-    rule's recomputed risk must equal the sweep's error count, or
-    RuntimeError is raised.  That can happen only where the best rule must
-    separate points closer than its floating-point evaluation resolves, such
-    as nearly collinear triples or near-duplicates.  At k = 3 the hyperplane
-    enumeration finds it in O(n^4).  The risk is always recomputed from the
-    returned rule.
+    At k <= 2 a rotational sweep finds a global minimizer in O(n^2 log n),
+    and the returned rule's recomputed risk must equal the sweep's error
+    count, or SweepUncertifiedError is raised.  That can happen only where
+    the best rule must separate points closer than its floating-point
+    evaluation resolves, such as nearly collinear triples or near-duplicates.
+    At k = 3 the hyperplane enumeration runs in O(n^4) and is not certified:
+    on degenerate inputs its rule can make more errors than the count it was
+    chosen by, so the result need not be a global minimizer.  The reported
+    risk is always recomputed from the returned rule.
     Scale-guarded to k <= 3, n <= 200.
     """
     U, y = _validate_classification(U, y)
@@ -412,7 +417,7 @@ def erm_exact_classification(U, y) -> ErmReport:
     # The enumerator's own count reads the sign of rounding noise for points
     # on a candidate plane, so only the sweep's count certifies its rule.
     if k <= 2 and risk != errors / n:
-        raise RuntimeError(
+        raise SweepUncertifiedError(
             f"the sweep counted {errors} errors, but its rule makes {round(risk * n)}"
         )
     return ErmReport(hypothesis=hypothesis, empirical_risk=risk, solver="exact")
@@ -421,37 +426,53 @@ def erm_exact_classification(U, y) -> ErmReport:
 # ---------------------------------------------------------------------------
 # descent solvers
 # ---------------------------------------------------------------------------
+#
+# Both descent solvers minimize a mean loss of the scores s = U w - t.  Each
+# supplies value(s), the mean objective, and slope(s), its pointwise
+# derivative in s, and ``_descend`` owns the scores: it forms them once per
+# trial point and the gradient (U^T g / n, -mean g), g = slope(s), once per
+# accepted point.
 
 _CHECKPOINT_EVERY = 50
 _PLATEAU_FACTOR = 1e-10
+# Backtracking step size: the first step, its growth after an accepted step,
+# its shrinkage after a rejected one, and the rejections allowed per step.
+_LR_INIT = 1.0
+_LR_GROW = 1.3
+_LR_SHRINK = 0.5
+_MAX_BACKTRACKS = 40
 
 
-def _descend(objective, gradient, x0: np.ndarray, iters: int, schedule: LrSchedule, plateau_tol: float):
-    """Monotone first-order descent with backtracking.
+def _descend(U: np.ndarray, value, slope, x0: np.ndarray, iters: int, plateau_tol: float):
+    """Monotone first-order descent on x = (w, t) with backtracking.
 
     Accepts a step only when the objective does not increase; on rejection the
-    step size shrinks (up to max_backtracks times per iteration), on success
+    step size shrinks (up to _MAX_BACKTRACKS times per iteration), on success
     it grows.  Stops early when the decrease over a 50-step window falls
     below plateau_tol.  Returns (x, checkpoints) with the objective recorded
     every 50 accepted steps plus at entry and exit.
     """
+    n, k = U.shape
     x = x0.astype(float).copy()
-    obj = float(objective(x))
+    s = U @ x[:k] - x[k]
+    obj = float(value(s))
     checkpoints = [obj]
-    lr = schedule.init
+    lr = _LR_INIT
     window_start = obj
     for it in range(iters):
-        g = gradient(x)
+        g_s = slope(s)
+        g = np.concatenate([U.T @ g_s / n, [-np.mean(g_s)]])
         accepted = False
-        for _ in range(schedule.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = x - lr * g
-            trial_obj = float(objective(trial))
+            trial_s = U @ trial[:k] - trial[k]
+            trial_obj = float(value(trial_s))
             if np.isfinite(trial_obj) and trial_obj <= obj:
-                x, obj = trial, trial_obj
-                lr *= schedule.grow
+                x, s, obj = trial, trial_s, trial_obj
+                lr *= _LR_GROW
                 accepted = True
                 break
-            lr *= schedule.shrink
+            lr *= _LR_SHRINK
         if not accepted:
             break
         if (it + 1) % _CHECKPOINT_EVERY == 0:
@@ -464,12 +485,7 @@ def _descend(objective, gradient, x0: np.ndarray, iters: int, schedule: LrSchedu
     return x, tuple(checkpoints)
 
 
-def erm_surrogate_classification(
-    U,
-    y,
-    iters: int = 2000,
-    lr_schedule: LrSchedule | None = None,
-) -> ErmReport:
+def erm_surrogate_classification(U, y, iters: int = 2000) -> ErmReport:
     """Logistic-surrogate gradient descent for the sign-linear class.
 
     Minimizes mean log(1 + exp(-y (w.u - t))) by full-batch descent, then
@@ -480,21 +496,16 @@ def erm_surrogate_classification(
     """
     U, y = _validate_classification(U, y)
     n, k = U.shape
-    schedule = lr_schedule or LrSchedule()
 
-    def objective(x):
-        s = U @ x[:k] - x[k]
-        return float(np.mean(np.logaddexp(0.0, -y * s)))
+    def value(s):
+        return np.mean(np.logaddexp(0.0, -y * s))
 
-    def gradient(x):
-        s = U @ x[:k] - x[k]
+    def slope(s):
         # d/ds log(1+exp(-y s)) = -y * sigmoid(-y s)
-        g_s = -y * expit(-y * s)
-        return np.concatenate([U.T @ g_s / n, [-np.mean(g_s)]])
+        return -y * expit(-y * s)
 
-    x0 = np.zeros(k + 1)
-    plateau_tol = _PLATEAU_FACTOR * (1.0 + float(objective(x0)))
-    x, checkpoints = _descend(objective, gradient, x0, iters, schedule, plateau_tol)
+    plateau_tol = _PLATEAU_FACTOR * (1.0 + float(value(np.zeros(n))))
+    x, checkpoints = _descend(U, value, slope, np.zeros(k + 1), iters, plateau_tol)
 
     hypothesis = LinearHypothesis(w=x[:k], t=float(x[k]), mode="sign")
     risk = _zero_one_risk(hypothesis, U, y)
@@ -527,6 +538,8 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
     outside the range and the identity inside.  Squared loss starts from the
     OLS solution; kl starts from zero.  Terminates after ``iters`` steps or
     when the objective decrease over 50 steps drops below 1e-10 * bound.
+    The labels are checked against the loss once, up front; the descent then
+    evaluates the unchecked loss formula on predictions clipped into range.
     """
     if loss.kind not in ("squared", "kl"):
         raise ValueError("erm_regression handles the squared and kl losses only")
@@ -538,37 +551,30 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
         raise ValueError("y must have one label per row of U")
     # Validate the label domain up front against the loss.
     eval_loss(loss, np.zeros_like(y), y)
-    n, k = U.shape
+    k = U.shape[1]
     beta = loss.beta
 
-    def objective(x):
-        v = np.clip(U @ x[:k] - x[k], -beta, beta)
-        return float(np.mean(eval_loss(loss, v, y)))
-
     if loss.kind == "squared":
 
-        def pointwise_grad(v):
+        def pointwise_slope(v):
             return 2.0 * (v - y)
 
-    else:
-
-        def pointwise_grad(v):
-            return 1.0 / (1.0 + np.exp(-v)) - y
-
-    def gradient(x):
-        s = U @ x[:k] - x[k]
-        inside = np.abs(s) < beta
-        g_s = np.where(inside, pointwise_grad(np.clip(s, -beta, beta)), 0.0)
-        return np.concatenate([U.T @ g_s / n, [-np.mean(g_s)]])
-
-    if loss.kind == "squared":
         w0, t0 = ols_init(U, y)
         x0 = np.concatenate([w0, [t0]])
     else:
+
+        def pointwise_slope(v):
+            return 1.0 / (1.0 + np.exp(-v)) - y
+
         x0 = np.zeros(k + 1)
-    x, checkpoints = _descend(
-        objective, gradient, x0, iters, LrSchedule(), _PLATEAU_FACTOR * loss.bound
-    )
+
+    def value(s):
+        return np.mean(_loss_values(loss, np.clip(s, -beta, beta), y))
+
+    def slope(s):
+        return np.where(np.abs(s) < beta, pointwise_slope(np.clip(s, -beta, beta)), 0.0)
+
+    x, checkpoints = _descend(U, value, slope, x0, iters, _PLATEAU_FACTOR * loss.bound)
 
     hypothesis = LinearHypothesis(w=x[:k], t=float(x[k]), mode="clip", beta=beta)
     risk = float(np.mean(eval_loss(loss, hypothesis.predict(U), y)))

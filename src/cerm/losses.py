@@ -140,21 +140,36 @@ def eval_loss(loss: LossSpec, v, y):
     """
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
-    if loss.kind == "zero_one":
-        _check_binary("predictions", v, (-1.0, 1.0))
-        _check_binary("labels", y, (-1.0, 1.0))
-        out = 0.5 * (1.0 - v * y)
-    elif loss.kind == "squared":
-        _check_range("predictions", v, loss.beta)
-        _check_range("labels", y, loss.beta)
-        out = (v - y) ** 2
-    else:  # kl
-        _check_range("predictions", v, loss.beta)
-        _check_binary("labels", y, (0.0, 1.0))
-        out = np.logaddexp(0.0, -(2.0 * y - 1.0) * v)
+    _check_domain(loss, v, y)
+    out = _loss_values(loss, v, y)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _check_domain(loss: LossSpec, v: np.ndarray, y: np.ndarray) -> None:
+    if loss.kind == "zero_one":
+        _check_binary("predictions", v, (-1.0, 1.0))
+        _check_binary("labels", y, (-1.0, 1.0))
+        return
+    _check_range("predictions", v, loss.beta)
+    if loss.kind == "squared":
+        _check_range("labels", y, loss.beta)
+    else:  # kl
+        _check_binary("labels", y, (0.0, 1.0))
+
+
+def _loss_values(loss: LossSpec, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The loss formulas on float arrays, with no domain checks.
+
+    For callers that have checked the labels once and build the predictions
+    inside the domain, such as the descent solvers' clipped predictions.
+    """
+    if loss.kind == "zero_one":
+        return 0.5 * (1.0 - v * y)
+    if loss.kind == "squared":
+        return (v - y) ** 2
+    return np.logaddexp(0.0, -(2.0 * y - 1.0) * v)  # kl
 
 
 def bernstein_constant(loss: LossSpec) -> float:

@@ -248,6 +248,9 @@ class AssouadDist:
     coordinate array and is guarded to modest q.
     """
 
+    #: Largest (q+1)^2 coordinate count ``atoms()`` materializes: q <= 6323.
+    MAX_ATOM_ENTRIES = 4 * 10**7
+
     def __init__(self, q: int, r: float, v: float, epsilon: float, sigma=None,
                  gamma: float | None = None, rho: float | None = None, alpha: float | None = None):
         if q < 1:
@@ -306,8 +309,13 @@ class AssouadDist:
         norms = np.concatenate([[1.0], np.full(self.q, self.r)])
         return probs, weights, margins, norms
 
+    @property
+    def atoms_feasible(self) -> bool:
+        """Whether ``atoms()`` builds the coordinates: (q+1)^2 within the limit."""
+        return (self.q + 1) ** 2 <= self.MAX_ATOM_ENTRIES
+
     def atoms(self):
-        if (self.q + 1) ** 2 > 4e7:
+        if not self.atoms_feasible:
             raise ValueError(
                 "materializing atom coordinates at this q is deliberately refused; "
                 "use atom_profile() or sample()"

@@ -356,6 +356,7 @@ def test_criterion_08_compressibility_decay():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_09_regression_rate(tmp_path):
     config = {
         "distribution": {
@@ -404,6 +405,7 @@ def _per_n_means(csv_path):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_10_classification_rate(tmp_path):
     config = {
         "distribution": {

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cerm import hypotheses
 from cerm.harness import (
     CSV_COLUMNS,
     THREADS_ENV_VAR,
@@ -160,6 +161,27 @@ def test_config_list_and_scalar_validation(tmp_path):
         ExperimentConfig.from_dict(regression_config(tmp_path, output=""))
 
 
+def test_solver_iters_defaults_at_parse_time_only(tmp_path):
+    cfg = regression_config(tmp_path)
+    del cfg["solver_iters"]
+    config = ExperimentConfig.from_dict(cfg)
+    assert config.solver_iters == 2000
+    assert "solver_iters" not in config.raw
+    assert config_hash(config.raw) == config_hash(cfg)
+
+
+def assouad_distribution(q):
+    return {"type": "assouad", "q": q, "r": q**0.25, "v": q**-0.25, "epsilon": q**-0.25}
+
+
+def test_config_rejects_an_assouad_law_too_large_to_sum_exactly(tmp_path):
+    cfg = classification_config(tmp_path, distribution=assouad_distribution(7000))
+    with pytest.raises(ConfigError, match="distribution: assouad q = 7000"):
+        ExperimentConfig.from_dict(cfg)
+    cfg = classification_config(tmp_path, distribution=assouad_distribution(3000))
+    assert ExperimentConfig.from_dict(cfg).make_dist().q == 3000
+
+
 def test_config_hash_is_order_insensitive(tmp_path):
     cfg = regression_config(tmp_path)
     reordered = dict(reversed(list(cfg.items())))
@@ -283,6 +305,22 @@ def test_programming_errors_in_a_trial_end_the_run(tmp_path, monkeypatch):
         with pytest.raises(NameError, match="undefined_helper"):
             run_experiment(cfg)
     assert not (tmp_path / "run.csv").exists()
+
+
+def test_an_uncertified_sweep_is_a_recorded_trial_failure(tmp_path, monkeypatch):
+    sweep = hypotheses._rotational_sweep
+
+    def off_by_one(U, y):
+        errors, v = sweep(U, y)
+        return errors - 1, v
+
+    monkeypatch.setattr(hypotheses, "_rotational_sweep", off_by_one)
+    cfg = classification_config(tmp_path, solver="exact", k_rule={"rule": "fixed", "k": 2})
+    rows = read_rows(run_experiment(cfg))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["error"].startswith("SweepUncertifiedError: the sweep counted")
+        assert row["ensemble_excess"] == ""
 
 
 # ---------------------------------------------------------------------------

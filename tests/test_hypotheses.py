@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from cerm import hypotheses
 from cerm.hypotheses import (
@@ -7,13 +8,14 @@ from cerm.hypotheses import (
     EXACT_MAX_N,
     LinearHypothesis,
     ScaleGuardError,
+    SweepUncertifiedError,
     erm_exact_classification,
     erm_regression,
     erm_surrogate_classification,
     fit,
     ols_init,
 )
-from cerm.losses import make_loss
+from cerm.losses import eval_loss, make_loss
 from cerm.projections import apply, sample_projection
 from cerm.synthdist import AssouadDist
 
@@ -370,3 +372,145 @@ def test_exact_erm_refuses_a_rule_that_misses_the_sweep_count(monkeypatch):
     y = rng.choice([-1.0, 1.0], size=30)
     with pytest.raises(RuntimeError, match="sweep counted"):
         erm_exact_classification(U, y)
+
+
+def test_the_sweep_refuses_a_near_degenerate_lattice_with_its_own_error():
+    # A lattice in {-2, ..., 2}^2 scaled by 0.1 and shifted by 0.3: the best
+    # arc is narrower than floating-point evaluation of its rule resolves.
+    rng = np.random.default_rng(54)
+    n = int(rng.integers(3, 60))
+    U = rng.integers(-2, 3, size=(n, 2)) * 0.1 + 0.3
+    y = rng.choice([-1.0, 1.0], size=n)
+    with pytest.raises(SweepUncertifiedError, match="sweep counted"):
+        erm_exact_classification(U, y)
+    assert issubclass(SweepUncertifiedError, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# the fused descent against the separate objective and gradient formulation
+# ---------------------------------------------------------------------------
+
+
+def reference_descend(objective, gradient, x0, iters, plateau_tol):
+    """Descent with the objective and the gradient as separate functions of x,
+    each forming the scores U w - t on its own; fixed backtracking schedule."""
+    x = x0.astype(float).copy()
+    obj = float(objective(x))
+    checkpoints = [obj]
+    lr = 1.0
+    window_start = obj
+    for it in range(iters):
+        g = gradient(x)
+        accepted = False
+        for _ in range(40):
+            trial = x - lr * g
+            trial_obj = float(objective(trial))
+            if np.isfinite(trial_obj) and trial_obj <= obj:
+                x, obj = trial, trial_obj
+                lr *= 1.3
+                accepted = True
+                break
+            lr *= 0.5
+        if not accepted:
+            break
+        if (it + 1) % 50 == 0:
+            checkpoints.append(obj)
+            if window_start - obj < plateau_tol:
+                break
+            window_start = obj
+    if checkpoints[-1] != obj:
+        checkpoints.append(obj)
+    return x, tuple(checkpoints)
+
+
+def reference_surrogate(U, y, iters):
+    n, k = U.shape
+
+    def objective(x):
+        s = U @ x[:k] - x[k]
+        return float(np.mean(np.logaddexp(0.0, -y * s)))
+
+    def gradient(x):
+        s = U @ x[:k] - x[k]
+        g_s = -y * expit(-y * s)
+        return np.concatenate([U.T @ g_s / n, [-np.mean(g_s)]])
+
+    x0 = np.zeros(k + 1)
+    return reference_descend(objective, gradient, x0, iters, 1e-10 * (1.0 + objective(x0)))
+
+
+def reference_regression(U, y, loss, iters):
+    n, k = U.shape
+    beta = loss.beta
+
+    def objective(x):
+        v = np.clip(U @ x[:k] - x[k], -beta, beta)
+        return float(np.mean(eval_loss(loss, v, y)))
+
+    def pointwise_grad(v):
+        if loss.kind == "squared":
+            return 2.0 * (v - y)
+        return 1.0 / (1.0 + np.exp(-v)) - y
+
+    def gradient(x):
+        s = U @ x[:k] - x[k]
+        g_s = np.where(np.abs(s) < beta, pointwise_grad(np.clip(s, -beta, beta)), 0.0)
+        return np.concatenate([U.T @ g_s / n, [-np.mean(g_s)]])
+
+    if loss.kind == "squared":
+        w0, t0 = ols_init(U, y)
+        x0 = np.concatenate([w0, [t0]])
+    else:
+        x0 = np.zeros(k + 1)
+    return reference_descend(objective, gradient, x0, iters, 1e-10 * loss.bound)
+
+
+def test_fused_descent_matches_the_separate_formulation_bit_for_bit():
+    rng = np.random.default_rng(90)
+    cases = []
+    for n, k, iters in ((300, 5, 400), (64, 2, 2000), (500, 10, 150)):
+        U = rng.standard_normal((n, k))
+        w = rng.standard_normal(k)
+        noisy = U @ w - 0.2 + 0.7 * rng.standard_normal(n)
+        labels = np.where(noisy >= 0.0, 1.0, -1.0)
+        report = erm_surrogate_classification(U, labels, iters=iters)
+        cases.append((report, reference_surrogate(U, labels, iters)))
+
+        # Scores range past the clip, so both sides of its kink are exercised.
+        squared = make_loss("squared", beta=0.8)
+        target = np.clip(0.6 * np.tanh(U @ w) + 0.3 * rng.standard_normal(n), -0.8, 0.8)
+        report = erm_regression(U, target, squared, iters=iters)
+        cases.append((report, reference_regression(U, target, squared, iters)))
+
+        kl = make_loss("kl", beta=1.5)
+        binary = (labels + 1.0) / 2.0
+        report = erm_regression(U, binary, kl, iters=iters)
+        cases.append((report, reference_regression(U, binary, kl, iters)))
+
+    for report, (x, checkpoints) in cases:
+        k = report.hypothesis.w.shape[0]
+        assert np.array_equal(report.hypothesis.w, x[:k])
+        assert report.hypothesis.t == x[k]
+        assert report.objective_checkpoints == checkpoints
+        assert len(checkpoints) > 2
+
+
+def test_regression_descent_calls_the_checked_loss_a_fixed_number_of_times(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return eval_loss(*args)
+
+    monkeypatch.setattr(hypotheses, "eval_loss", counted)
+    rng = np.random.default_rng(91)
+    U = rng.standard_normal((200, 3))
+    y = np.clip(0.5 * U[:, 0] + 0.3 * rng.standard_normal(200), -1.0, 1.0)
+    for loss, labels in ((make_loss("squared"), y), (make_loss("kl"), (y >= 0.0).astype(float))):
+        counts = []
+        for iters in (5, 60, 300):
+            calls.clear()
+            report = erm_regression(U, labels, loss, iters=iters)
+            assert report.objective_checkpoints[-1] < report.objective_checkpoints[0]
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 3, counts
