@@ -35,11 +35,10 @@ import numpy as np
 
 from ._version import __version__
 from .ensemble import member_excess_risks, train_ensemble
-from .hypotheses import ScaleGuardError, SweepUncertifiedError
+from .hypotheses import EXACT_MAX_K, EXACT_MAX_N, ScaleGuardError, SweepUncertifiedError
 from .losses import LOSS_KINDS, LossDomainError, LossSpec, make_loss
 from .projections import FAMILIES
 from .riskbounds import (
-    NoFixedPointError,
     estimate_compressibility,
     optimal_k_classification,
     optimal_k_regression,
@@ -86,7 +85,6 @@ _TRIAL_FAILURES = (
     ScaleGuardError,
     SweepUncertifiedError,
     LossDomainError,
-    NoFixedPointError,
     np.linalg.LinAlgError,
 )
 
@@ -273,6 +271,26 @@ class ExperimentConfig:
             for name in ("reps", "pop_factor"):
                 _int_field(compressibility.get(name), f"compressibility.{name}")
 
+        if solver == "exact":
+            # The exact solver refuses larger inputs, so such a config would
+            # only record ScaleGuardError in every trial after sampling, or
+            # end the run in the compressibility fits.
+            for n in n_list:
+                _require(n <= EXACT_MAX_N, "n_list", f"the exact solver takes n <= {EXACT_MAX_N}, got {n}")
+                k = _k_for(k_rule, n)
+                _require(
+                    k <= EXACT_MAX_K,
+                    "k_rule",
+                    f"the exact solver takes k <= {EXACT_MAX_K}, but the rule gives k = {k} at n = {n}",
+                )
+            if compressibility is not None:
+                pop_n = compressibility["pop_factor"] * max(n_list)
+                _require(
+                    pop_n <= EXACT_MAX_N,
+                    "compressibility.pop_factor",
+                    f"the exact solver takes n <= {EXACT_MAX_N}, but the fits use {pop_n} points",
+                )
+
         bracket_alpha = raw.get("bracket_alpha")
         if bracket_alpha is not None:
             bracket_alpha = _number_field(
@@ -319,14 +337,12 @@ class ExperimentConfig:
         return 0.0 if self.loss.kind == "zero_one" else 1.0
 
 
-def _k_for(config: ExperimentConfig, n: int) -> int:
-    rule = config.k_rule["rule"]
+def _k_for(k_rule: dict, n: int) -> int:
+    rule = k_rule["rule"]
     if rule == "fixed":
-        return int(config.k_rule["k"])
+        return int(k_rule["k"])
     if rule == "classification":
-        return optimal_k_classification(
-            n, config.k_rule["gamma"], config.k_rule["rho"], config.k_rule["alpha"]
-        )
+        return optimal_k_classification(n, k_rule["gamma"], k_rule["rho"], k_rule["alpha"])
     return optimal_k_regression(n)
 
 
@@ -353,7 +369,7 @@ def plan_cells(config: ExperimentConfig) -> list[Cell]:
     cells = []
     index = 0
     for n in ns:
-        k = _k_for(config, n)
+        k = _k_for(config.k_rule, n)
         for m in ms:
             cell_seed = derive_seed(config.master_seed, index)
             trial_seeds = tuple(derive_seed(cell_seed, t) for t in range(config.trials))
@@ -463,10 +479,10 @@ def run_experiment(config) -> str:
 
     Writes ``<output>.csv`` and ``<output>.manifest.jsonl``.  A trial that
     fails numerically (ScaleGuardError, SweepUncertifiedError,
-    LossDomainError, NoFixedPointError or LinAlgError) is recorded as a row with the error column set and empty
-    metrics, and the run continues; any other exception propagates and no
-    results are written.  Identical configs produce identical CSVs (wall-time
-    column aside) at any thread budget.
+    LossDomainError or LinAlgError) is recorded as a row with the error
+    column set and empty metrics, and the run continues; any other exception
+    propagates and no results are written.  Identical configs produce
+    identical CSVs (wall-time column aside) at any thread budget.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)

@@ -163,7 +163,7 @@ def _loss_values(loss: LossSpec, v: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The loss formulas on float arrays, with no domain checks.
 
     For callers that have checked the labels once and build the predictions
-    inside the domain, such as the descent solvers' clipped predictions.
+    inside the domain, such as the regression descent's clipped predictions.
     """
     if loss.kind == "zero_one":
         return 0.5 * (1.0 - v * y)

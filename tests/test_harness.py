@@ -19,6 +19,7 @@ from cerm.harness import (
     plan_cells,
     run_experiment,
 )
+from cerm.hypotheses import EXACT_MAX_K, EXACT_MAX_N
 from cerm.seeds import derive_seed
 
 
@@ -182,6 +183,44 @@ def test_config_rejects_an_assouad_law_too_large_to_sum_exactly(tmp_path):
     assert ExperimentConfig.from_dict(cfg).make_dist().q == 3000
 
 
+def test_config_refuses_exact_sizes_the_solver_refuses(tmp_path):
+    with pytest.raises(ConfigError, match="n_list: the exact solver takes n <= 200, got 1000"):
+        ExperimentConfig.from_dict(
+            classification_config(
+                tmp_path, solver="exact", n_list=[1000], k_rule={"rule": "fixed", "k": 5}
+            )
+        )
+    with pytest.raises(ConfigError, match="k_rule: .* gives k = 4 at n = 20"):
+        ExperimentConfig.from_dict(classification_config(tmp_path, solver="exact"))
+    # The classification rule gives k = 7 already at n = 200.
+    rule = {"rule": "classification", "gamma": 2.0, "rho": 2.0, "alpha": 0.0}
+    with pytest.raises(ConfigError, match="k_rule: .* gives k = 7 at n = 200"):
+        ExperimentConfig.from_dict(
+            classification_config(tmp_path, solver="exact", n_list=[20, 200], k_rule=rule)
+        )
+    with pytest.raises(ConfigError, match="compressibility.pop_factor: .* 400 points"):
+        ExperimentConfig.from_dict(
+            classification_config(
+                tmp_path,
+                solver="exact",
+                n_list=[200],
+                k_rule={"rule": "fixed", "k": 3},
+                compressibility={"reps": 2, "pop_factor": 2},
+            )
+        )
+    at_the_limit = classification_config(
+        tmp_path,
+        solver="exact",
+        n_list=[EXACT_MAX_N],
+        k_rule={"rule": "fixed", "k": EXACT_MAX_K},
+        compressibility={"reps": 2, "pop_factor": 1},
+    )
+    assert ExperimentConfig.from_dict(at_the_limit).solver == "exact"
+    # The surrogate solver has no size limit.
+    big = classification_config(tmp_path, n_list=[1000], k_rule={"rule": "fixed", "k": 5})
+    assert ExperimentConfig.from_dict(big).solver == "surrogate"
+
+
 def test_config_hash_is_order_insensitive(tmp_path):
     cfg = regression_config(tmp_path)
     reordered = dict(reversed(list(cfg.items())))
@@ -264,6 +303,18 @@ def test_rerun_is_identical_and_thread_invariant(tmp_path, monkeypatch):
     assert first == third
 
 
+def test_classification_rerun_is_identical_and_thread_invariant(tmp_path, monkeypatch):
+    cfg = classification_config(tmp_path, n_list=[20, 120], m_list=[1, 3], trials=3, solver_iters=40)
+    monkeypatch.setenv(THREADS_ENV_VAR, "1")
+    first = strip_wall_time(run_experiment(cfg))
+    second = strip_wall_time(run_experiment(cfg))
+    monkeypatch.setenv(THREADS_ENV_VAR, "3")
+    third = strip_wall_time(run_experiment(cfg))
+    assert first == second == third
+    assert len(first) == 1 + 12
+    assert all(row[CSV_COLUMNS.index("error")] == "" for row in first[1:])
+
+
 def test_thread_override_must_be_integer(tmp_path, monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "many")
     with pytest.raises(ConfigError, match=THREADS_ENV_VAR):
@@ -284,10 +335,14 @@ def test_psi_column_filled_when_requested(tmp_path):
         assert float(row["bracket_total"]) > 0.0
 
 
-def test_failed_trials_are_recorded_not_fatal(tmp_path):
-    # exact solver at k=4 exceeds the enumerator's scale guard on every trial
-    cfg = classification_config(tmp_path, solver="exact")
-    rows = read_rows(run_experiment(cfg))
+def test_failed_trials_are_recorded_not_fatal(tmp_path, monkeypatch):
+    # The config is validated against the exact solver's real limits; a lower
+    # guard then makes the solver refuse every trial's k = 2 fit.
+    config = ExperimentConfig.from_dict(
+        classification_config(tmp_path, solver="exact", k_rule={"rule": "fixed", "k": 2})
+    )
+    monkeypatch.setattr(hypotheses, "EXACT_MAX_K", 1)
+    rows = read_rows(run_experiment(config))
     assert len(rows) == 2
     for row in rows:
         assert row["error"].startswith("ScaleGuardError")
