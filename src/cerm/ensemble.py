@@ -101,9 +101,11 @@ def train_ensemble(
 
 
 def _member_outputs(model: EnsembleModel, X: np.ndarray, spare_rows: int = 0) -> np.ndarray:
-    """The m x N member outputs on X, followed by ``spare_rows`` unfilled rows."""
-    X = np.asarray(X, dtype=float)
-    outputs = np.empty((model.m + spare_rows, X.shape[0]))
+    """The m x N member outputs on X, followed by ``spare_rows`` unfilled rows.
+
+    X is anything ``apply`` takes: an N x d array or an ``AxisPoints`` set.
+    """
+    outputs = np.empty((model.m + spare_rows, len(X)))
     for i, (pmap, hyp) in enumerate(model.members):
         outputs[i] = hyp.predict(apply(pmap, X))
     return outputs
@@ -129,7 +131,10 @@ def member_excess_risks(
     One evaluation pass serves all m + 1 estimates: the test set is drawn
     once from ``seed`` (or, for a finite-support law, the atoms are built
     once), each member projects it once, and the combined prediction is
-    formed from those same member outputs.  Member-vs-ensemble comparisons
+    formed from those same member outputs.  An Assouad law's atoms are an
+    ``AxisPoints`` set, which each member projects by gathering q + 1
+    columns of its map, so the pass takes O(m q) memory and no (q+1)^2
+    coordinate array is built.  Member-vs-ensemble comparisons
     are therefore paired rather than independent, and each estimate equals
     what ``estimate_excess_risk`` gives for that member, or for
     ``predict(model, .)``, at the same ``n_test`` and ``seed``.

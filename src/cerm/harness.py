@@ -45,7 +45,7 @@ from .riskbounds import (
     risk_bound_bracket,
 )
 from .seeds import derive_seed
-from .synthdist import AssouadDist, dist_from_config
+from .synthdist import dist_from_config
 
 __all__ = [
     "ConfigError",
@@ -191,14 +191,6 @@ class ExperimentConfig:
             dist = dist_from_config(dist_config)
         except Exception as exc:
             raise ConfigError(f"distribution: {exc}") from exc
-        if isinstance(dist, AssouadDist):
-            # Every trial's excess risk is summed over the atoms, which an
-            # Assouad law refuses to build above its size limit.
-            _require(
-                dist.atoms_feasible,
-                "distribution",
-                f"assouad q = {dist.q} needs more than {dist.MAX_ATOM_ENTRIES} atom coordinates",
-            )
 
         loss_cfg = raw.get("loss")
         if loss_cfg is None:
@@ -465,13 +457,19 @@ def _format_cell_value(value) -> str:
 
 
 def _thread_budget(config: ExperimentConfig) -> int:
+    """The thread budget: ``CERM_THREADS`` if set, else the config's ``threads``.
+
+    The override obeys the same rule as the config field, an integer >= 1.
+    """
     override = os.environ.get(THREADS_ENV_VAR)
-    if override is not None:
-        try:
-            return max(1, int(override))
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV_VAR}: must be an integer, got {override!r}") from exc
-    return config.threads
+    if override is None:
+        return config.threads
+    try:
+        budget = int(override)
+    except ValueError as exc:
+        raise ConfigError(f"{THREADS_ENV_VAR}: must be an integer, got {override!r}") from exc
+    _require(budget >= 1, THREADS_ENV_VAR, f"must be an integer >= 1, got {override!r}")
+    return budget
 
 
 def run_experiment(config) -> str:
@@ -486,12 +484,12 @@ def run_experiment(config) -> str:
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
+    budget = _thread_budget(config)
     cells = plan_cells(config)
     psi_by_k = _psi_cache(config, cells)
 
     jobs = [(cell, trial) for cell in cells for trial in range(config.trials)]
     rows: list[dict | None] = [None] * len(jobs)
-    budget = _thread_budget(config)
 
     def execute(job_index: int):
         cell, trial = jobs[job_index]

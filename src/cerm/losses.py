@@ -183,26 +183,31 @@ def bernstein_constant(loss: LossSpec) -> float:
     return 4.0 * loss.lipschitz**2 / loss.curvature
 
 
-def bayes_action(loss: LossSpec, label_values, label_probs) -> float:
-    """Risk-minimizing prediction for a finite conditional label law.
+def bayes_action(loss: LossSpec, label_values, label_probs):
+    """Risk-minimizing prediction for finite conditional label laws.
 
     ``label_values`` and ``label_probs`` describe the conditional distribution
-    of the label at one point.  zero_one: sign of 2*P(y=+1) - 1, ties to +1.
-    squared: conditional mean clipped to [-beta, beta].  kl: logit of P(y=1)
-    clipped to [-beta, beta] (so deterministic labels map to the endpoints).
+    of the label at one point, or, stacked as matching (..., L) arrays, at
+    one point per row; a single law gives a float and stacked laws give one
+    action per row.  zero_one: sign of 2*P(y=+1) - 1, ties to +1.  squared:
+    conditional mean clipped to [-beta, beta].  kl: logit of P(y=1) clipped
+    to [-beta, beta] (so deterministic labels map to the endpoints).
     """
     values = np.asarray(label_values, dtype=float)
     probs = np.asarray(label_probs, dtype=float)
-    if values.shape != probs.shape:
+    if values.shape != probs.shape or values.ndim == 0:
         raise ValueError("label_values and label_probs must have matching shapes")
-    if loss.kind == "zero_one":
-        eta = float(np.sum(probs[values == 1.0]))
-        return 1.0 if 2.0 * eta - 1.0 >= 0.0 else -1.0
     if loss.kind == "squared":
-        return float(np.clip(np.sum(probs * values), -loss.beta, loss.beta))
-    eta = float(np.sum(probs[values == 1.0]))
-    if eta <= 0.0:
-        return -loss.beta
-    if eta >= 1.0:
-        return loss.beta
-    return float(np.clip(np.log(eta / (1.0 - eta)), -loss.beta, loss.beta))
+        action = np.clip(np.sum(probs * values, axis=-1), -loss.beta, loss.beta)
+    else:
+        eta = np.sum(np.where(values == 1.0, probs, 0.0), axis=-1)
+        if loss.kind == "zero_one":
+            action = np.where(2.0 * eta - 1.0 >= 0.0, 1.0, -1.0)
+        else:
+            # The logit is only read where 0 < eta < 1; the endpoints divide by zero.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logit = np.clip(np.log(eta / (1.0 - eta)), -loss.beta, loss.beta)
+            action = np.where(eta <= 0.0, -loss.beta, np.where(eta >= 1.0, loss.beta, logit))
+    if action.ndim == 0:
+        return float(action)
+    return action

@@ -10,6 +10,9 @@ Three i.i.d.-entry families are provided, all scaled so that
 
 Maps are identified by (family, k, d, seed); the matrix is a pure function
 of those four values, so serialising a map never requires storing entries.
+
+``apply`` compresses either a dense n x d array or an ``AxisPoints`` set,
+whose rows are scaled coordinate vectors and are never stored densely.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .seeds import derive_seed
 __all__ = [
     "FAMILIES",
     "JL_CALIBRATION",
+    "AxisPoints",
     "ProjectionMap",
     "sample_projection",
     "apply",
@@ -83,6 +87,45 @@ class ProjectionMap:
         return {"family": self.family, "k": self.k, "d": self.d, "seed": int(self.seed)}
 
 
+@dataclass(frozen=True, eq=False)
+class AxisPoints:
+    """Points on the coordinate axes of R^d: row i is ``scales[i] * e_{axes[i]}``.
+
+    Held as (axis, scale) pairs in O(n) memory, whatever d is.  ``apply``
+    compresses the set by gathering the map's columns, so the n x d
+    coordinates are never built; ``toarray`` builds them for small checks.
+    """
+
+    axes: np.ndarray
+    scales: np.ndarray
+    d: int
+
+    def __post_init__(self) -> None:
+        axes = np.asarray(self.axes, dtype=np.intp)
+        scales = np.asarray(self.scales, dtype=float)
+        if axes.ndim != 1 or scales.shape != axes.shape:
+            raise ValueError("axes and scales must be matching 1-d arrays")
+        if axes.size and (axes.min() < 0 or axes.max() >= self.d):
+            raise ValueError(f"axes must lie in [0, {self.d})")
+        if not np.all(np.isfinite(scales)):
+            raise ValueError("scales must be finite")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "scales", scales)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.axes.shape[0], self.d)
+
+    def __len__(self) -> int:
+        return self.axes.shape[0]
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x d coordinates."""
+        dense = np.zeros(self.shape)
+        dense[np.arange(len(self)), self.axes] = self.scales
+        return dense
+
+
 def sample_projection(family: str, k: int, d: int, seed: int) -> ProjectionMap:
     """Draw a compression map; a pure function of (family, k, d, seed)."""
     if k < 1 or d < 1:
@@ -110,7 +153,14 @@ def apply(pmap: ProjectionMap, X: np.ndarray) -> np.ndarray:
     """Compress the rows of an n x d matrix to n x k.
 
     Row j of the output is ``pmap.matrix @ X[j]``; inputs are not mutated.
+    An ``AxisPoints`` set is compressed by a column gather: its row j maps to
+    ``scales[j] * pmap.matrix[:, axes[j]]``, which equals the dense product
+    bit for bit up to the sign of a zero.
     """
+    if isinstance(X, AxisPoints):
+        if X.d != pmap.d:
+            raise InvalidDimensionError(f"expected n x {pmap.d} input, got shape {X.shape}")
+        return pmap.matrix.T[X.axes] * X.scales[:, None]
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != pmap.d:
         raise InvalidDimensionError(f"expected n x {pmap.d} input, got shape {X.shape}")

@@ -16,7 +16,10 @@ Distributions are duck-typed.  An object usable here provides:
 and optionally:
 
 * ``atoms() -> (points, probs, label_values, label_probs)`` for finite
-  support, unlocking exact summation (std_error 0);
+  support, unlocking exact summation (std_error 0).  ``points`` is an
+  s x d array or an ``AxisPoints`` set; either way it is handed to the
+  predictors as is, and only its ``shape`` is read here.  ``label_values``
+  and ``label_probs`` are matching s x L arrays;
 * ``eta(X)`` — P(Y=+1 | X) for continuous classification laws, unlocking the
   low-variance pointwise estimator E[|2 eta - 1| ; predictor != bayes].
 """
@@ -141,10 +144,8 @@ def _estimate_excess_risks(
     loss = dist.loss_spec
     if hasattr(dist, "atoms"):
         points, probs, label_values, label_probs = dist.atoms()
-        bayes = [
-            bayes_action(loss, label_values[i], label_probs[i]) for i in range(len(probs))
-        ]
-        bayes_risk = _atom_conditional_risks(loss, np.array(bayes), label_values, label_probs)
+        bayes = bayes_action(loss, label_values, label_probs)
+        bayes_risk = _atom_conditional_risks(loss, bayes, label_values, label_probs)
         probs = np.asarray(probs, float)
         estimates = []
         for row in _prediction_rows(predict_rows, points):
@@ -169,16 +170,20 @@ def _estimate_excess_risks(
 
 
 def _prediction_rows(predict_rows, X) -> np.ndarray:
+    n = X.shape[0]
     rows = np.asarray(predict_rows(X))
-    if rows.ndim != 2 or rows.shape[1] != len(X):
-        raise ValueError(f"expected an r x {len(X)} prediction matrix, got shape {rows.shape}")
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"expected an r x {n} prediction matrix, got shape {rows.shape}")
     return rows
 
 
 def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) -> RiskEstimate:
     """Excess risk of ``predictor`` (a callable X -> predictions) under ``dist``.
 
-    Finite-support distributions are summed exactly.  Continuous
+    Finite-support distributions are summed exactly, and ``predictor`` is
+    called on their atom points as ``atoms()`` gives them: an Assouad law
+    passes an ``AxisPoints`` set, which ``apply`` projects and whose
+    ``shape`` and ``toarray()`` are available to other predictors.  Continuous
     classification laws use the pointwise form E[|2 eta(X) - 1| ; predictor
     disagrees with Bayes], whose terms are nonnegative and low-variance.
     Continuous regression laws use paired loss differences on a shared draw.

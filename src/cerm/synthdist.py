@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossSpec, bayes_action, eval_loss, make_loss
+from .projections import AxisPoints
 from .riskbounds import RiskEstimate
 
 __all__ = [
@@ -127,12 +128,7 @@ class FiniteSupportDist:
         return self.points, self.probs, self.label_values, self.label_probs
 
     def bayes_actions(self) -> np.ndarray:
-        return np.array(
-            [
-                bayes_action(self.loss_spec, self.label_values[i], self.label_probs[i])
-                for i in range(self.points.shape[0])
-            ]
-        )
+        return bayes_action(self.loss_spec, self.label_values, self.label_probs)
 
     def bayes_predict(self, X) -> np.ndarray:
         """Bayes action of the nearest atom (exact on the atoms themselves)."""
@@ -243,13 +239,10 @@ class AssouadDist:
     vector (e_0 + q^(-1/2) sum sigma_l e_l) / sqrt(2) with offset 0, putting
     the heavy atom at margin 1/sqrt(2) and the light atoms at r / sqrt(2 q).
 
-    Per-atom quantities (``atom_profile``) are computed arithmetically, so the
-    checkers run at any q; ``atoms()`` materializes the (q+1) x (q+1)
-    coordinate array and is guarded to modest q.
+    Per-atom quantities (``atom_profile``) are computed arithmetically, and
+    ``atoms()`` returns the points as an ``AxisPoints`` set, so both take
+    O(q) memory and run at any q.
     """
-
-    #: Largest (q+1)^2 coordinate count ``atoms()`` materializes: q <= 6323.
-    MAX_ATOM_ENTRIES = 4 * 10**7
 
     def __init__(self, q: int, r: float, v: float, epsilon: float, sigma=None,
                  gamma: float | None = None, rho: float | None = None, alpha: float | None = None):
@@ -309,27 +302,18 @@ class AssouadDist:
         norms = np.concatenate([[1.0], np.full(self.q, self.r)])
         return probs, weights, margins, norms
 
-    @property
-    def atoms_feasible(self) -> bool:
-        """Whether ``atoms()`` builds the coordinates: (q+1)^2 within the limit."""
-        return (self.q + 1) ** 2 <= self.MAX_ATOM_ENTRIES
-
     def atoms(self):
-        if not self.atoms_feasible:
-            raise ValueError(
-                "materializing atom coordinates at this q is deliberately refused; "
-                "use atom_profile() or sample()"
-            )
-        points = np.zeros((self.q + 1, self.q + 1))
-        points[0, 0] = 1.0
-        idx = np.arange(1, self.q + 1)
-        points[idx, idx] = self.r
+        """(points, probs, label_values, label_probs); atom l is point l = norm_l e_l."""
+        _, _, _, norms = self.atom_profile()
+        points = AxisPoints(np.arange(self.q + 1), norms, self.q + 1)
         eta = self._atom_eta()
         label_values = np.tile([-1.0, 1.0], (self.q + 1, 1))
         label_probs = np.stack([1.0 - eta, eta], axis=1)
         return points, self._atom_probs(), label_values, label_probs
 
     def _atom_index(self, X) -> np.ndarray:
+        if isinstance(X, AxisPoints):
+            return X.axes
         return np.argmax(np.abs(np.asarray(X, dtype=float)), axis=1)
 
     def eta(self, X) -> np.ndarray:

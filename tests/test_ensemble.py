@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cerm.ensemble import (
     train_ensemble,
 )
 from cerm.losses import bayes_action, eval_loss, make_loss
-from cerm.projections import apply
+from cerm.projections import FAMILIES, apply
 from cerm.riskbounds import estimate_excess_risk
 from cerm.seeds import derive_seed
 from cerm.synthdist import AssouadDist, GaussMarginDist, RegressionDist
@@ -216,6 +217,54 @@ def test_member_excess_risks_draws_the_test_set_at_most_once(case):
     member_excess_risks(model, dist, n_test=n_test, seed=13)
     assert calls["sample"] <= 1
     assert calls["sample"] + calls["atoms"] == 1
+
+
+class _DenseAssouadAtoms:
+    """An Assouad law's atoms with dense np.diag coordinates: the reference
+    the coordinate-free atoms are compared with."""
+
+    def __init__(self, dist):
+        self.loss_spec = dist.loss_spec
+        self._dist = dist
+
+    def atoms(self):
+        _, probs, label_values, label_probs = self._dist.atoms()
+        q, r = self._dist.q, self._dist.r
+        return np.diag(np.concatenate([[1.0], np.full(q, r)])), probs, label_values, label_probs
+
+
+def _assouad_ensemble(q, family, solver, m=5):
+    rng = np.random.default_rng(q)
+    sigma = np.where(rng.random(q) < 0.5, -1.0, 1.0)
+    dist = AssouadDist(q=q, r=q**0.25, v=q**-0.25, epsilon=0.3, sigma=sigma)
+    X, y = dist.sample(120, seed=q + 1)
+    model = train_ensemble(X, y, dist.loss_spec, family, k=2, m=m, solver=solver,
+                           master_seed=q + 2, iters=200)
+    return dist, model
+
+
+@pytest.mark.parametrize("solver", ["exact", "surrogate"])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("q", [9, 3000])
+def test_assouad_atoms_score_exactly_as_dense_coordinates(q, family, solver):
+    dist, model = _assouad_ensemble(q, family, solver)
+    members, ensemble = member_excess_risks(model, dist)
+    assert (members, ensemble) == member_excess_risks(model, _DenseAssouadAtoms(dist))
+    assert all(e.exact and e.n_samples == q + 1 for e in members + [ensemble])
+
+
+def test_assouad_evaluation_memory_is_linear_in_q():
+    """At q = 6324 the dense (q+1)^2 atom coordinates take 320 MB; summed
+    over axis points, the whole evaluation pass stays under 10 MB."""
+    dist, model = _assouad_ensemble(6324, "gaussian", "surrogate", m=25)
+    tracemalloc.start()
+    try:
+        members, _ = member_excess_risks(model, dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 25
+    assert peak < 10 * 2**20, f"evaluation peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_model_summary_is_json_serializable():

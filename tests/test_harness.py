@@ -175,12 +175,10 @@ def assouad_distribution(q):
     return {"type": "assouad", "q": q, "r": q**0.25, "v": q**-0.25, "epsilon": q**-0.25}
 
 
-def test_config_rejects_an_assouad_law_too_large_to_sum_exactly(tmp_path):
-    cfg = classification_config(tmp_path, distribution=assouad_distribution(7000))
-    with pytest.raises(ConfigError, match="distribution: assouad q = 7000"):
-        ExperimentConfig.from_dict(cfg)
-    cfg = classification_config(tmp_path, distribution=assouad_distribution(3000))
-    assert ExperimentConfig.from_dict(cfg).make_dist().q == 3000
+def test_config_accepts_an_assouad_law_at_any_q(tmp_path):
+    for q in (3000, 6324, 20000):
+        cfg = classification_config(tmp_path, distribution=assouad_distribution(q))
+        assert ExperimentConfig.from_dict(cfg).make_dist().q == q
 
 
 def test_config_refuses_exact_sizes_the_solver_refuses(tmp_path):
@@ -319,6 +317,32 @@ def test_thread_override_must_be_integer(tmp_path, monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "many")
     with pytest.raises(ConfigError, match=THREADS_ENV_VAR):
         run_experiment(regression_config(tmp_path))
+
+
+@pytest.mark.parametrize("override", ["0", "-3"])
+def test_thread_override_below_one_is_refused(tmp_path, monkeypatch, override):
+    """The override obeys the config field's rule; it is refused before any
+    trial runs, so no worker thread starts."""
+    monkeypatch.setenv(THREADS_ENV_VAR, override)
+    with pytest.raises(ConfigError, match=f"{THREADS_ENV_VAR}: must be an integer >= 1"):
+        run_experiment(regression_config(tmp_path))
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_assouad_run_at_q_7000_is_thread_invariant(tmp_path, monkeypatch):
+    """q = 7000: every trial is summed exactly over the axis atoms."""
+    dist = dict(assouad_distribution(7000), sigma=[(-1) ** (i % 3) for i in range(7000)])
+    cfg = classification_config(
+        tmp_path, distribution=dist, n_list=[40, 80], m_list=[3],
+        k_rule={"rule": "fixed", "k": 2}, solver="exact",
+    )
+    runs = []
+    for budget in ("1", "2"):
+        monkeypatch.setenv(THREADS_ENV_VAR, budget)
+        runs.append(strip_wall_time(run_experiment(cfg)))
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 1 + 4
+    assert all(row[CSV_COLUMNS.index("error")] == "" for row in runs[0][1:])
 
 
 def test_psi_column_filled_when_requested(tmp_path):

@@ -240,3 +240,56 @@ def test_bayes_action_minimizes_conditional_risk():
         best_grid = grid[int(np.argmin(risks))]
         action = bayes_action(ls, vals, probs)
         assert abs(action - best_grid) < 2e-4
+
+
+def _one_law_bayes_action(loss, values, probs):
+    """The closed forms for a single label law, written with Python scalars:
+    the reference for stacked calls."""
+    if loss.kind == "squared":
+        return float(np.clip(np.sum(probs * values), -loss.beta, loss.beta))
+    eta = float(np.sum(probs[values == 1.0]))
+    if loss.kind == "zero_one":
+        return 1.0 if 2.0 * eta - 1.0 >= 0.0 else -1.0
+    if eta <= 0.0:
+        return -loss.beta
+    if eta >= 1.0:
+        return loss.beta
+    return float(np.clip(np.log(eta / (1.0 - eta)), -loss.beta, loss.beta))
+
+
+@pytest.mark.parametrize("kind", ["zero_one", "squared", "kl"])
+def test_bayes_action_on_stacked_laws_equals_the_one_law_form(kind):
+    rng = np.random.default_rng(20261018)
+    loss = make_loss(kind, 1.5)
+    pair = {"zero_one": [-1.0, 1.0], "squared": [-1.0, 1.0], "kl": [0.0, 1.0]}[kind]
+    for width in (1, 2, 3, 4):
+        s = 60
+        probs = rng.dirichlet(np.ones(width), size=s)
+        if kind == "squared":
+            values = rng.uniform(-2.0, 2.0, (s, width))
+        else:
+            values = rng.choice(pair, size=(s, width))
+        if width == 2:
+            # eta = 1/2 exactly, then the deterministic laws eta = 1 and eta = 0
+            values[:3] = pair
+            probs[:3] = [[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]]
+        stacked = bayes_action(loss, values, probs)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (s,)
+        singles = [bayes_action(loss, values[i], probs[i]) for i in range(s)]
+        assert all(type(a) is float for a in singles)
+        assert stacked.tolist() == singles
+        assert singles == [_one_law_bayes_action(loss, values[i], probs[i]) for i in range(s)]
+        deeper = bayes_action(loss, values.reshape(3, 20, width), probs.reshape(3, 20, width))
+        assert np.array_equal(deeper, stacked.reshape(3, 20))
+        if width == 2 and kind != "squared":
+            tie, one, zero = stacked[:3]
+            assert tie == (1.0 if kind == "zero_one" else 0.0)
+            assert (one, zero) == ((1.0, -1.0) if kind == "zero_one" else (1.5, -1.5))
+
+
+def test_bayes_action_rejects_mismatched_shapes():
+    loss = make_loss("zero_one")
+    with pytest.raises(ValueError):
+        bayes_action(loss, np.ones((3, 2)), np.full((3, 3), 1 / 3))
+    with pytest.raises(ValueError):
+        bayes_action(loss, 1.0, 1.0)

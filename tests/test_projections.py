@@ -5,6 +5,7 @@ import pytest
 
 from cerm.projections import (
     FAMILIES,
+    AxisPoints,
     InvalidDimensionError,
     apply,
     empirical_jl_check,
@@ -74,6 +75,34 @@ def test_apply_rejects_wrong_width():
     pmap = sample_projection("gaussian", 3, 8, 0)
     with pytest.raises(InvalidDimensionError):
         apply(pmap, np.zeros((4, 9)))
+    with pytest.raises(InvalidDimensionError):
+        apply(pmap, AxisPoints([0, 1], [1.0, 2.0], 9))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_apply_gathers_axis_points_exactly_as_the_dense_product(family):
+    """Repeated, unordered axes and zero or negative scales: the column gather
+    equals the dense matmul bit for bit, signs of zeros aside."""
+    axes = np.array([3, 0, 7, 3, 5, 1, 1, 6])
+    scales = np.array([2.5, 1.0, -0.75, 0.0, 3.0, 1e-300, -1e300, 1.0])
+    points = AxisPoints(axes, scales, 8)
+    assert points.shape == (8, 8) and len(points) == 8
+    dense = points.toarray()
+    assert np.array_equal(dense @ np.ones(8), scales)
+    for k in (1, 3, 23):
+        pmap = sample_projection(family, k, 8, 11)
+        assert np.array_equal(apply(pmap, points), apply(pmap, dense))
+
+
+def test_axis_points_validation():
+    with pytest.raises(ValueError):
+        AxisPoints([0, 8], [1.0, 1.0], 8)
+    with pytest.raises(ValueError):
+        AxisPoints([-1], [1.0], 8)
+    with pytest.raises(ValueError):
+        AxisPoints([0, 1], [1.0], 8)
+    with pytest.raises(ValueError):
+        AxisPoints([0], [np.nan], 8)
 
 
 def test_invalid_construction():

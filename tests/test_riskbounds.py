@@ -149,6 +149,18 @@ def test_compressibility_is_deterministic_and_decays():
     assert lo.value > hi.value + 2.0 * (lo.std_error + hi.std_error)
 
 
+def test_compressibility_of_an_assouad_law_at_q_7000():
+    """Each rep is scored by exact summation over the q + 1 axis atoms."""
+    q = 7000
+    dist = AssouadDist(q=q, r=q**0.25, v=q**-0.25, epsilon=q**-0.25)
+    est = estimate_compressibility(dist, "gaussian", 2, reps=3, pop_n=150, iters=100, seed=4)
+    again = estimate_compressibility(dist, "gaussian", 2, reps=3, pop_n=150, iters=100, seed=4)
+    assert est == again
+    assert est.n_samples == 3 and not est.exact
+    # Each rep's excess is at most the heavy atom's mass plus epsilon per unit light mass.
+    assert 0.0 <= est.value <= (1.0 - dist.v) + dist.v * dist.epsilon
+
+
 def test_compressibility_rejects_bad_reps():
     dist = RegressionDist(d=4, spectral_constant=1.0, spectral_decay=0.5, w=np.full(4, 0.2))
     with pytest.raises(ValueError):

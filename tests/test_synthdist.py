@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cerm.losses import make_loss
+from cerm.projections import AxisPoints
 from cerm.synthdist import (
     AssouadDist,
     AtomCollisionError,
@@ -161,6 +162,7 @@ def test_assouad_atoms_match_profile():
     sigma = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     dist = AssouadDist(q, r, v, eps, sigma)
     points, probs, label_values, label_probs = dist.atoms()
+    points = points.toarray()
     w_ref = np.concatenate([[1.0], sigma / math.sqrt(q)]) / math.sqrt(2.0)
     margins = np.abs(points @ w_ref)
     p_probs, p_weights, p_margins, p_norms = dist.atom_profile()
@@ -171,13 +173,23 @@ def test_assouad_atoms_match_profile():
     assert np.allclose(np.abs(2 * eta - 1), p_weights, atol=1e-14)
 
 
-def test_assouad_atoms_guard_at_large_q():
-    dist = AssouadDist(q=7000, r=2.0, v=0.5, epsilon=0.1)
-    with pytest.raises(ValueError):
-        dist.atoms()
-    probs, weights, margins, norms = dist.atom_profile()
-    assert probs.shape == (7001,)
-    assert margins[0] == pytest.approx(1 / math.sqrt(2))
+def test_assouad_atoms_at_large_q_take_no_coordinates():
+    """At q = 7000, where dense coordinates would take 392 MB, the atoms are
+    an O(q) axis set: atom l sits on axis l at its profile norm."""
+    sigma = np.where(np.random.default_rng(3).random(7000) < 0.5, -1.0, 1.0)
+    dist = AssouadDist(q=7000, r=2.0, v=0.5, epsilon=0.1, sigma=sigma)
+    points, probs, label_values, label_probs = dist.atoms()
+    assert isinstance(points, AxisPoints)
+    assert points.shape == (7001, 7001) and len(points) == 7001
+    assert np.array_equal(points.axes, np.arange(7001))
+    p_probs, p_weights, p_margins, p_norms = dist.atom_profile()
+    assert np.array_equal(points.scales, p_norms)
+    assert np.array_equal(probs, p_probs)
+    assert label_values.shape == label_probs.shape == (7001, 2)
+    assert p_margins[0] == pytest.approx(1 / math.sqrt(2))
+    # The law's own Bayes predictor and eta read the atom of each point.
+    assert np.array_equal(dist.bayes_predict(points), np.concatenate([[1.0], sigma]))
+    assert np.array_equal(dist.eta(points), label_probs[:, 1])
 
 
 def test_assouad_sampling_and_bayes():
