@@ -6,7 +6,7 @@ risk tracks the compressibility of the underlying distribution.
 """
 
 from ._version import __version__
-from .ensemble import EnsembleModel, member_excess_risks, model_summary, predict, train_ensemble
+from .ensemble import EnsembleModel, member_excess_risks, predict, train_ensemble
 from .harness import (
     Cell,
     ConfigError,
@@ -45,23 +45,17 @@ from .projections import (
     ProjectionMap,
     apply,
     empirical_jl_check,
-    from_summary,
     jl_target_dim,
     sample_projection,
 )
 from .riskbounds import (
-    NoFixedPointError,
     RiskBracket,
     RiskEstimate,
-    empirical_rademacher,
-    ensemble_compressibility_bound,
     estimate_compressibility,
     estimate_excess_risk,
     log_plus,
     optimal_k_classification,
     optimal_k_regression,
-    rademacher_fixed_point,
-    rate_exponent_classification,
     risk_bound_bracket,
     sketched_ols_ratio,
 )
@@ -69,14 +63,12 @@ from .seeds import derive_seed
 from .synthdist import (
     AssouadDist,
     AssouadParams,
-    AtomCollisionError,
     FiniteSupportDist,
     GaussMarginDist,
     RegressionDist,
     SmallSampleError,
     assouad_min_n,
     build_assouad_family,
-    build_mixture_lb,
     check_geometric_margin,
     check_membership,
     check_moment,
@@ -99,7 +91,6 @@ __all__ = [
     "ProjectionMap",
     "apply",
     "empirical_jl_check",
-    "from_summary",
     "jl_target_dim",
     "sample_projection",
     # losses
@@ -122,31 +113,24 @@ __all__ = [
     "erm_surrogate_classification",
     "fit",
     # risk bounds
-    "NoFixedPointError",
     "RiskBracket",
     "RiskEstimate",
-    "empirical_rademacher",
-    "ensemble_compressibility_bound",
     "estimate_compressibility",
     "estimate_excess_risk",
     "log_plus",
     "optimal_k_classification",
     "optimal_k_regression",
-    "rademacher_fixed_point",
-    "rate_exponent_classification",
     "risk_bound_bracket",
     "sketched_ols_ratio",
     # synthetic distributions
     "AssouadDist",
     "AssouadParams",
-    "AtomCollisionError",
     "FiniteSupportDist",
     "GaussMarginDist",
     "RegressionDist",
     "SmallSampleError",
     "assouad_min_n",
     "build_assouad_family",
-    "build_mixture_lb",
     "check_geometric_margin",
     "check_membership",
     "check_moment",
@@ -158,7 +142,6 @@ __all__ = [
     # ensembles
     "EnsembleModel",
     "member_excess_risks",
-    "model_summary",
     "predict",
     "train_ensemble",
     # harness

@@ -5,7 +5,8 @@ Subcommands:
 * ``run`` — execute an experiment config and print the results path.
 * ``fit`` — fit a power law to a results CSV.
 * ``compressibility`` — estimate the compressed-class gap over a k list.
-* ``check-dist`` — run the assumption checkers on a distribution spec.
+* ``check-dist`` — run the assumption checkers on a distribution spec; a
+  finite-support or Assouad law reports its atom count and exact Bayes risk.
 * ``jl-check`` — empirical distortion check for a projection family.
 * ``ols-check`` — sketched-least-squares bound check on a spectral design.
 
@@ -25,7 +26,6 @@ from .projections import FAMILIES, empirical_jl_check, jl_target_dim, sample_pro
 from .riskbounds import estimate_compressibility, sketched_ols_ratio
 from .seeds import derive_seed
 from .synthdist import (
-    FiniteSupportDist,
     RegressionDist,
     check_geometric_margin,
     check_moment,
@@ -102,8 +102,8 @@ def _cmd_check_dist(args) -> int:
             "rank_deficient": spectral["rank_deficient"],
         }
         report["bayes_risk"] = dist.bayes_risk(seed=args.seed).value
-    elif isinstance(dist, FiniteSupportDist):
-        report["atom_count"] = dist.points.shape[0]
+    elif hasattr(dist, "atoms"):
+        report["atom_count"] = len(dist.atoms()[1])
         report["bayes_risk"] = dist.bayes_risk().value
     else:
         xi_grid = np.geomspace(0.05, 0.8, 6)
@@ -125,8 +125,7 @@ def _cmd_check_dist(args) -> int:
             "target_exponent": tsy["target_exponent"],
             "pass_fraction": float(np.mean(tsy["passes"])),
         }
-        if hasattr(dist, "bayes_risk"):
-            report["bayes_risk"] = dist.bayes_risk().value
+        report["bayes_risk"] = dist.bayes_risk().value
     _emit(report)
     return 0
 

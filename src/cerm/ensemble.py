@@ -20,7 +20,7 @@ from .projections import ProjectionMap, apply, sample_projection
 from .riskbounds import RiskEstimate, _estimate_excess_risks
 from .seeds import derive_seed
 
-__all__ = ["EnsembleModel", "train_ensemble", "predict", "member_excess_risks", "model_summary"]
+__all__ = ["EnsembleModel", "train_ensemble", "predict", "member_excess_risks"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +39,6 @@ class EnsembleModel:
     d: int
     m: int
     member_reports: tuple[ErmReport, ...]
-    master_seed: int
 
     def __post_init__(self):
         if self.m != len(self.members) or self.m < 1:
@@ -96,7 +95,6 @@ def train_ensemble(
         d=d,
         m=m,
         member_reports=tuple(reports),
-        master_seed=master_seed,
     )
 
 
@@ -149,17 +147,3 @@ def member_excess_risks(
     estimates = _estimate_excess_risks(all_rows, dist, n_test=n_test, seed=seed)
     return estimates[:m], estimates[m]
 
-
-def model_summary(model: EnsembleModel) -> dict:
-    """JSON-able description of a trained ensemble."""
-    return {
-        "family": model.family,
-        "k": model.k,
-        "d": model.d,
-        "m": model.m,
-        "loss": {"kind": model.loss.kind, "beta": model.loss.beta},
-        "master_seed": model.master_seed,
-        "member_seeds": [pmap.seed for pmap, _ in model.members],
-        "member_empirical_risks": [float(r.empirical_risk) for r in model.member_reports],
-        "member_solvers": [r.solver for r in model.member_reports],
-    }

@@ -36,7 +36,7 @@ import numpy as np
 from ._version import __version__
 from .ensemble import member_excess_risks, train_ensemble
 from .hypotheses import EXACT_MAX_K, EXACT_MAX_N, ScaleGuardError, SweepUncertifiedError
-from .losses import LOSS_KINDS, LossDomainError, LossSpec, make_loss
+from .losses import LossDomainError, LossSpec
 from .projections import FAMILIES
 from .riskbounds import (
     estimate_compressibility,
@@ -45,7 +45,15 @@ from .riskbounds import (
     risk_bound_bracket,
 )
 from .seeds import derive_seed
-from .synthdist import dist_from_config
+from .synthdist import (
+    ConfigError,
+    _int_field,
+    _loss,
+    _number_field,
+    _object,
+    _require,
+    dist_from_config,
+)
 
 __all__ = [
     "ConfigError",
@@ -89,10 +97,6 @@ _TRIAL_FAILURES = (
 )
 
 
-class ConfigError(ValueError):
-    """Config validation failure; the message starts with the offending field path."""
-
-
 class InsufficientPointsError(ValueError):
     """Raised when a rate fit has fewer than three usable x values."""
 
@@ -101,34 +105,6 @@ def config_hash(config_dict: dict) -> str:
     """sha256 over the canonical JSON form of the parsed config."""
     canon = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _require(cond: bool, path: str, message: str):
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
-
-
-# JSON true/false arrive as bool, which subclasses int: both field helpers
-# reject it explicitly so that `true` never passes as 1.
-def _int_field(value, path: str, minimum: int = 1) -> int:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
-        path,
-        f"must be an integer >= {minimum}",
-    )
-    return value
-
-
-def _number_field(value, path: str, message: str, in_range=None) -> float:
-    """A real number; ``in_range``, when given, is a further test it must pass."""
-    _require(
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and (in_range is None or in_range(value)),
-        path,
-        message,
-    )
-    return float(value)
 
 
 def _int_list(raw, path: str) -> tuple[int, ...]:
@@ -182,8 +158,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "", "config must be a JSON object")
-        for key in raw:
-            _require(key in cls._KNOWN_KEYS, key, "unknown config key")
+        _object(raw, "", cls._KNOWN_KEYS)
 
         dist_config = raw.get("distribution")
         _require(isinstance(dist_config, dict), "distribution", "must be an object")
@@ -196,16 +171,7 @@ class ExperimentConfig:
         if loss_cfg is None:
             loss = dist.loss_spec
         else:
-            _require(isinstance(loss_cfg, dict), "loss", "must be an object")
-            kind = loss_cfg.get("kind")
-            _require(kind in LOSS_KINDS, "loss.kind", f"must be one of {LOSS_KINDS}")
-            beta = _number_field(
-                loss_cfg.get("beta", 1.0), "loss.beta", "must be positive", lambda v: v > 0
-            )
-            try:
-                loss = make_loss(kind, beta)
-            except Exception as exc:
-                raise ConfigError(f"loss: {exc}") from exc
+            loss = _loss(loss_cfg, "loss")
             _require(
                 loss.kind == dist.loss_spec.kind,
                 "loss.kind",
@@ -229,8 +195,10 @@ class ExperimentConfig:
         rule = k_rule.get("rule")
         _require(rule in _K_RULES, "k_rule.rule", f"must be one of {_K_RULES}")
         if rule == "fixed":
+            _object(k_rule, "k_rule", {"rule", "k"})
             _int_field(k_rule.get("k"), "k_rule.k")
         elif rule == "classification":
+            _object(k_rule, "k_rule", {"rule", "gamma", "rho", "alpha"})
             for name in ("gamma", "rho", "alpha"):
                 val = _number_field(k_rule.get(name), f"k_rule.{name}", "must be a number")
                 configured = getattr(dist, name, None)
@@ -243,6 +211,8 @@ class ExperimentConfig:
             _require(k_rule["gamma"] > 0, "k_rule.gamma", "must be positive")
             _require(k_rule["rho"] > 0, "k_rule.rho", "must be positive")
             _require(0 <= k_rule["alpha"] < 1, "k_rule.alpha", "must lie in [0, 1)")
+        else:
+            _object(k_rule, "k_rule", {"rule"})
 
         trials = _int_field(raw.get("trials"), "trials")
         n_test = _int_field(raw.get("n_test", 100_000), "n_test")
@@ -259,7 +229,7 @@ class ExperimentConfig:
 
         compressibility = raw.get("compressibility")
         if compressibility is not None:
-            _require(isinstance(compressibility, dict), "compressibility", "must be an object")
+            _object(compressibility, "compressibility", {"reps", "pop_factor"})
             for name in ("reps", "pop_factor"):
                 _int_field(compressibility.get(name), f"compressibility.{name}")
 

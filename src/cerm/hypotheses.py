@@ -408,7 +408,7 @@ def erm_exact_classification(U, y) -> ErmReport:
     n, k = U.shape
     if k > EXACT_MAX_K or n > EXACT_MAX_N:
         raise ScaleGuardError(
-            f"exact enumeration limited to k <= {EXACT_MAX_K} and n <= {EXACT_MAX_N}, "
+            f"the exact solver takes k <= {EXACT_MAX_K} and n <= {EXACT_MAX_N}, "
             f"got k={k}, n={n}"
         )
     if k < 1:

@@ -9,7 +9,7 @@ Three i.i.d.-entry families are provided, all scaled so that
                          probabilities {1/6, 2/3, 1/6}
 
 Maps are identified by (family, k, d, seed); the matrix is a pure function
-of those four values, so serialising a map never requires storing entries.
+of those four values.
 
 ``apply`` compresses either a dense n x d array or an ``AxisPoints`` set,
 whose rows are scaled coordinate vectors and are never stored densely.
@@ -39,8 +39,8 @@ FAMILIES = ("gaussian", "rademacher", "achlioptas_sparse")
 
 #: Empirical calibration constant for the gaussian family: a target dimension
 #: k >= JL_CALIBRATION * ln(q/delta) / eps^2 keeps the empirical failure rate
-#: of the two-sided distortion bound on q points below delta.  This is a
-#: configuration value (see :func:`jl_target_dim`), not a certified constant.
+#: of the two-sided distortion bound on q points below delta.  It is an
+#: empirical value (see :func:`jl_target_dim`), not a certified constant.
 JL_CALIBRATION = 8.0
 
 
@@ -78,13 +78,6 @@ class ProjectionMap:
             raise ValueError(f"matrix shape {self.matrix.shape} != ({self.k}, {self.d})")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("projection matrix has non-finite entries")
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return apply(self, X)
-
-    def to_summary(self) -> dict:
-        """Identity-only serialisation: family + seed + dims, never entries."""
-        return {"family": self.family, "k": self.k, "d": self.d, "seed": int(self.seed)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +137,6 @@ def sample_projection(family: str, k: int, d: int, seed: int) -> ProjectionMap:
     return ProjectionMap(matrix=matrix, family=family, k=k, d=d, seed=seed)
 
 
-def from_summary(summary: dict) -> ProjectionMap:
-    """Rebuild a map from its identity document (inverse of ``to_summary``)."""
-    return sample_projection(summary["family"], summary["k"], summary["d"], summary["seed"])
-
-
 def apply(pmap: ProjectionMap, X: np.ndarray) -> np.ndarray:
     """Compress the rows of an n x d matrix to n x k.
 
@@ -167,10 +155,10 @@ def apply(pmap: ProjectionMap, X: np.ndarray) -> np.ndarray:
     return X @ pmap.matrix.T
 
 
-def jl_target_dim(q: int, delta: float, epsilon: float, calibration: float = JL_CALIBRATION) -> int:
+def jl_target_dim(q: int, delta: float, epsilon: float) -> int:
     """Smallest target dimension the calibration suggests for q points.
 
-    ceil(calibration * ln(q/delta) / epsilon^2).
+    ceil(JL_CALIBRATION * ln(q/delta) / epsilon^2).
     """
     if q < 1:
         raise ValueError("q must be a positive point count")
@@ -178,7 +166,7 @@ def jl_target_dim(q: int, delta: float, epsilon: float, calibration: float = JL_
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    return int(np.ceil(calibration * np.log(q / delta) / epsilon**2))
+    return int(np.ceil(JL_CALIBRATION * np.log(q / delta) / epsilon**2))
 
 
 def empirical_jl_check(

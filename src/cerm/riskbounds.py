@@ -3,8 +3,8 @@
 This module owns the Monte-Carlo / exact-summation excess-risk estimators,
 the compressibility estimator (how much excess risk the best low-dimensional
 predictor must eat after a random compression), the three-term risk bracket,
-the optimal-target-dimension rules, the sketched least-squares inequality,
-and local Rademacher complexity tools.
+the optimal-target-dimension rules and the sketched least-squares
+inequality.
 
 Distributions are duck-typed.  An object usable here provides:
 
@@ -37,26 +37,16 @@ from .projections import ProjectionMap, apply, sample_projection
 from .seeds import derive_seed
 
 __all__ = [
-    "COVERING_CONSTANT",
     "RiskEstimate",
     "RiskBracket",
     "log_plus",
     "estimate_excess_risk",
     "estimate_compressibility",
-    "ensemble_compressibility_bound",
     "risk_bound_bracket",
     "optimal_k_classification",
-    "rate_exponent_classification",
     "optimal_k_regression",
     "sketched_ols_ratio",
-    "rademacher_fixed_point",
-    "empirical_rademacher",
 ]
-
-#: Covering-number constant for the sign-linear and clipped-linear classes;
-#: both have pseudo-dimension k + 1, giving this value in the local
-#: complexity bound used by rademacher_fixed_point.
-COVERING_CONSTANT = 4.0
 
 
 @dataclass(frozen=True)
@@ -245,20 +235,6 @@ def estimate_compressibility(
 # ---------------------------------------------------------------------------
 
 
-def ensemble_compressibility_bound(psi: float, B: float, m: int, delta: float) -> float:
-    """High-probability bound 2 psi + 3 B ln(1/delta) / (2 m) on the average
-    member approximation error of an m-map ensemble."""
-    if psi < 0:
-        raise ValueError("psi must be nonnegative")
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return 2.0 * psi + 3.0 * B * math.log(1.0 / delta) / (2.0 * m)
-
-
 def risk_bound_bracket(
     n: int, k: int, m: int, delta: float, alpha: float, psi_hat: float
 ) -> RiskBracket:
@@ -287,27 +263,17 @@ def risk_bound_bracket(
     )
 
 
-def _check_exponents(gamma: float, rho: float, alpha: float) -> None:
+def optimal_k_classification(n: int, gamma: float, rho: float, alpha: float) -> int:
+    """Rate-optimal target dimension for margin/moment classification families."""
     if gamma <= 0 or rho <= 0:
         raise ValueError("gamma and rho must be positive")
     if not 0 <= alpha < 1:
         raise ValueError("alpha must lie in [0, 1)")
-
-
-def optimal_k_classification(n: int, gamma: float, rho: float, alpha: float) -> int:
-    """Rate-optimal target dimension for margin/moment classification families."""
-    _check_exponents(gamma, rho, alpha)
     if n < 1:
         raise ValueError("n must be >= 1")
     denom = 2.0 * (gamma + rho) + gamma * rho * (2.0 - alpha)
     exponent = 2.0 * (gamma + rho) / denom
     return int(math.ceil((n / log_plus(n)) ** exponent))
-
-
-def rate_exponent_classification(gamma: float, rho: float, alpha: float) -> float:
-    """Exponent of the (log n / n) excess-risk rate at the optimal dimension."""
-    _check_exponents(gamma, rho, alpha)
-    return gamma * rho / (2.0 * (gamma + rho) + gamma * rho * (2.0 - alpha))
 
 
 def optimal_k_regression(n: int) -> int:
@@ -360,94 +326,3 @@ def sketched_ols_ratio(Xmat, w_diamond, pmap: ProjectionMap, r: int) -> dict:
     else:
         ratio = lhs / rhs
     return {"lhs": lhs, "rhs": rhs, "ratio": ratio}
-
-
-# ---------------------------------------------------------------------------
-# local Rademacher complexity
-# ---------------------------------------------------------------------------
-
-
-class NoFixedPointError(RuntimeError):
-    """Raised when the fixed-point bracket cannot be established."""
-
-
-def rademacher_fixed_point(
-    n: int, k: int, c_cn: float = COVERING_CONSTANT, lambda_lip: float = 1.0, beta: float = 1.0
-) -> float:
-    """Fixed point of the sub-root local complexity bound.
-
-    Solves phi(r) = r for phi(r) = 2 sqrt(c_cn k r / n) *
-    sqrt(log_+(lambda_lip beta n / (k sqrt(r)))) by bisection — phi(r)/sqrt(r)
-    is non-increasing, so the crossing is unique — then polishes with
-    fixed-point iteration (phi is a local contraction).  The result is checked
-    against the closed-form ceiling 6 c_cn k log_+(lambda_lip beta n) / n.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
-    if c_cn <= 0 or lambda_lip <= 0 or beta <= 0:
-        raise ValueError("c_cn, lambda_lip, beta must be positive")
-
-    scale = lambda_lip * beta * n / k
-
-    def phi(r: float) -> float:
-        return 2.0 * math.sqrt(c_cn * k * r / n) * math.sqrt(log_plus(scale / math.sqrt(r)))
-
-    hi = max(1.0, 4.0 * c_cn * k / n)
-    for _ in range(200):
-        if phi(hi) <= hi:
-            break
-        hi *= 2.0
-    else:
-        raise NoFixedPointError("could not bracket the fixed point from above")
-    lo = min(1e-12, hi / 2.0)
-    for _ in range(2000):
-        if phi(lo) > lo:
-            break
-        lo /= 2.0
-    else:
-        raise NoFixedPointError("could not bracket the fixed point from below")
-
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(60):
-        root = phi(root)
-
-    if abs(phi(root) - root) > 1e-9:
-        raise NoFixedPointError("fixed-point polish failed to converge")
-    ceiling = 6.0 * c_cn * k * log_plus(lambda_lip * beta * n) / n
-    if root > ceiling * (1.0 + 1e-9):
-        raise NoFixedPointError(
-            f"fixed point {root:.6g} exceeds its closed-form ceiling {ceiling:.6g}"
-        )
-    return root
-
-
-def empirical_rademacher(values, mc_draws: int = 10_000, seed: int = 0) -> RiskEstimate:
-    """Empirical Rademacher complexity of a finite function class.
-
-    ``values`` is an F x n matrix of function evaluations on the sample.  For
-    n <= 16 all 2^n sign vectors are enumerated and the result is exact;
-    otherwise ``mc_draws`` i.i.d. sign vectors give a Monte-Carlo estimate
-    with a standard error.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] < 1:
-        raise ValueError("values must be a nonempty F x n matrix")
-    n = values.shape[1]
-    if n <= 16:
-        count = 1 << n
-        bits = (np.arange(count)[:, None] >> np.arange(n)) & 1
-        signs = 2.0 * bits - 1.0  # 2^n x n
-        sups = np.max(values @ signs.T, axis=0) / n
-        return RiskEstimate(
-            value=float(np.mean(sups)), std_error=0.0, n_samples=count, exact=True
-        )
-    rng = np.random.default_rng(seed)
-    signs = 2.0 * rng.integers(0, 2, size=(mc_draws, n)) - 1.0
-    sups = np.max(values @ signs.T, axis=0) / n
-    return _mc_estimate(sups)

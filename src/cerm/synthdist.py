@@ -3,9 +3,7 @@
 Four families:
 
 * ``FiniteSupportDist`` — an explicit discrete law over labeled atoms; every
-  risk computed under it is an exact finite sum.  ``build_mixture_lb``
-  assembles the two-component mixture used for estimation-error lower bounds
-  (a heavy base atom plus a cloud of rare, deterministically labeled atoms).
+  risk computed under it is an exact finite sum.
 * ``AssouadDist`` — the hypercube-indexed family on q + 1 orthogonal axes that
   drives minimax lower bounds: a heavy clean atom at e_0 and q light atoms at
   radius r whose labels flip with the sign pattern sigma.
@@ -41,23 +39,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, bayes_action, eval_loss, make_loss
+from .losses import LOSS_KINDS, LossSpec, bayes_action, eval_loss, make_loss
 from .projections import AxisPoints
 from .riskbounds import RiskEstimate
 
 __all__ = [
+    "ConfigError",
     "FiniteSupportDist",
     "AssouadDist",
     "AssouadParams",
     "GaussMarginDist",
     "RegressionDist",
     "SmallSampleError",
-    "AtomCollisionError",
     "build_assouad_family",
     "assouad_min_n",
     "check_membership",
     "chi_squared_adjacent",
-    "build_mixture_lb",
     "check_geometric_margin",
     "check_moment",
     "check_tsybakov",
@@ -71,10 +68,6 @@ _REL_TOL = 1e-9
 
 class SmallSampleError(ValueError):
     """Raised when a lower-bound family is requested below its minimum sample size."""
-
-
-class AtomCollisionError(ValueError):
-    """Raised when mixture atoms collide with the base atom or each other."""
 
 
 def _leq(lhs: float, rhs: float) -> bool:
@@ -163,53 +156,6 @@ class FiniteSupportDist:
         return X, y
 
 
-def build_mixture_lb(
-    x0,
-    y0: float,
-    zeta: float,
-    points,
-    labels,
-    loss: LossSpec | None = None,
-    intended_n: int | None = None,
-) -> FiniteSupportDist:
-    """Two-component mixture: mass 1 - zeta on the clean base atom (x0, y0)
-    and mass zeta spread uniformly over q rare atoms with fixed labels.
-
-    The rare atoms must be distinct from the base atom and from each other
-    (they carry zero mass under the base component by construction).  When
-    ``intended_n`` is given, enforces q >= ceil(2 zeta n) so that a sample of
-    size n leaves at least half the rare atoms unseen in expectation.
-    """
-    loss = loss or make_loss("zero_one")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ValueError("points must be a nonempty q x d array")
-    q = points.shape[0]
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != points.shape[1]:
-        raise ValueError("x0 dimension mismatch")
-    if not 0 < zeta <= 1:
-        raise ValueError("zeta must lie in (0, 1]")
-    labels = np.asarray(labels, dtype=float).reshape(-1)
-    if labels.shape[0] != q:
-        raise ValueError("one label per rare atom required")
-    if intended_n is not None and q < math.ceil(2 * zeta * intended_n):
-        raise ValueError(
-            f"q = {q} rare atoms is too few for n = {intended_n}: need q >= {math.ceil(2 * zeta * intended_n)}"
-        )
-    stacked = np.concatenate([x0[None, :], points], axis=0)
-    uniq = np.unique(stacked, axis=0)
-    if uniq.shape[0] != stacked.shape[0]:
-        raise AtomCollisionError("mixture atoms must be pairwise distinct from x0 and each other")
-
-    probs = np.concatenate([[1.0 - zeta], np.full(q, zeta / q)])
-    label_values = np.concatenate([[y0], labels])[:, None]
-    label_probs = np.ones((q + 1, 1))
-    dist = FiniteSupportDist(stacked, probs, label_values, label_probs, loss)
-    dist.zeta = zeta
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # Assouad-style lower-bound family
 # ---------------------------------------------------------------------------
@@ -244,8 +190,7 @@ class AssouadDist:
     O(q) memory and run at any q.
     """
 
-    def __init__(self, q: int, r: float, v: float, epsilon: float, sigma=None,
-                 gamma: float | None = None, rho: float | None = None, alpha: float | None = None):
+    def __init__(self, q: int, r: float, v: float, epsilon: float, sigma=None):
         if q < 1:
             raise ValueError("q must be >= 1")
         if not 1.0 <= r <= math.sqrt(q) * (1.0 + _REL_TOL):
@@ -264,23 +209,7 @@ class AssouadDist:
         self.v = float(v)
         self.epsilon = float(epsilon)
         self.sigma = sigma
-        self.gamma = gamma
-        self.rho = rho
-        self.alpha = alpha
         self.loss_spec = make_loss("zero_one")
-
-    @classmethod
-    def from_params(cls, params: AssouadParams, sigma=None) -> "AssouadDist":
-        return cls(
-            params.q,
-            params.r,
-            params.v,
-            params.epsilon,
-            sigma,
-            gamma=params.gamma,
-            rho=params.rho,
-            alpha=params.alpha,
-        )
 
     @property
     def d(self) -> int:
@@ -385,33 +314,21 @@ def build_assouad_family(n: int, gamma: float, rho: float, alpha: float) -> Asso
     return AssouadParams(q=q, r=r, v=v, epsilon=epsilon, gamma=gamma, rho=rho, alpha=alpha, n=n)
 
 
-def check_membership(
-    params: AssouadParams,
-    C_G: float | None = None,
-    C_M: float = 1.0,
-    C_T: float = 1.0,
-    gamma: float | None = None,
-    rho: float | None = None,
-    alpha: float | None = None,
-) -> dict:
-    """Evaluate the three class-membership inequalities for a family member.
+def check_membership(params: AssouadParams) -> dict:
+    """Evaluate the three class-membership inequalities for a family member,
+    at the exponents it was built for.
 
-    geom:     epsilon v <= C_G (r / sqrt(2 q))^gamma
-    moment:   epsilon v <= C_M r^(-rho)
-    tsybakov: v <= C_T epsilon^(alpha / (1 - alpha))
+    geom:     epsilon v <= 2^(gamma/2) (r / sqrt(2 q))^gamma
+    moment:   epsilon v <= r^(-rho)
+    tsybakov: v <= epsilon^(alpha / (1 - alpha))
 
-    C_G defaults to 2^(gamma/2), under which the built families sit exactly on
-    the geometric boundary.
+    The built families sit exactly on all three boundaries.
     """
-    gamma = params.gamma if gamma is None else gamma
-    rho = params.rho if rho is None else rho
-    alpha = params.alpha if alpha is None else alpha
-    if C_G is None:
-        C_G = 2.0 ** (gamma / 2.0)
+    gamma, rho, alpha = params.gamma, params.rho, params.alpha
     ev = params.epsilon * params.v
-    geom = _leq(ev, C_G * (params.r / math.sqrt(2.0 * params.q)) ** gamma)
-    moment = _leq(ev, C_M * params.r ** (-rho))
-    tsybakov = _leq(params.v, C_T * params.epsilon ** (alpha / (1.0 - alpha)))
+    geom = _leq(ev, 2.0 ** (gamma / 2.0) * (params.r / math.sqrt(2.0 * params.q)) ** gamma)
+    moment = _leq(ev, params.r ** (-rho))
+    tsybakov = _leq(params.v, params.epsilon ** (alpha / (1.0 - alpha)))
     return {"geom": geom, "moment": moment, "tsybakov": tsybakov}
 
 
@@ -870,47 +787,130 @@ def dist_to_config(dist) -> dict:
     raise TypeError(f"cannot serialize distribution of type {type(dist).__name__}")
 
 
+class ConfigError(ValueError):
+    """Config validation failure; the message starts with the offending field path."""
+
+
+def _require(cond: bool, path: str, message: str):
+    if not cond:
+        raise ConfigError(f"{path}: {message}")
+
+
+def _object(value, path: str, known) -> dict:
+    """``value``, once it is an object at ``path`` with no key outside ``known``."""
+    _require(isinstance(value, dict), path, "must be an object")
+    for key in value:
+        _require(key in known, f"{path}.{key}" if path else key, "unknown config key")
+    return value
+
+
+# JSON true/false arrive as bool, which subclasses int: both field helpers
+# reject it explicitly so that `true` never passes as 1.  Neither converts a
+# string or truncates a fraction.
+def _int_field(value, path: str, minimum: int = 1) -> int:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
+        path,
+        f"must be an integer >= {minimum}",
+    )
+    return value
+
+
+def _number_field(value, path: str, message: str = "must be a number", in_range=None) -> float:
+    """A real number; ``in_range``, when given, is a further test it must pass."""
+    _require(
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and (in_range is None or in_range(value)),
+        path,
+        message,
+    )
+    return float(value)
+
+
+def _numbers(value, path: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        arr = None
+    _require(arr is not None and arr.dtype.kind in "iuf", path, "must be an array of numbers")
+    return arr.astype(float)
+
+
+def _noise(value, path: str) -> tuple:
+    _object(value, path, {"kind", "amplitude"})
+    return value.get("kind"), _number_field(value.get("amplitude"), f"{path}.amplitude")
+
+
+def _loss(value, path: str) -> LossSpec:
+    _object(value, path, {"kind", "beta"})
+    kind = value.get("kind")
+    _require(kind in LOSS_KINDS, f"{path}.kind", f"must be one of {LOSS_KINDS}")
+    beta = _number_field(
+        value.get("beta", 1.0), f"{path}.beta", "must be positive and finite",
+        lambda v: 0 < v < math.inf,
+    )
+    return make_loss(kind, beta)
+
+
+_REQUIRED = object()
+
+#: Each distribution type's class and the fields of its config, as
+#: field -> (reader, default).  A field whose default is None may be null.
+_CONFIG_SCHEMA = {
+    "assouad": (AssouadDist, {
+        "q": (_int_field, _REQUIRED),
+        "r": (_number_field, _REQUIRED),
+        "v": (_number_field, _REQUIRED),
+        "epsilon": (_number_field, _REQUIRED),
+        "sigma": (_numbers, None),
+    }),
+    "gauss_margin": (GaussMarginDist, {
+        "d": (_int_field, _REQUIRED),
+        "gamma": (_number_field, _REQUIRED),
+        "rho": (_number_field, _REQUIRED),
+        "alpha": (_number_field, _REQUIRED),
+        "w": (_numbers, None),
+        "t": (_number_field, 0.0),
+        "radius_cap": (_number_field, 1e3),
+    }),
+    "regression": (RegressionDist, {
+        "d": (_int_field, _REQUIRED),
+        "spectral_constant": (_number_field, _REQUIRED),
+        "spectral_decay": (_number_field, _REQUIRED),
+        "w": (_numbers, _REQUIRED),
+        "t": (_number_field, 0.0),
+        "beta": (_number_field, 1.0),
+        "noise": (_noise, None),
+        "w_max": (_number_field, 10.0),
+    }),
+    "finite": (FiniteSupportDist, {
+        "points": (_numbers, _REQUIRED),
+        "probs": (_numbers, _REQUIRED),
+        "label_values": (_numbers, _REQUIRED),
+        "label_probs": (_numbers, _REQUIRED),
+        "loss": (_loss, {"kind": "zero_one"}),
+    }),
+}
+
+
 def dist_from_config(config: dict):
-    """Inverse of dist_to_config."""
-    kind = config.get("type")
-    if kind == "assouad":
-        return AssouadDist(
-            q=int(config["q"]),
-            r=float(config["r"]),
-            v=float(config["v"]),
-            epsilon=float(config["epsilon"]),
-            sigma=config.get("sigma"),
-        )
-    if kind == "gauss_margin":
-        return GaussMarginDist(
-            d=int(config["d"]),
-            gamma=float(config["gamma"]),
-            rho=float(config["rho"]),
-            alpha=float(config["alpha"]),
-            w=config.get("w"),
-            t=float(config.get("t", 0.0)),
-            radius_cap=float(config.get("radius_cap", 1e3)),
-        )
-    if kind == "regression":
-        noise_cfg = config.get("noise")
-        noise = None if noise_cfg is None else (noise_cfg["kind"], float(noise_cfg["amplitude"]))
-        return RegressionDist(
-            d=int(config["d"]),
-            spectral_constant=float(config["spectral_constant"]),
-            spectral_decay=float(config["spectral_decay"]),
-            w=config["w"],
-            t=float(config.get("t", 0.0)),
-            beta=float(config.get("beta", 1.0)),
-            noise=noise,
-            w_max=float(config.get("w_max", 10.0)),
-        )
-    if kind == "finite":
-        loss_cfg = config.get("loss", {"kind": "zero_one", "beta": 1.0})
-        return FiniteSupportDist(
-            points=config["points"],
-            probs=config["probs"],
-            label_values=config["label_values"],
-            label_probs=config["label_probs"],
-            loss=make_loss(loss_cfg["kind"], loss_cfg.get("beta", 1.0)),
-        )
-    raise ValueError(f"unknown distribution type {kind!r}")
+    """Inverse of dist_to_config.
+
+    Raises ConfigError for an unknown type or field, and for a field of the
+    wrong kind: an integer field takes only integers, a number field only
+    numbers, and neither takes JSON true or false.
+    """
+    kind = config.get("type") if isinstance(config, dict) else None
+    _require(
+        isinstance(kind, str) and kind in _CONFIG_SCHEMA,
+        "type",
+        f"must be one of {tuple(_CONFIG_SCHEMA)}",
+    )
+    cls, fields = _CONFIG_SCHEMA[kind]
+    _object(config, "", {"type", *fields})
+    kwargs = {}
+    for name, (read, default) in fields.items():
+        value = config.get(name, default)
+        kwargs[name] = None if value is None and default is None else read(value, name)
+    return cls(**kwargs)

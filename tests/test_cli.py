@@ -115,6 +115,18 @@ def test_cli_check_dist_classification(tmp_path, capsys):
         assert 0.0 <= out[block]["pass_fraction"] <= 1.0
 
 
+def test_cli_check_dist_assouad(tmp_path, capsys):
+    """An Assouad law is reported like a finite one: atoms and exact Bayes risk."""
+    spec = tmp_path / "assouad.json"
+    spec.write_text(json.dumps({"type": "assouad", "q": 10, "r": 2.0, "v": 0.5, "epsilon": 0.25}))
+    rc, out = run_cli(capsys, ["check-dist", str(spec)])
+    assert rc == 0
+    assert out["type"] == "AssouadDist"
+    assert out["atom_count"] == 11
+    # ten light atoms of mass 0.05, each misclassified with probability 0.375
+    assert out["bayes_risk"] == pytest.approx(0.1875, rel=1e-12)
+
+
 def test_cli_jl_check(capsys):
     rc, out = run_cli(
         capsys, ["jl-check", "--q", "10", "--d", "32", "--trials", "50", "--k", "24"]

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from cerm.ensemble import (
     EnsembleModel,
     member_excess_risks,
-    model_summary,
     predict,
     train_ensemble,
 )
@@ -107,7 +105,6 @@ def test_ensemble_validation_errors():
             d=X.shape[1],
             m=2,
             member_reports=model.member_reports,
-            master_seed=0,
         )
     with pytest.raises(ValueError):
         EnsembleModel(
@@ -118,7 +115,6 @@ def test_ensemble_validation_errors():
             d=X.shape[1],
             m=2,
             member_reports=model.member_reports,
-            master_seed=0,
         )
 
 
@@ -265,14 +261,3 @@ def test_assouad_evaluation_memory_is_linear_in_q():
         tracemalloc.stop()
     assert len(members) == 25
     assert peak < 10 * 2**20, f"evaluation peaked at {peak / 2**20:.1f} MiB"
-
-
-def test_model_summary_is_json_serializable():
-    _, X, y = classification_data(n=40)
-    model = train_ensemble(X, y, make_loss("zero_one"), "achlioptas_sparse", k=2, m=2,
-                           master_seed=8, iters=20)
-    summary = model_summary(model)
-    text = json.dumps(summary)
-    assert json.loads(text)["m"] == 2
-    assert json.loads(text)["family"] == "achlioptas_sparse"
-    assert len(summary["member_seeds"]) == 2

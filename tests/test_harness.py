@@ -87,6 +87,21 @@ def strip_wall_time(csv_path):
 def test_config_rejects_unknown_key(tmp_path):
     with pytest.raises(ConfigError, match="bogus"):
         ExperimentConfig.from_dict(regression_config(tmp_path, bogus=1))
+    # Nested objects refuse unknown keys too: a misspelt "noise" must not
+    # make the law silently noiseless.
+    distribution = regression_config(tmp_path)["distribution"]
+    noise = {"kind": "bounded_uniform", "amplitude": 0.1}
+    misspelt = {**noise, "amplitud": 0.1}
+    for path, override in (
+        ("distribution: noize", {"distribution": {**distribution, "noize": noise}}),
+        ("distribution: noise.amplitud", {"distribution": {**distribution, "noise": misspelt}}),
+        ("k_rule.gamma", {"k_rule": {"rule": "fixed", "k": 2, "gamma": 2.0}}),
+        ("k_rule.k", {"k_rule": {"rule": "regression", "k": 2}}),
+        ("loss.bta", {"loss": {"kind": "squared", "bta": 1.0}}),
+        ("compressibility.rep", {"compressibility": {"reps": 2, "pop_factor": 2, "rep": 2}}),
+    ):
+        with pytest.raises(ConfigError, match=f"^{path}: unknown"):
+            ExperimentConfig.from_dict(regression_config(tmp_path, **override))
 
 
 def test_config_requires_distribution(tmp_path):
@@ -156,6 +171,21 @@ def test_config_list_and_scalar_validation(tmp_path):
     for field in ("master_seed", "delta"):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_dict(regression_config(tmp_path, **{field: False}))
+    # Distribution fields are checked, not converted by int() or float().
+    assouad = {"type": "assouad", "q": 10, "r": 2.0, "v": 0.5, "epsilon": 0.25}
+    regression = regression_config(tmp_path)["distribution"]
+    for distribution, message in (
+        ({**assouad, "q": "10"}, "q: must be an integer"),
+        ({**assouad, "q": 10.9}, "q: must be an integer"),
+        ({**assouad, "r": True}, "r: must be a number"),
+        ({**assouad, "sigma": [True] * 10}, "sigma: must be an array of numbers"),
+        ({**regression, "d": "5"}, "d: must be an integer"),
+        ({**regression, "w": ["0.3"] * 4}, "w: must be an array of numbers"),
+        ({**regression, "noise": {"kind": "bounded_uniform", "amplitude": False}},
+         "noise.amplitude: must be a number"),
+    ):
+        with pytest.raises(ConfigError, match=f"^distribution: {message}"):
+            ExperimentConfig.from_dict(regression_config(tmp_path, distribution=distribution))
     with pytest.raises(ConfigError, match="delta"):
         ExperimentConfig.from_dict(regression_config(tmp_path, delta=1.0))
     with pytest.raises(ConfigError, match="output"):

@@ -9,7 +9,6 @@ from cerm.projections import (
     InvalidDimensionError,
     apply,
     empirical_jl_check,
-    from_summary,
     jl_target_dim,
     sample_projection,
 )
@@ -23,16 +22,6 @@ def test_sampling_is_deterministic(family):
     assert np.array_equal(a.matrix, b.matrix)
     c = sample_projection(family, 5, 40, 124)
     assert not np.array_equal(a.matrix, c.matrix)
-
-
-@pytest.mark.parametrize("family", FAMILIES)
-def test_summary_round_trip(family):
-    """A map is reconstructible from family + dims + seed alone."""
-    pmap = sample_projection(family, 7, 64, 987654321)
-    summary = pmap.to_summary()
-    assert set(summary) == {"family", "k", "d", "seed"}
-    rebuilt = from_summary(summary)
-    assert np.array_equal(rebuilt.matrix, pmap.matrix)
 
 
 def test_entry_laws():

@@ -1,26 +1,19 @@
-"""Tests for risk estimation, bound assembly, and complexity helpers."""
+"""Tests for risk estimation, bound assembly and the sketched least-squares check."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from cerm.losses import make_loss
 from cerm.projections import sample_projection
 from cerm.riskbounds import (
-    COVERING_CONSTANT,
-    NoFixedPointError,
     RiskEstimate,
-    empirical_rademacher,
-    ensemble_compressibility_bound,
     estimate_compressibility,
     estimate_excess_risk,
     log_plus,
     optimal_k_classification,
     optimal_k_regression,
-    rademacher_fixed_point,
-    rate_exponent_classification,
     risk_bound_bracket,
     sketched_ols_ratio,
 )
@@ -182,30 +175,6 @@ def test_compressibility_rejects_solvers_the_loss_does_not_take():
 # ---------------------------------------------------------------------------
 
 
-def test_ensemble_compressibility_bound_literal():
-    # 2*0 + 3*1*log(1/delta)/(2*3) with delta = e^-1 gives exactly 1/2
-    assert ensemble_compressibility_bound(0.0, 1.0, 3, math.exp(-1)) == pytest.approx(
-        0.5, rel=1e-15
-    )
-    base = ensemble_compressibility_bound(0.1, 1.0, 3, math.exp(-1))
-    assert base == pytest.approx(0.7, rel=1e-12)  # additive 2*psi
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(psi=-0.1, B=1.0, m=3, delta=0.5),
-        dict(psi=0.0, B=0.5, m=3, delta=0.5),
-        dict(psi=0.0, B=1.0, m=0, delta=0.5),
-        dict(psi=0.0, B=1.0, m=3, delta=0.0),
-        dict(psi=0.0, B=1.0, m=3, delta=1.0),
-    ],
-)
-def test_ensemble_compressibility_bound_validation(kwargs):
-    with pytest.raises(ValueError):
-        ensemble_compressibility_bound(**kwargs)
-
-
 def test_risk_bound_bracket_closed_form():
     # n=1: log_plus terms floor at 1, so the statistical term is
     # ((k + 1)/1)^(1/(2-alpha)) = sqrt(2) at k=1, alpha=0; ensemble = 1/m.
@@ -265,15 +234,6 @@ def test_optimal_k_regression_frozen():
         optimal_k_regression(0)
 
 
-def test_rate_exponent_classification():
-    assert rate_exponent_classification(2.0, 2.0, 0.0) == pytest.approx(0.25, rel=1e-15)
-    assert rate_exponent_classification(1.0, 1.0, 0.5) == pytest.approx(2.0 / 11.0, rel=1e-15)
-    # fixing rho, a larger gamma learns faster
-    assert rate_exponent_classification(4.0, 2.0, 0.0) > rate_exponent_classification(
-        2.0, 2.0, 0.0
-    )
-
-
 # ---------------------------------------------------------------------------
 # sketched least squares
 # ---------------------------------------------------------------------------
@@ -322,69 +282,3 @@ def test_sketched_ols_ratio_validation():
         sketched_ols_ratio(X, w, pmap, r=3)  # needs r < min(q, k) = 3
     with pytest.raises(ValueError):
         sketched_ols_ratio(X, w, pmap, r=-1)
-
-
-# ---------------------------------------------------------------------------
-# local Rademacher complexity
-# ---------------------------------------------------------------------------
-
-
-def test_fixed_point_matches_independent_root():
-    for n, k in ((50, 1), (1000, 2), (100_000, 7)):
-        root = rademacher_fixed_point(n, k)
-
-        def phi(r):
-            return 2.0 * math.sqrt(COVERING_CONSTANT * k * r / n) * math.sqrt(
-                max(math.log((n / k) / math.sqrt(r)), 1.0)
-            )
-
-        oracle = brentq(lambda r: phi(r) - r, 1e-15, 1e6, xtol=1e-15, rtol=1e-14)
-        assert root == pytest.approx(oracle, rel=1e-9)
-        assert phi(root) == pytest.approx(root, abs=1e-9)
-        ceiling = 6.0 * COVERING_CONSTANT * k * max(math.log(n), 1.0) / n
-        assert root <= ceiling * (1.0 + 1e-9)
-
-
-def test_fixed_point_monotonicity():
-    assert rademacher_fixed_point(1000, 4) > rademacher_fixed_point(1000, 2)
-    assert rademacher_fixed_point(4000, 2) < rademacher_fixed_point(1000, 2)
-
-
-def test_fixed_point_validation():
-    with pytest.raises(ValueError):
-        rademacher_fixed_point(0, 1)
-    with pytest.raises(ValueError):
-        rademacher_fixed_point(10, 1, c_cn=0.0)
-    assert issubclass(NoFixedPointError, RuntimeError)
-
-
-def test_empirical_rademacher_exact_small_classes():
-    # symmetric pair {g, -g}: complexity is E|<g, sigma>|/n
-    g = np.ones(4)
-    est = empirical_rademacher(np.stack([g, -g]))
-    assert est.exact and est.std_error == 0.0
-    assert est.value == pytest.approx(0.375, rel=1e-15)  # E|sum of 4 signs| = 1.5
-    g2 = np.array([1.0, 2.0, -1.0, 0.5])
-    est2 = empirical_rademacher(np.stack([g2, -g2]))
-    assert est2.value == pytest.approx(0.53125, rel=1e-15)
-    # a singleton class has mean sup equal to zero by sign symmetry
-    single = empirical_rademacher(np.ones((1, 4)))
-    assert single.value == pytest.approx(0.0, abs=1e-15)
-
-
-def test_empirical_rademacher_monte_carlo_path():
-    rng = np.random.default_rng(0)
-    values = rng.standard_normal((3, 20))
-    est = empirical_rademacher(values, mc_draws=4000, seed=5)
-    est2 = empirical_rademacher(values, mc_draws=4000, seed=5)
-    assert not est.exact and est.std_error > 0.0
-    assert est.value == est2.value
-    sup_norm = np.abs(values).sum(axis=1).max() / 20.0
-    assert 0.0 <= est.value <= sup_norm
-
-
-def test_empirical_rademacher_validation():
-    with pytest.raises(ValueError):
-        empirical_rademacher(np.ones(4))
-    with pytest.raises(ValueError):
-        empirical_rademacher(np.ones((0, 4)))

@@ -7,14 +7,12 @@ from cerm.losses import make_loss
 from cerm.projections import AxisPoints
 from cerm.synthdist import (
     AssouadDist,
-    AtomCollisionError,
     FiniteSupportDist,
     GaussMarginDist,
     RegressionDist,
     SmallSampleError,
     assouad_min_n,
     build_assouad_family,
-    build_mixture_lb,
     check_geometric_margin,
     check_membership,
     check_moment,
@@ -71,24 +69,6 @@ def test_finite_support_validation():
         FiniteSupportDist([[0.0]], [1.0], [[1.0]], [[0.5]], loss)  # label row not a law
     with pytest.raises(ValueError):
         FiniteSupportDist([[0.0]], [1.0], [[0.5]], [[1.0]], loss)  # label off-domain
-
-
-def test_mixture_lower_bound_construction():
-    points = np.arange(1, 9, dtype=float)[:, None]
-    labels = np.where(np.arange(8) % 2 == 0, 1.0, -1.0)
-    dist = build_mixture_lb(x0=[0.0], y0=1.0, zeta=0.25, points=points, labels=labels)
-    assert dist.zeta == 0.25
-    assert dist.probs[0] == 0.75
-    assert np.allclose(dist.probs[1:], 0.25 / 8)
-    # every conditional label is deterministic, so the Bayes risk is exactly 0
-    assert dist.bayes_risk().value == 0.0
-
-    with pytest.raises(AtomCollisionError):
-        build_mixture_lb([1.0], 1.0, 0.25, points, labels)
-    with pytest.raises(ValueError):
-        build_mixture_lb([0.0], 1.0, 0.25, points, labels, intended_n=100)
-    # q = 8 >= ceil(2 * 0.25 * 16) = 8 is allowed on the boundary
-    build_mixture_lb([0.0], 1.0, 0.25, points, labels, intended_n=16)
 
 
 def test_assouad_family_frozen_values():
