@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from .harness import ExperimentConfig, fit_rate, run_experiment
+from .hypotheses import EXACT_MAX_K, EXACT_MAX_N
 from .projections import FAMILIES, empirical_jl_check, jl_target_dim, sample_projection
 from .riskbounds import estimate_compressibility, sketched_ols_ratio
 from .seeds import derive_seed
@@ -70,10 +71,23 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compressibility(args) -> int:
-    dist = dist_from_config(_load_json(args.dist_spec))
     k_list = [int(tok) for tok in args.k_list.split(",") if tok]
     if not k_list:
         raise ValueError("--k-list must name at least one k")
+    if args.solver == "exact":
+        # The exact solver refuses larger fits, but only after the points
+        # are sampled; refuse the flags before any work, as configs are.
+        if args.pop_n > EXACT_MAX_N:
+            raise SystemExit(
+                f"cerm compressibility: --pop-n {args.pop_n}: "
+                f"the exact solver takes n <= {EXACT_MAX_N}"
+            )
+        if max(k_list) > EXACT_MAX_K:
+            raise SystemExit(
+                f"cerm compressibility: --k-list has k = {max(k_list)}: "
+                f"the exact solver takes k <= {EXACT_MAX_K}"
+            )
+    dist = dist_from_config(_load_json(args.dist_spec))
     out = []
     for i, k in enumerate(sorted(set(k_list))):
         est = estimate_compressibility(

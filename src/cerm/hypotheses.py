@@ -8,21 +8,15 @@ Two hypothesis classes over compressed inputs u in R^k:
 Three solvers:
 
 * ``erm_exact_classification`` — empirical zero-one risk minimization by a
-  rotational sweep for k <= 2, O(n^2 log n), and enumeration at k = 3,
-  O(n^4).  The sweep turns a line about every point in turn and counts the
-  errors on every arc between critical directions; its rule must make
-  exactly the errors it counted, or the solve raises
-  SweepUncertifiedError, so at k <= 2 the result is a certified global
-  minimizer.  The enumeration uses that every labeling a hyperplane can
-  realize on n points is realized by some hyperplane through at most k of
-  the points (completed with coordinate directions when fewer points pin it
-  down), tilted so the touched points land on their labeled sides.  It is
-  not certified: on degenerate inputs, where points lie on a candidate
-  plane, its rule can make more errors than the count it was chosen by.
-  Guarded to k <= 3 and n <= 200.
+  rotational sweep: about every point at k <= 2, in O(n^2 log n), and about
+  every line through two points at k = 3, in O(n^3 log n).  The sweep turns
+  a hyperplane about each pivot and counts the errors on every arc between
+  critical directions; its rule must make exactly the errors it counted, or
+  the solve raises SweepUncertifiedError, so the result is a certified
+  global minimizer at every k.  Guarded to k <= 3 and n <= 200.
 * ``erm_surrogate_classification`` — damped Newton on the logistic
   surrogate over the k + 1 parameters (w, t), reporting the zero-one risk of
-  the result, for scales where enumeration is infeasible.  It converges in
+  the result, for scales the exact solver does not take.  It converges in
   a handful of steps, and it stops as soon as the training points are
   separated, where the surrogate has no minimizer.
 * ``erm_regression`` — subgradient descent with a backtracking step size on
@@ -41,7 +35,6 @@ on the training pairs, never taken from solver internals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 from scipy.special import expit
@@ -116,8 +109,8 @@ class ErmReport:
     """Outcome of one ERM solve.
 
     ``empirical_risk`` is the returned hypothesis's risk on the training
-    pairs; for ``solver == "exact"`` it is the certified global minimum at
-    k <= 2 and the enumeration's best rule, not certified, at k = 3.
+    pairs; for ``solver == "exact"`` it is the sweep's certified global
+    minimum.
     ``objective_checkpoints`` traces the solver's objective for monotonicity
     diagnostics: at the start and after every Newton step for the surrogate
     classifier, at the start, every 50 descent steps and the end for
@@ -146,58 +139,6 @@ def _zero_one_risk(h: LinearHypothesis, U, y) -> float:
     return float(np.mean(h.predict(U) != y))
 
 
-# ---------------------------------------------------------------------------
-# exact zero-one ERM by hyperplane enumeration
-# ---------------------------------------------------------------------------
-#
-# A sign rule u -> sign(w.u - t) is the sign of v.z for the lifted point
-# z = (u, -1) and v = (w, t), so the search runs over directions v in R^(k+1).
-# The labelings realizable on n points are the sign patterns of the cells cut
-# out by the hyperplanes {v : v.z_i = 0} (refined by the coordinate planes so
-# every cell is a pointed cone).  Each cell has an extreme ray lying on k
-# independent constraints, and the cell's own labeling is recovered from that
-# ray by tilting it so the touched points fall on their labeled sides.  So it
-# suffices to enumerate, for every subset of min(k, n) points completed with
-# coordinate directions, the ray v solving the subset's equations, plus the
-# tilted variants v + tau*a where a restores the subset's labels and tau is
-# small enough to leave every off-subset point on its current side.
-
-_EXACT_CHUNK = 8192
-
-
-def _batched_null_vectors(blocks: np.ndarray) -> np.ndarray:
-    """One null vector per (k, k+1) constraint block, batched over axis 0.
-
-    Degenerate blocks (rank < k) yield the zero vector, which callers drop:
-    every labeling reachable through them is reachable through a full-rank
-    block in the same enumeration.
-    """
-    _, k, k1 = blocks.shape
-    if k1 == 2:
-        row = blocks[:, 0, :]
-        return np.stack([-row[:, 1], row[:, 0]], axis=1)
-    if k1 == 3:
-        return np.cross(blocks[:, 0, :], blocks[:, 1, :])
-    # k1 == 4: generalized cross product via signed 3x3 minors.
-    out = np.empty((blocks.shape[0], 4))
-    cols = np.arange(4)
-    sign = 1.0
-    for i in range(4):
-        out[:, i] = sign * np.linalg.det(blocks[:, :, cols != i])
-        sign = -sign
-    return out
-
-
-def _index_chunks(n: int, j: int, chunk: int):
-    """Yield (c, j) int arrays covering all j-subsets of range(n), c <= chunk."""
-    it = combinations(range(n), j)
-    while True:
-        block = list(islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=int).reshape(len(block), j)
-
-
 def _best_constant(y_pos: np.ndarray, k: int) -> tuple[int, np.ndarray]:
     """The better constant rule as (errors, v); v = (0, ..., 0, -1) predicts +1."""
     n_pos = int(np.count_nonzero(y_pos))
@@ -208,145 +149,82 @@ def _best_constant(y_pos: np.ndarray, k: int) -> tuple[int, np.ndarray]:
     return y_pos.size - n_pos, v
 
 
-def _enumerate_hyperplanes(U, y) -> tuple[int, np.ndarray]:
-    """Best rule over hyperplanes through every subset of up to k points.
-
-    Each subset's hyperplane (completed with coordinate directions when fewer
-    points pin it down) is tried in both orientations, both as-is and tilted
-    so the spanning points land on their labeled sides; the two constant
-    classifiers seed the search.  Returns (errors, v) with v = (w, t), where
-    errors is the best candidate's count on the scores it was chosen by.
-    O(n^(k+1)); the production path at k = 3 and the sweep's test oracle.
-    """
-    n, k = U.shape
-    y_pos = y == 1.0
-    best_errors, best_v = _best_constant(y_pos, k)
-
-    Z = np.concatenate([U, -np.ones((n, 1))], axis=1)
-    ZT = Z.T
-    eye = np.eye(k + 1)
-    rows_of = np.arange
-
-    for j in range(min(k, n), -1, -1):
-        if best_errors == 0:
-            break
-        for pads in combinations(range(k + 1), k - j):
-            if best_errors == 0:
-                break
-            for idx in _index_chunks(n, j, _EXACT_CHUNK):
-                c = idx.shape[0]
-                P = Z[idx]  # (c, j, k+1)
-                blocks = np.empty((c, k, k + 1))
-                blocks[:, :j, :] = P
-                blocks[:, j:, :] = eye[list(pads)]
-                V = _batched_null_vectors(blocks)
-                norms = np.linalg.norm(V, axis=1)
-                keep = np.isfinite(norms) & (norms > 0.0)
-                if not np.any(keep):
-                    continue
-                V = V[keep] / norms[keep, None]
-                idx_k = idx[keep]
-                P = P[keep]
-                c = V.shape[0]
-
-                if j:
-                    # Min-norm tilt a with a.z_i = y_i on the subset; a tiny
-                    # ridge keeps duplicate-point Grams solvable (the tilt's
-                    # magnitude is not load-bearing, only its signs are).
-                    G = P @ P.transpose(0, 2, 1)
-                    ridge = 1e-12 * np.einsum("cjj->c", G)
-                    G[:, rows_of(j), rows_of(j)] += ridge[:, None]
-                    coef = np.linalg.solve(G, y[idx_k][..., None])[..., 0]
-                    A = np.einsum("cjd,cj->cd", P, coef)
-                else:
-                    A = np.zeros_like(V)
-
-                S = V @ ZT
-                Sa = A @ ZT
-                # Largest tilt that cannot flip any point clearly off the ray.
-                prot = np.abs(S) > 1e-12 * np.max(np.abs(S), axis=1, keepdims=True)
-                if j:
-                    prot[rows_of(c)[:, None], idx_k] = False
-                ratio = np.where(
-                    prot, np.abs(S) / np.maximum(np.abs(Sa), 1e-300), np.inf
-                )
-                tau = 0.5 * np.min(ratio, axis=1)
-                tau = np.where(np.isfinite(tau), np.minimum(tau, 1e12), 1.0)
-                M = tau[:, None] * Sa
-
-                for sign in (1.0, -1.0):
-                    base = S if sign > 0 else -S
-                    for tilted in (True, False):
-                        scores = base + M if tilted else base
-                        errs = np.count_nonzero((scores >= 0.0) != y_pos, axis=1)
-                        local = int(np.argmin(errs))
-                        if errs[local] < best_errors:
-                            best_errors = int(errs[local])
-                            best_v = sign * V[local]
-                            if tilted:
-                                best_v = best_v + tau[local] * A[local]
-                if best_errors == 0:
-                    break
-    return best_errors, best_v
-
-
 # ---------------------------------------------------------------------------
-# exact zero-one ERM in the plane by rotational sweep
+# exact zero-one ERM by rotational sweep
 # ---------------------------------------------------------------------------
 #
-# Any labeling a line realizes with points on both sides is also realized by
-# a line through one point p (the pivot) whose normal lies inside an open arc
-# between critical normals: slide the line until it first touches a point;
-# if it then holds several, pivot on an extreme one and turn the line
-# slightly so the others fall back on the side they came from.  Only p's
-# exact duplicates stay on the line, and a small shift puts them on either
-# side.  Another point q changes side only where the normal is orthogonal to
-# d = q - p.  Turning the normal through half a circle, (-pi/2, pi/2], covers
-# both orientations, because the opposite normal puts every point off the
-# line on its other side.  Sorting the n - 1 critical normals per pivot and
-# summing the side changes counts the errors on every arc: O(n log n) per
-# pivot, O(n^2 log n) in all (Johnson & Preparata, "The densest hemisphere
-# problem", TCS 6, 1978).
+# A sign rule u -> sign(w.u - t) splits the points by a hyperplane.  In the
+# plane (k <= 2), any labeling a line realizes with points on both sides is
+# also realized by a line through one point p (the pivot) whose normal lies
+# inside an open arc between critical normals: slide the line until it first
+# touches a point; if it then holds several, pivot on an extreme one and turn
+# the line slightly so the others fall back on the side they came from.  Only
+# p's exact duplicates stay on the line, and a small shift puts them on
+# either side.  Another point q changes side only where the normal is
+# orthogonal to d = q - p.  Turning the normal through half a circle,
+# (-pi/2, pi/2], covers both orientations, because the opposite normal puts
+# every point off the line on its other side.  Sorting the n - 1 critical
+# normals per pivot and summing the side changes counts the errors on every
+# arc: O(n log n) per pivot, O(n^2 log n) in all (Johnson & Preparata, "The
+# densest hemisphere problem", TCS 6, 1978).
 #
-# Collinear and antipodal points give the same critical normal.  It must be
+# At k = 3 the pivot is the line through two distinct points p and q, with
+# d = q - p.  The planes through that line have the normals N orthogonal to
+# d, and a point x lies on the side (x - p).N = nu.c of such a plane, where
+# c = d x (x - p) and N = nu x d.  c is orthogonal to d, so it is known by
+# its two entries off the axis of d's largest entry, and nu is taken in the
+# plane of those two axes: the sweep about the line is the planar sweep of
+# the vectors c about 0.  The group that stays on the plane is the points on
+# the line, where c = 0, and it takes its cheaper side.  This is complete:
+# a realizable labeling with both sides nonempty is an open cone C of
+# (w, t).  If the points are not coplanar, a vertex of C's cross-section lies
+# on the plane of at least three non-collinear points.  By the separating
+# axis theorem, the labeling of that plane's points has a hull edge, of one
+# side's hull, whose line separates the two sides; so C has a 2-face whose
+# tight points, the points on one line pq, all carry one label, and the
+# relative interior of that face is an open arc of the sweep about (p, q).
+# Coplanar points run the same argument inside their plane.  Collinear points
+# are a 1-d problem, swept on their positions along the line.  All later q of
+# one p are swept at once, O(n log n) per line and O(n^3 log n) in all.
+#
+# Collinear and antipodal vectors give the same critical normal.  It must be
 # one boundary, not two an ulp apart with a zero-length "arc" between them,
 # so sorted neighbours merge when their cross product is exactly 0.
 
 
-def _rotational_sweep(U, y) -> tuple[int, np.ndarray]:
-    """Best rule for k <= 2 by a rotational sweep about every point.
+def _best_arc(dx, dy, y_pos, best, lift):
+    """Count the errors on every arc about a batch of pivots.
 
-    k = 1 runs as the plane with a zero second coordinate.  Returns
-    (errors, v) with v = (w, t) for the input's own k; the errors are the
-    sweep's count, which the caller certifies against the returned rule.
+    Row r of the (r, n) arrays dx, dy holds one planar vector per point,
+    whose dot product with a normal nu gives the point's side about the
+    row's pivot; the zero vectors are the pivot's group.  ``lift(r, nu)``
+    maps row r's planar normal to (w, s, s0): the rule's weights, every
+    point's score s = u.w and the pivot's score.  The rule puts the group on
+    its cheaper side and its threshold halfway across the gap along s.
+    Returns ``best``, an (errors, v) pair, unless an arc beats it; ties go
+    to the first row and arc.
     """
-    n, k = U.shape
-    y_pos = y == 1.0
-    best_errors, best_v = _best_constant(y_pos, k)
-    P = np.zeros((n, 2))
-    P[:, :k] = U
-
-    D = P[None, :, :] - P[:, None, :]  # D[i, j] = P[j] - P[i]
-    dx, dy = D[..., 0], D[..., 1]
-    dup = (dx == 0.0) & (dy == 0.0)  # pivot i's group, i included
-    # q's critical normal is d turned +90 degrees, where q leaves the + side
-    # as the normal turns counterclockwise, or its negation, where q rejoins
-    # it: whichever has cx > 0, or cx = 0 and cy > 0.  Adding 0.0 clears
-    # signed zeros, so a vertical normal always sorts at +pi/2.
+    r, n = dx.shape
+    dup = (dx == 0.0) & (dy == 0.0)  # the pivot's group
+    # A point's critical normal is its vector turned +90 degrees, where the
+    # point leaves the + side as the normal turns counterclockwise, or its
+    # negation, where it rejoins it: whichever has cx > 0, or cx = 0 and
+    # cy > 0.  Adding 0.0 clears signed zeros, so a vertical normal always
+    # sorts at +pi/2.
     cx, cy = -dy, dx
     leaves = (cx > 0.0) | ((cx == 0.0) & (cy > 0.0))
     cx = np.where(leaves, cx, -cx) + 0.0
     cy = np.where(leaves, cy, -cy) + 0.0
     angle = np.where(dup, np.inf, np.arctan2(cy, cx))  # the group sorts last
     order = np.argsort(angle, axis=1)
-    flat = order + n * np.arange(n)[:, None]
+    flat = order + n * np.arange(r)[:, None]
     angle, cx, cy = angle.ravel()[flat], cx.ravel()[flat], cy.ravel()[flat]
-    # Leaving costs an error when y_q = +1 and saves one otherwise.
+    # Leaving costs an error when the label is +1 and saves one otherwise.
     flip = np.where(y_pos, 1, -1)
     step = np.where(leaves, flip, -flip).ravel()[flat]
 
-    # Just counterclockwise of -pi/2 the normal is (0+, -1): q is + iff it
-    # lies below p, or level with p and to its right.
+    # Just counterclockwise of -pi/2 the normal is (0+, -1): a point is + iff
+    # dy < 0, or dy = 0 and dx > 0.
     plus0 = (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
     errors0 = np.count_nonzero((plus0 != y_pos) & ~dup, axis=1)[:, None]
     # The count after crossing sorted normal c holds up to normal c + 1
@@ -363,11 +241,11 @@ def _rotational_sweep(U, y) -> tuple[int, np.ndarray]:
     cost = np.minimum(errors, turned) + np.minimum(group_plus, group_minus)[:, None]
     cost = np.where(valid, cost, n + 1)
     i, c = divmod(int(np.argmin(cost)), n)
-    if cost[i, c] >= best_errors:
-        return best_errors, best_v
+    if cost[i, c] >= best[0]:
+        return best
 
     # The arc's mid normal, then a threshold halfway across the gap between
-    # the two sides along it; p's group takes its cheaper side.
+    # the two sides along it; the group takes its cheaper side.
     if c == 0:
         last = int(np.count_nonzero(np.isfinite(angle[i]))) - 1
         lo_angle, hi_angle = angle[i, last] - np.pi, angle[i, 0]
@@ -377,8 +255,8 @@ def _rotational_sweep(U, y) -> tuple[int, np.ndarray]:
     normal = np.array([np.cos(mid), np.sin(mid)])
     if turned[i, c] < errors[i, c]:
         normal = -normal
-    s = P @ normal
-    plus = (s > s[i]) | ((s == s[i]) & (group_minus[i] <= group_plus[i]))
+    w, s, s0 = lift(i, normal)
+    plus = np.where(dup[i] | (s == s0), group_minus[i] <= group_plus[i], s > s0)
     below, above = s[~plus], s[plus]
     if below.size and above.size:
         lo, hi = below.max(), above.min()
@@ -386,22 +264,75 @@ def _rotational_sweep(U, y) -> tuple[int, np.ndarray]:
         if not lo < t:  # adjacent floats
             t = hi
     else:  # a constant pattern cannot beat the seeds; certification refuses it
-        t = s[i]
-    return int(cost[i, c]), np.append(normal[:k], t)
+        t = s0
+    return int(cost[i, c]), np.append(w, t)
+
+
+def _sweep(U, y) -> tuple[int, np.ndarray]:
+    """The best sign rule for k <= 3 by a rotational sweep.
+
+    The pivots are every point at k <= 2, with k = 1 as the plane with a
+    zero second coordinate, and every line through two distinct points at
+    k = 3.  Returns (errors, v) with v = (w, t); the errors are the sweep's
+    count, which the caller certifies against the returned rule.
+    """
+    n, k = U.shape
+    y_pos = y == 1.0
+    best = _best_constant(y_pos, k)
+    if k <= 2:
+        P = np.zeros((n, 2))
+        P[:, :k] = U
+        D = P[None, :, :] - P[:, None, :]  # D[i, j] = P[j] - P[i]
+
+        def lift(i, normal):
+            s = P @ normal
+            return normal[:k], s, s[i]
+
+        return _best_arc(D[..., 0], D[..., 1], y_pos, best, lift)
+
+    rel = U - U[0]
+    far = np.flatnonzero(np.any(rel != 0.0, axis=1))
+    if far.size and not np.any(np.cross(rel[far[0]], rel)):
+        # All points on one line: sweep their positions along it.  The 1-d
+        # sweep's weight is exactly +-1 or 0, so the rule's scores are the
+        # positions' own.
+        d = rel[far[0]]
+        errors, v = _sweep((U @ d)[:, None], y)
+        return errors, np.append(v[0] * d, v[1])
+    for p in range(n - 1):
+        rel = U - U[p]
+        later = p + 1 + np.flatnonzero(np.any(rel[p + 1 :] != 0.0, axis=1))
+        if not later.size:
+            continue
+        d = rel[later]
+        # Per row, the axes in cyclic order from d's largest entry, and the
+        # entries of c = d x (x - p) on the other two: c_a = d_b e_o - d_o e_b
+        # and c_b = d_o e_a - d_a e_o for e = x - p and axes (o, a, b).
+        axes = (np.argmax(np.abs(d), axis=1)[:, None] + [0, 1, 2]) % 3
+        d_o, d_a, d_b = np.take_along_axis(d, axes, axis=1).T[..., None]
+        e_o, e_a, e_b = rel.T[axes.T]
+
+        def lift(r, nu):
+            m = np.zeros(3)
+            m[axes[r, 1:]] = nu
+            N = np.cross(m, d[r])
+            s = U @ N
+            return N, s, s[p]
+
+        best = _best_arc(d_b * e_o - d_o * e_b, d_o * e_a - d_a * e_o, y_pos, best, lift)
+    return best
 
 
 def erm_exact_classification(U, y) -> ErmReport:
     """Empirical zero-one risk minimization over sign-linear rules.
 
-    At k <= 2 a rotational sweep finds a global minimizer in O(n^2 log n),
-    and the returned rule's recomputed risk must equal the sweep's error
-    count, or SweepUncertifiedError is raised.  That can happen only where
-    the best rule must separate points closer than its floating-point
-    evaluation resolves, such as nearly collinear triples or near-duplicates.
-    At k = 3 the hyperplane enumeration runs in O(n^4) and is not certified:
-    on degenerate inputs its rule can make more errors than the count it was
-    chosen by, so the result need not be a global minimizer.  The reported
-    risk is always recomputed from the returned rule.
+    A rotational sweep finds a global minimizer: about every point at
+    k <= 2, in O(n^2 log n), and about every line through two points at
+    k = 3, in O(n^3 log n).  The returned rule's recomputed risk must equal
+    the sweep's error count, or SweepUncertifiedError is raised.  That can
+    happen only where the best rule must separate points closer than its
+    floating-point evaluation resolves, such as nearly collinear or nearly
+    coplanar points or near-duplicates.
     Scale-guarded to k <= 3, n <= 200.
     """
     U, y = _validate_classification(U, y)
@@ -414,15 +345,10 @@ def erm_exact_classification(U, y) -> ErmReport:
     if k < 1:
         raise ValueError("need k >= 1")
 
-    if k <= 2:
-        errors, v = _rotational_sweep(U, y)
-    else:
-        errors, v = _enumerate_hyperplanes(U, y)
+    errors, v = _sweep(U, y)
     hypothesis = LinearHypothesis(w=v[:k].copy(), t=float(v[k]), mode="sign")
     risk = _zero_one_risk(hypothesis, U, y)
-    # The enumerator's own count reads the sign of rounding noise for points
-    # on a candidate plane, so only the sweep's count certifies its rule.
-    if k <= 2 and risk != errors / n:
+    if risk != errors / n:
         raise SweepUncertifiedError(
             f"the sweep counted {errors} errors, but its rule makes {round(risk * n)}"
         )
@@ -668,7 +594,7 @@ def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000) -> E
     """Fit the compressed class of ``loss`` on (U, y) with the named solver.
 
     The zero-one loss takes ``"exact"`` (``erm_exact_classification``, the
-    sweep for k <= 2 and enumeration at k = 3) or ``"surrogate"`` (Newton on
+    certified rotational sweep for k <= 3) or ``"surrogate"`` (Newton on
     the logistic surrogate); the regression losses take ``"surrogate"`` only,
     meaning descent on the clipped empirical risk.  Any other pairing raises
     ValueError.

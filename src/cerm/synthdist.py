@@ -35,6 +35,7 @@ therefore allow a 1e-9 relative slack, documented here once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -806,7 +807,9 @@ def _object(value, path: str, known) -> dict:
 
 # JSON true/false arrive as bool, which subclasses int: both field helpers
 # reject it explicitly so that `true` never passes as 1.  Neither converts a
-# string or truncates a fraction.
+# string or truncates a fraction.  Python's json also parses NaN, Infinity
+# and -Infinity, and integers past the float range, which every number
+# reader refuses.
 def _int_field(value, path: str, minimum: int = 1) -> int:
     _require(
         isinstance(value, int) and not isinstance(value, bool) and value >= minimum,
@@ -817,14 +820,11 @@ def _int_field(value, path: str, minimum: int = 1) -> int:
 
 
 def _number_field(value, path: str, message: str = "must be a number", in_range=None) -> float:
-    """A real number; ``in_range``, when given, is a further test it must pass."""
-    _require(
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and (in_range is None or in_range(value)),
-        path,
-        message,
-    )
+    """A finite real number; ``in_range``, when given, is a further test it
+    must pass."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, message)
+    _require(abs(value) <= sys.float_info.max, path, "must be finite")
+    _require(in_range is None or in_range(value), path, message)
     return float(value)
 
 
@@ -834,7 +834,9 @@ def _numbers(value, path: str) -> np.ndarray:
     except ValueError:
         arr = None
     _require(arr is not None and arr.dtype.kind in "iuf", path, "must be an array of numbers")
-    return arr.astype(float)
+    arr = arr.astype(float)
+    _require(np.all(np.isfinite(arr)), path, "must hold finite numbers only")
+    return arr
 
 
 def _noise(value, path: str) -> tuple:
@@ -847,8 +849,7 @@ def _loss(value, path: str) -> LossSpec:
     kind = value.get("kind")
     _require(kind in LOSS_KINDS, f"{path}.kind", f"must be one of {LOSS_KINDS}")
     beta = _number_field(
-        value.get("beta", 1.0), f"{path}.beta", "must be positive and finite",
-        lambda v: 0 < v < math.inf,
+        value.get("beta", 1.0), f"{path}.beta", "must be positive", lambda v: v > 0
     )
     return make_loss(kind, beta)
 

@@ -89,6 +89,28 @@ def test_cli_compressibility(regression_spec, capsys):
         assert entry["psi_hat"] >= 0.0 and entry["se"] >= 0.0
 
 
+def test_cli_compressibility_refuses_exact_sizes_before_sampling(tmp_path, monkeypatch):
+    spec = tmp_path / "gm.json"
+    spec.write_text(
+        json.dumps({"type": "gauss_margin", "d": 4, "gamma": 2.0, "rho": 2.0, "alpha": 0.0})
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before refusing the flags")
+
+    monkeypatch.setattr("cerm.synthdist.GaussMarginDist.sample", refuse)
+    for flags, named in (
+        ([], "--pop-n 2000"),
+        (["--pop-n", "201"], "--pop-n 201"),
+        (["--pop-n", "100", "--k-list", "1,4"], "--k-list has k = 4"),
+    ):
+        argv = ["compressibility", str(spec), "--k-list", "2", "--solver", "exact", *flags]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert named in str(exit_info.value.code)
+        assert exit_info.value.code != 0
+
+
 def test_cli_check_dist_regression(regression_spec, capsys):
     rc, out = run_cli(capsys, ["check-dist", regression_spec, "--mc-n", "2000"])
     assert rc == 0

@@ -174,7 +174,19 @@ def test_config_list_and_scalar_validation(tmp_path):
     # Distribution fields are checked, not converted by int() or float().
     assouad = {"type": "assouad", "q": 10, "r": 2.0, "v": 0.5, "epsilon": 0.25}
     regression = regression_config(tmp_path)["distribution"]
+    gauss_margin = classification_config(tmp_path)["distribution"]
+    nan, inf = json.loads("[NaN, Infinity]")
     for distribution, message in (
+        ({**gauss_margin, "t": nan}, "t: must be finite"),
+        ({**gauss_margin, "radius_cap": inf}, "radius_cap: must be finite"),
+        ({**gauss_margin, "radius_cap": 10**400}, "radius_cap: must be finite"),
+        ({**gauss_margin, "w": [0.5, nan, 0.5, 0.5, 0.5]}, "w: must hold finite numbers only"),
+        ({**regression, "spectral_constant": nan}, "spectral_constant: must be finite"),
+        ({**regression, "t": -inf}, "t: must be finite"),
+        ({**regression, "w": [0.3, nan, 0.3, 0.3]}, "w: must hold finite numbers only"),
+        ({**regression, "noise": {"kind": "bounded_uniform", "amplitude": nan}},
+         "noise.amplitude: must be finite"),
+        ({**assouad, "sigma": [1.0] * 9 + [inf]}, "sigma: must hold finite numbers only"),
         ({**assouad, "q": "10"}, "q: must be an integer"),
         ({**assouad, "q": 10.9}, "q: must be an integer"),
         ({**assouad, "r": True}, "r: must be a number"),
@@ -417,13 +429,13 @@ def test_programming_errors_in_a_trial_end_the_run(tmp_path, monkeypatch):
 
 
 def test_an_uncertified_sweep_is_a_recorded_trial_failure(tmp_path, monkeypatch):
-    sweep = hypotheses._rotational_sweep
+    sweep = hypotheses._sweep
 
     def off_by_one(U, y):
         errors, v = sweep(U, y)
         return errors - 1, v
 
-    monkeypatch.setattr(hypotheses, "_rotational_sweep", off_by_one)
+    monkeypatch.setattr(hypotheses, "_sweep", off_by_one)
     cfg = classification_config(tmp_path, solver="exact", k_rule={"rule": "fixed", "k": 2})
     rows = read_rows(run_experiment(cfg))
     assert len(rows) == 2

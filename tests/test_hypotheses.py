@@ -1,4 +1,5 @@
 import warnings
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_surrogate_never_runs_an_exact_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the surrogate solver ran an exact solver")
 
-    for name in ("_enumerate_hyperplanes", "_rotational_sweep", "erm_exact_classification"):
+    for name in ("_sweep", "_best_arc", "erm_exact_classification"):
         monkeypatch.setattr(hypotheses, name, refuse)
     rng = np.random.default_rng(14)
     U = rng.standard_normal((EXACT_MAX_N, EXACT_MAX_K))
@@ -257,14 +258,12 @@ def _better_pattern_exists(U, y, achieved_errors):
     A pattern p is realizable iff some v has v.(u_i, -1) >= 0 exactly where
     p_i = +1; by cone scaling the strict side can be pinned at <= -1.
     """
-    from itertools import combinations as combos
-
     from scipy.optimize import linprog
 
     n = U.shape[0]
     Z = np.concatenate([U, -np.ones((n, 1))], axis=1)
     for e in range(achieved_errors):
-        for wrong in combos(range(n), e):
+        for wrong in combinations(range(n), e):
             pattern = y.copy()
             pattern[list(wrong)] *= -1.0
             A_ub = np.where(pattern[:, None] > 0, -Z, Z)
@@ -282,22 +281,38 @@ def _better_pattern_exists(U, y, achieved_errors):
 
 
 def test_exact_erm_is_unbeatable_on_degenerate_lattices():
-    """No realizable labeling beats the enumerator, even off general position.
+    """No realizable labeling beats the sweep, even off general position.
 
-    Lattice coordinates in {-1, 0, 1} force duplicate points, collinear
-    triples, and points exactly on candidate planes — the configurations a
-    naive spanning-plane enumeration gets wrong.  An LP feasibility scan over
-    every sign pattern with fewer errors certifies global optimality.
+    Lattice coordinates force duplicate points, collinear triples, and
+    points exactly on candidate planes: in {-1, 0, 1}^k at every k, and at
+    k = 3 also in {-2, ..., 2}^3, on one lattice line and on one lattice
+    plane.  An LP feasibility scan over every sign pattern with fewer errors
+    certifies global optimality.  At k = 3 the enumerator's count is no
+    oracle on lattices: it can read a point whose exact score is 0 on the
+    - side.
     """
     rng = np.random.default_rng(77)
+    cases = []
     for k in (1, 2, 3):
         for _ in range(15):
             n = int(rng.integers(4, 9))
-            U = rng.integers(-1, 2, size=(n, k)).astype(float)
-            y = rng.choice([-1.0, 1.0], size=n)
-            report = erm_exact_classification(U, y)
-            errors = round(report.empirical_risk * n)
-            assert not _better_pattern_exists(U, y, errors)
+            cases.append((rng.integers(-1, 2, size=(n, k)), rng.choice([-1.0, 1.0], size=n)))
+    for dims in (3, 1, 2):
+        for _ in range(15):
+            n = int(rng.integers(5, 9))
+            if dims == 3:
+                U = rng.integers(-2, 3, size=(n, 3))
+            else:
+                basis = rng.integers(-2, 3, size=(dims, 3))
+                while np.linalg.matrix_rank(basis) < dims:
+                    basis = rng.integers(-2, 3, size=(dims, 3))
+                U = rng.integers(-2, 3, size=3) + rng.integers(-2, 3, size=(n, dims)) @ basis
+            cases.append((U, rng.choice([-1.0, 1.0], size=n)))
+    for U, y in cases:
+        U = U.astype(float)
+        report = erm_exact_classification(U, y)
+        errors = round(report.empirical_risk * len(y))
+        assert not _better_pattern_exists(U, y, errors), (U.tolist(), y.tolist())
 
 
 def test_exact_erm_is_unbeatable_on_random_instances():
@@ -312,23 +327,160 @@ def test_exact_erm_is_unbeatable_on_random_instances():
             assert not _better_pattern_exists(U, y, errors)
 
 
+# ---------------------------------------------------------------------------
+# the count oracle: enumeration of hyperplanes through up to k points
+# ---------------------------------------------------------------------------
+#
+# A sign rule u -> sign(w.u - t) is the sign of v.z for the lifted point
+# z = (u, -1) and v = (w, t), so the search runs over directions v in R^(k+1).
+# The labelings realizable on n points are the sign patterns of the cells cut
+# out by the hyperplanes {v : v.z_i = 0} (refined by the coordinate planes so
+# every cell is a pointed cone).  Each cell has an extreme ray lying on k
+# independent constraints, and the cell's own labeling is recovered from that
+# ray by tilting it so the touched points fall on their labeled sides.  So it
+# suffices to enumerate, for every subset of min(k, n) points completed with
+# coordinate directions, the ray v solving the subset's equations, plus the
+# tilted variants v + tau*a where a restores the subset's labels and tau is
+# small enough to leave every off-subset point on its current side.
+
+ENUMERATION_CHUNK = 8192
+
+
+def batched_null_vectors(blocks):
+    """One null vector per (k, k+1) constraint block, batched over axis 0.
+
+    Degenerate blocks (rank < k) yield the zero vector, which callers drop:
+    every labeling reachable through them is reachable through a full-rank
+    block in the same enumeration.
+    """
+    _, k, k1 = blocks.shape
+    if k1 == 2:
+        row = blocks[:, 0, :]
+        return np.stack([-row[:, 1], row[:, 0]], axis=1)
+    if k1 == 3:
+        return np.cross(blocks[:, 0, :], blocks[:, 1, :])
+    # k1 == 4: generalized cross product via signed 3x3 minors.
+    out = np.empty((blocks.shape[0], 4))
+    cols = np.arange(4)
+    sign = 1.0
+    for i in range(4):
+        out[:, i] = sign * np.linalg.det(blocks[:, :, cols != i])
+        sign = -sign
+    return out
+
+
+def index_chunks(n, j, chunk):
+    """Yield (c, j) int arrays covering all j-subsets of range(n), c <= chunk."""
+    it = combinations(range(n), j)
+    while True:
+        block = list(islice(it, chunk))
+        if not block:
+            return
+        yield np.array(block, dtype=int).reshape(len(block), j)
+
+
+def enumerate_hyperplanes(U, y):
+    """Best rule over hyperplanes through every subset of up to k points.
+
+    Each subset's hyperplane (completed with coordinate directions when fewer
+    points pin it down) is tried in both orientations, both as-is and tilted
+    so the spanning points land on their labeled sides; the two constant
+    classifiers seed the search.  Returns (errors, v) with v = (w, t), where
+    errors is the best candidate's count on the scores it was chosen by.
+    O(n^(k+1)).
+    """
+    n, k = U.shape
+    y_pos = y == 1.0
+    best_errors, best_v = hypotheses._best_constant(y_pos, k)
+
+    Z = np.concatenate([U, -np.ones((n, 1))], axis=1)
+    ZT = Z.T
+    eye = np.eye(k + 1)
+    rows_of = np.arange
+
+    for j in range(min(k, n), -1, -1):
+        if best_errors == 0:
+            break
+        for pads in combinations(range(k + 1), k - j):
+            if best_errors == 0:
+                break
+            for idx in index_chunks(n, j, ENUMERATION_CHUNK):
+                c = idx.shape[0]
+                P = Z[idx]  # (c, j, k+1)
+                blocks = np.empty((c, k, k + 1))
+                blocks[:, :j, :] = P
+                blocks[:, j:, :] = eye[list(pads)]
+                V = batched_null_vectors(blocks)
+                norms = np.linalg.norm(V, axis=1)
+                keep = np.isfinite(norms) & (norms > 0.0)
+                if not np.any(keep):
+                    continue
+                V = V[keep] / norms[keep, None]
+                idx_k = idx[keep]
+                P = P[keep]
+                c = V.shape[0]
+
+                if j:
+                    # Min-norm tilt a with a.z_i = y_i on the subset; a tiny
+                    # ridge keeps duplicate-point Grams solvable (the tilt's
+                    # magnitude is not load-bearing, only its signs are).
+                    G = P @ P.transpose(0, 2, 1)
+                    ridge = 1e-12 * np.einsum("cjj->c", G)
+                    G[:, rows_of(j), rows_of(j)] += ridge[:, None]
+                    coef = np.linalg.solve(G, y[idx_k][..., None])[..., 0]
+                    A = np.einsum("cjd,cj->cd", P, coef)
+                else:
+                    A = np.zeros_like(V)
+
+                S = V @ ZT
+                Sa = A @ ZT
+                # Largest tilt that cannot flip any point clearly off the ray.
+                prot = np.abs(S) > 1e-12 * np.max(np.abs(S), axis=1, keepdims=True)
+                if j:
+                    prot[rows_of(c)[:, None], idx_k] = False
+                ratio = np.where(prot, np.abs(S) / np.maximum(np.abs(Sa), 1e-300), np.inf)
+                tau = 0.5 * np.min(ratio, axis=1)
+                tau = np.where(np.isfinite(tau), np.minimum(tau, 1e12), 1.0)
+                M = tau[:, None] * Sa
+
+                for sign in (1.0, -1.0):
+                    base = S if sign > 0 else -S
+                    for tilted in (True, False):
+                        scores = base + M if tilted else base
+                        errs = np.count_nonzero((scores >= 0.0) != y_pos, axis=1)
+                        local = int(np.argmin(errs))
+                        if errs[local] < best_errors:
+                            best_errors = int(errs[local])
+                            best_v = sign * V[local]
+                            if tilted:
+                                best_v = best_v + tau[local] * A[local]
+                if best_errors == 0:
+                    break
+    return best_errors, best_v
+
+
 def oracle_risk(U, y):
     """The enumeration oracle's optimum: the error count of its best candidate.
 
     On lattices its returned rule can make an error more than that count,
     because points lying on a candidate plane read the sign of rounding
     noise, so the count, not the rule's recomputed risk, is the reference.
+    At k = 3 the count itself can then be one below any rule's in exact
+    arithmetic, so k = 3 lattices are checked by the LP scan instead.
     """
-    errors, _ = hypotheses._enumerate_hyperplanes(U, y)
+    errors, _ = enumerate_hyperplanes(U, y)
     return errors / len(y)
 
 
 def test_sweep_matches_the_enumeration_oracle():
-    """k <= 2 runs the sweep; its optimum must equal the enumerator's.
+    """The sweep's optimum must equal the enumerator's count.
 
-    Gaussian points at n from 1 to 200, lattices in {-2, ..., 2}^k (with
-    duplicates and collinear and antipodal triples), single-class labels,
-    and one fit shaped like the Assouad benchmark workload.
+    At k <= 2: gaussian points at n from 1 to 200, lattices in
+    {-2, ..., 2}^k (with duplicates and collinear and antipodal triples),
+    single-class labels, and fits shaped like the Assouad benchmark
+    workload.  At k = 3, where the sweep pivots on lines through two points:
+    gaussian points at n from 1 to 60 and projected Assouad samples at
+    n = 60, which repeat atoms many times over.
     """
     rng = np.random.default_rng(79)
     cases = []
@@ -357,35 +509,47 @@ def test_sweep_matches_the_enumeration_oracle():
     for member in range(3):
         cases.append((apply(sample_projection("gaussian", 2, q + 1, member), X), y))
 
+    for n in list(range(1, 25)) + [30, 40, 50, 60]:
+        U = rng.standard_normal((n, 3))
+        cases.append((U, rng.choice([-1.0, 1.0], size=n) if n % 2 else noisy_labels(rng, U)))
+    for alpha in (0.25, 0.5, 0.75):
+        sigma = rng.choice([-1.0, 1.0], size=q)
+        dist = AssouadDist(q, q**0.25, q ** (-alpha / 2.0), q ** (-(1.0 - alpha) / 2.0), sigma=sigma)
+        X, y = dist.sample(60, int(alpha * 100))
+        assert len(np.unique(X, axis=0)) < 60
+        cases.append((apply(sample_projection("gaussian", 3, q + 1, int(alpha * 4)), X), y))
+
     for U, y in cases:
         report = erm_exact_classification(U, y)
         assert report.empirical_risk == oracle_risk(U, y), (U.tolist(), y.tolist())
 
 
 def test_exact_erm_refuses_a_rule_that_misses_the_sweep_count(monkeypatch):
-    sweep = hypotheses._rotational_sweep
+    sweep = hypotheses._sweep
 
     def off_by_one(U, y):
         errors, v = sweep(U, y)
         return errors - 1, v
 
-    monkeypatch.setattr(hypotheses, "_rotational_sweep", off_by_one)
+    monkeypatch.setattr(hypotheses, "_sweep", off_by_one)
     rng = np.random.default_rng(81)
-    U = rng.standard_normal((30, 2))
-    y = rng.choice([-1.0, 1.0], size=30)
-    with pytest.raises(RuntimeError, match="sweep counted"):
-        erm_exact_classification(U, y)
+    for k in (2, 3):
+        U = rng.standard_normal((30, k))
+        y = rng.choice([-1.0, 1.0], size=30)
+        with pytest.raises(RuntimeError, match="sweep counted"):
+            erm_exact_classification(U, y)
 
 
 def test_the_sweep_refuses_a_near_degenerate_lattice_with_its_own_error():
-    # A lattice in {-2, ..., 2}^2 scaled by 0.1 and shifted by 0.3: the best
+    # Lattices in {-2, ..., 2}^k scaled by 0.1 and shifted by 0.3: the best
     # arc is narrower than floating-point evaluation of its rule resolves.
-    rng = np.random.default_rng(54)
-    n = int(rng.integers(3, 60))
-    U = rng.integers(-2, 3, size=(n, 2)) * 0.1 + 0.3
-    y = rng.choice([-1.0, 1.0], size=n)
-    with pytest.raises(SweepUncertifiedError, match="sweep counted"):
-        erm_exact_classification(U, y)
+    for k, seed, n_max in ((2, 54, 60), (3, 12, 40)):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, n_max))
+        U = rng.integers(-2, 3, size=(n, k)) * 0.1 + 0.3
+        y = rng.choice([-1.0, 1.0], size=n)
+        with pytest.raises(SweepUncertifiedError, match="sweep counted"):
+            erm_exact_classification(U, y)
     assert issubclass(SweepUncertifiedError, RuntimeError)
 
 
