@@ -70,10 +70,26 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _k_list(text: str) -> list[int]:
+    tokens = [tok for tok in text.split(",") if tok]
+    if not tokens:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        )
+    return [_positive_int(tok) for tok in tokens]
+
+
 def _cmd_compressibility(args) -> int:
-    k_list = [int(tok) for tok in args.k_list.split(",") if tok]
-    if not k_list:
-        raise ValueError("--k-list must name at least one k")
     if args.solver == "exact":
         # The exact solver refuses larger fits, but only after the points
         # are sampled; refuse the flags before any work, as configs are.
@@ -82,14 +98,14 @@ def _cmd_compressibility(args) -> int:
                 f"cerm compressibility: --pop-n {args.pop_n}: "
                 f"the exact solver takes n <= {EXACT_MAX_N}"
             )
-        if max(k_list) > EXACT_MAX_K:
+        if max(args.k_list) > EXACT_MAX_K:
             raise SystemExit(
-                f"cerm compressibility: --k-list has k = {max(k_list)}: "
+                f"cerm compressibility: --k-list has k = {max(args.k_list)}: "
                 f"the exact solver takes k <= {EXACT_MAX_K}"
             )
     dist = dist_from_config(_load_json(args.dist_spec))
     out = []
-    for i, k in enumerate(sorted(set(k_list))):
+    for i, k in enumerate(sorted(set(args.k_list))):
         est = estimate_compressibility(
             dist,
             args.family,
@@ -213,10 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_psi = sub.add_parser("compressibility", help="estimate the compressed-class gap per k")
     p_psi.add_argument("dist_spec", help="path to a distribution spec JSON")
-    p_psi.add_argument("--k-list", required=True, help="comma-separated k values")
+    p_psi.add_argument("--k-list", required=True, type=_k_list, help="comma-separated k values")
     p_psi.add_argument("--family", default="gaussian", choices=FAMILIES)
-    p_psi.add_argument("--reps", type=int, default=32)
-    p_psi.add_argument("--pop-n", type=int, default=2000)
+    p_psi.add_argument("--reps", type=_positive_int, default=32)
+    p_psi.add_argument("--pop-n", type=_positive_int, default=2000)
     p_psi.add_argument("--solver", default="surrogate", choices=("surrogate", "exact"))
     p_psi.add_argument("--seed", type=int, default=0)
     p_psi.set_defaults(func=_cmd_compressibility)

@@ -6,6 +6,10 @@ risk minimization on its compressed view of the same training sample.  The
 combination rule is the loss's combiner: majority vote with ties broken
 toward +1 for the zero-one loss, the clipped mean of member outputs
 otherwise.
+
+Only training data is projected.  A member fit as u -> w.u - t on the
+compression A x predicts x -> (A^T w).x - t, so members are scored through
+these pulled-back rules on the evaluation points themselves.
 """
 
 from __future__ import annotations
@@ -101,11 +105,13 @@ def train_ensemble(
 def _member_outputs(model: EnsembleModel, X: np.ndarray, spare_rows: int = 0) -> np.ndarray:
     """The m x N member outputs on X, followed by ``spare_rows`` unfilled rows.
 
-    X is anything ``apply`` takes: an N x d array or an ``AxisPoints`` set.
+    X is an N x d array or an ``AxisPoints`` set.  Row i is member i's
+    pulled-back rule on X: one length-d product per member on a dense X, a
+    gather from the pulled-back weights on axis points.  X is never projected.
     """
     outputs = np.empty((model.m + spare_rows, len(X)))
     for i, (pmap, hyp) in enumerate(model.members):
-        outputs[i] = hyp.predict(apply(pmap, X))
+        outputs[i] = hyp.pull_back(pmap.matrix).predict(X)
     return outputs
 
 
@@ -128,14 +134,15 @@ def member_excess_risks(
 
     One evaluation pass serves all m + 1 estimates: the test set is drawn
     once from ``seed`` (or, for a finite-support law, the atoms are built
-    once), each member projects it once, and the combined prediction is
-    formed from those same member outputs.  An Assouad law's atoms are an
-    ``AxisPoints`` set, which each member projects by gathering q + 1
-    columns of its map, so the pass takes O(m q) memory and no (q+1)^2
-    coordinate array is built.  Member-vs-ensemble comparisons
-    are therefore paired rather than independent, and each estimate equals
-    what ``estimate_excess_risk`` gives for that member, or for
-    ``predict(model, .)``, at the same ``n_test`` and ``seed``.
+    once), each member scores it through its pulled-back rule without
+    projecting it, and the combined prediction is formed from those same
+    member outputs.  An Assouad law's atoms are an ``AxisPoints`` set, which
+    each member scores by gathering q + 1 of its pulled-back weights, so the
+    pass takes O(m q) memory and no (q+1)^2 coordinate array is built.
+    Member-vs-ensemble comparisons are therefore paired rather than
+    independent, and each estimate equals what ``estimate_excess_risk``
+    gives for that member's pulled-back rule, or for ``predict(model, .)``,
+    at the same ``n_test`` and ``seed``.
     """
     m = model.m
 

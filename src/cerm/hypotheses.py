@@ -5,6 +5,9 @@ Two hypothesis classes over compressed inputs u in R^k:
 * sign-linear classifiers  u -> sign(w.u - t), with sign(0) = +1;
 * clipped-linear regressors u -> clip(w.u - t, -beta, beta).
 
+A rule fit on compressed inputs u = A x is scored on x itself through
+``LinearHypothesis.pull_back(A)``, the same rule with weights A^T w.
+
 Three solvers:
 
 * ``erm_exact_classification`` — empirical zero-one risk minimization by a
@@ -40,6 +43,7 @@ import numpy as np
 from scipy.special import expit
 
 from .losses import LossSpec, _loss_values, eval_loss
+from .projections import AxisPoints
 
 __all__ = [
     "LinearHypothesis",
@@ -72,7 +76,11 @@ class SweepUncertifiedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LinearHypothesis:
-    """A linear rule u -> w.u - t, rendered as a sign or clipped to a range."""
+    """A linear rule u -> w.u - t, rendered as a sign or clipped to a range.
+
+    Its inputs are the rows of an n x dim(w) array or an ``AxisPoints`` set
+    of dimension dim(w), whose row j scores ``scales[j] * w[axes[j]] - t``.
+    """
 
     w: np.ndarray
     t: float
@@ -91,7 +99,11 @@ class LinearHypothesis:
         if self.mode == "clip" and self.beta <= 0:
             raise ValueError("clip mode needs beta > 0")
 
-    def raw(self, U: np.ndarray) -> np.ndarray:
+    def raw(self, U) -> np.ndarray:
+        if isinstance(U, AxisPoints):
+            if U.d != self.w.shape[0]:
+                raise ValueError(f"expected n x {self.w.shape[0]} input, got shape {U.shape}")
+            return U.scales * self.w[U.axes] - self.t
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.w.shape[0]:
             raise ValueError(f"expected n x {self.w.shape[0]} input, got shape {U.shape}")
@@ -102,6 +114,18 @@ class LinearHypothesis:
         if self.mode == "sign":
             return np.where(s >= 0.0, 1.0, -1.0)
         return np.clip(s, -self.beta, self.beta)
+
+    def pull_back(self, matrix: np.ndarray) -> LinearHypothesis:
+        """The same rule ahead of a k x d map A: x -> (A^T w).x - t on R^d.
+
+        Its prediction on x is this rule's prediction on ``A @ x``, up to
+        the rounding of the two products, so a compressed predictor can be
+        scored on uncompressed inputs without projecting them.
+        """
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != self.w.shape[0]:
+            raise ValueError(f"expected a {self.w.shape[0]} x d map, got shape {matrix.shape}")
+        return LinearHypothesis(w=matrix.T @ self.w, t=self.t, mode=self.mode, beta=self.beta)
 
 
 @dataclass(frozen=True, eq=False)

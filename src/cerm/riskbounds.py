@@ -6,6 +6,10 @@ predictor must eat after a random compression), the three-term risk bracket,
 the optimal-target-dimension rules and the sketched least-squares
 inequality.
 
+Predictors are scored on uncompressed points.  A predictor fit on a
+compression is evaluated through its pulled-back rule on R^d
+(``LinearHypothesis.pull_back``), so only training data is projected.
+
 Distributions are duck-typed.  An object usable here provides:
 
 * ``d`` — ambient dimension;
@@ -172,10 +176,11 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
 
     Finite-support distributions are summed exactly, and ``predictor`` is
     called on their atom points as ``atoms()`` gives them: an Assouad law
-    passes an ``AxisPoints`` set, which ``apply`` projects and whose
-    ``shape`` and ``toarray()`` are available to other predictors.  Continuous
-    classification laws use the pointwise form E[|2 eta(X) - 1| ; predictor
-    disagrees with Bayes], whose terms are nonnegative and low-variance.
+    passes an ``AxisPoints`` set, which a ``LinearHypothesis`` on R^d
+    scores by a gather and whose ``shape`` and ``toarray()`` are available
+    to other predictors.  Continuous classification laws use the pointwise
+    form E[|2 eta(X) - 1| ; predictor disagrees with Bayes], whose terms are
+    nonnegative and low-variance.
     Continuous regression laws use paired loss differences on a shared draw.
     The draw is a pure function of (dist, n_test, seed), so two estimates with
     equal arguments share their test sample.  This is the one-predictor case
@@ -201,8 +206,9 @@ def estimate_compressibility(
 
     The inner infimum over the compressed class is uncomputable exactly; the
     proxy is an ERM fit on a fresh population-scale sample (``pop_n`` points)
-    compressed by each drawn map, evaluated independently.  Each rep makes one
-    evaluation pass on its own ``pop_n``-point draw, seeded apart from the
+    compressed by each drawn map, evaluated independently through its
+    pulled-back rule, so the test points are not projected.  Each rep makes
+    one evaluation pass on its own ``pop_n``-point draw, seeded apart from the
     fitting draw, so reps share no test points.  The returned standard error
     is across the ``reps`` map draws, which is the genuine randomness being
     averaged.  ``solver`` is dispatched by ``hypotheses.fit``: a solver the
@@ -219,12 +225,8 @@ def estimate_compressibility(
         X, y = dist.sample(pop_n, data_seed)
         pmap = sample_projection(family, k, dist.d, a_seed)
         report = fit(apply(pmap, X), y, loss, solver, iters)
-
-        def compressed_predictor(Xq, _pmap=pmap, _h=report.hypothesis):
-            return _h.predict(apply(_pmap, Xq))
-
         values[rep] = estimate_excess_risk(
-            compressed_predictor, dist, n_test=pop_n, seed=eval_seed
+            report.hypothesis.pull_back(pmap.matrix).predict, dist, n_test=pop_n, seed=eval_seed
         ).value
     se = float(np.std(values, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return RiskEstimate(value=float(np.mean(values)), std_error=se, n_samples=reps, exact=False)

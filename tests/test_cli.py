@@ -111,6 +111,25 @@ def test_cli_compressibility_refuses_exact_sizes_before_sampling(tmp_path, monke
         assert exit_info.value.code != 0
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--k-list", "0"), ("--k-list", "x"), ("--k-list", ","), ("--reps", "0"), ("--pop-n", "0")],
+)
+def test_cli_compressibility_checks_its_flags_at_parse_time(tmp_path, capsys, flag, value):
+    spec = tmp_path / "gm.json"
+    spec.write_text(
+        json.dumps({"type": "gauss_margin", "d": 4, "gamma": 2.0, "rho": 2.0, "alpha": 0.0})
+    )
+    argv = ["compressibility", str(spec), "--k-list", "2", "--pop-n", "100", flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cerm compressibility")
+    assert f"argument {flag}: expected" in err
+    assert repr(value) in err
+
+
 def test_cli_check_dist_regression(regression_spec, capsys):
     rc, out = run_cli(capsys, ["check-dist", regression_spec, "--mc-n", "2000"])
     assert rc == 0

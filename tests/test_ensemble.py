@@ -10,8 +10,9 @@ from cerm.ensemble import (
     train_ensemble,
 )
 from cerm.losses import bayes_action, eval_loss, make_loss
-from cerm.projections import FAMILIES, apply
-from cerm.riskbounds import estimate_excess_risk
+from cerm.hypotheses import LinearHypothesis
+from cerm.projections import FAMILIES, AxisPoints, apply, sample_projection
+from cerm.riskbounds import estimate_compressibility, estimate_excess_risk
 from cerm.seeds import derive_seed
 from cerm.synthdist import AssouadDist, GaussMarginDist, RegressionDist
 
@@ -180,9 +181,9 @@ def test_member_excess_risks_match_separate_estimates_exactly(case):
     dist, model, n_test = _trained_case(case)
     members, ensemble = member_excess_risks(model, dist, n_test=n_test, seed=13)
 
-    predictors = [
-        lambda Xq, _p=pmap, _h=hyp: _h.predict(apply(_p, Xq)) for pmap, hyp in model.members
-    ]
+    # the function the pass evaluates; test_pulled_back_rule_predicts_as_the_compressed_rule
+    # covers the step from it to the rule on the projected points
+    predictors = [hyp.pull_back(pmap.matrix).predict for pmap, hyp in model.members]
     separate = [estimate_excess_risk(f, dist, n_test=n_test, seed=13) for f in predictors]
     combined = estimate_excess_risk(lambda Xq: predict(model, Xq), dist, n_test=n_test, seed=13)
     assert members == separate
@@ -194,6 +195,64 @@ def test_member_excess_risks_match_separate_estimates_exactly(case):
         lambda Xq: predict(model, Xq), dist, n_test, 13
     )
     assert all(e.exact == (case == "atoms") for e in members + [ensemble])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pulled_back_rule_predicts_as_the_compressed_rule(family):
+    """Scoring x through (A^T w, t) agrees with scoring A x through (w, t):
+    exactly for signs on seeded draws, within 1e-12 for clipped values."""
+    rng = np.random.default_rng(17)
+    d, k, n = 40, 7, 5000
+    pmap = sample_projection(family, k, d, seed=23)
+    dense = rng.standard_normal((n, d))
+    axis = AxisPoints(axes=rng.integers(0, d, size=n), scales=rng.uniform(-3.0, 3.0, size=n), d=d)
+    w, t = rng.standard_normal(k), 0.3
+    sign = LinearHypothesis(w=w, t=t, mode="sign")
+    clip = LinearHypothesis(w=w, t=t, mode="clip", beta=1.5)
+    for X in (dense, axis, axis.toarray()):
+        assert np.array_equal(sign.pull_back(pmap.matrix).predict(X), sign.predict(apply(pmap, X)))
+        pulled = clip.pull_back(pmap.matrix).predict(X)
+        compressed = clip.predict(apply(pmap, X))
+        assert np.max(np.abs(pulled - compressed)) <= 1e-12
+        assert 0 < np.sum(np.abs(compressed) < 1.5) < n  # both clipped and unclipped rows
+    with pytest.raises(ValueError):
+        sign.pull_back(pmap.matrix.T)
+    with pytest.raises(ValueError):
+        sign.predict(axis)  # a k-dimensional rule on d-dimensional points
+
+
+@pytest.mark.parametrize("case", ["atoms", "eta", "regression"])
+def test_evaluation_projects_no_rows(case, monkeypatch):
+    """Training projects its sample; predict and member_excess_risks score
+    the members' pulled-back rules and send no row through ``apply``."""
+    dist, model, n_test = _trained_case(case)
+    rows = []
+
+    def counted(pmap, X):
+        rows.append(len(X))
+        return apply(pmap, X)
+
+    monkeypatch.setattr("cerm.ensemble.apply", counted)
+    X, y = dist.sample(50, seed=1)
+    train_ensemble(X, y, dist.loss_spec, "gaussian", k=2, m=3, iters=20)
+    assert rows == [50] * 3
+    rows.clear()
+    predict(model, X)
+    member_excess_risks(model, dist, n_test=n_test, seed=13)
+    assert rows == []
+
+
+def test_compressibility_projects_only_its_fitting_draws(monkeypatch):
+    dist, _, _ = _trained_case("regression")
+    rows = []
+
+    def counted(pmap, X):
+        rows.append(len(X))
+        return apply(pmap, X)
+
+    monkeypatch.setattr("cerm.riskbounds.apply", counted)
+    estimate_compressibility(dist, "gaussian", k=2, reps=3, pop_n=400, iters=20)
+    assert rows == [400] * 3
 
 
 @pytest.mark.parametrize("case", ["atoms", "eta", "regression"])
