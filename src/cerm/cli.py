@@ -70,14 +70,43 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, expected: str):
+    """An argparse type for integers >= ``low``; ``expected`` names them."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a nonnegative integer")
+_sample_size = _int_at_least(2, "an integer >= 2")
+
+
+def _float_between(low: float, high: float, expected: str):
+    """An argparse type for floats strictly between ``low`` and ``high``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_open_unit = _float_between(0.0, 1.0, "a number in (0, 1)")
+_positive_float = _float_between(0.0, float("inf"), "a finite positive number")
 
 
 def _k_list(text: str) -> list[int]:
@@ -182,7 +211,14 @@ def _cmd_jl_check(args) -> int:
 
 def _cmd_ols_check(args) -> int:
     if args.d > args.q:
-        raise ValueError("need d <= q to realize the spectral design exactly")
+        raise SystemExit(
+            f"cerm ols-check: --d {args.d} --q {args.q}: "
+            "the spectral design needs d <= q to be realized exactly"
+        )
+    if args.r >= min(args.q, args.k):
+        raise SystemExit(
+            f"cerm ols-check: --r {args.r}: need r < min(q, k) = {min(args.q, args.k)}"
+        )
     rng = np.random.default_rng(args.seed)
     scales = np.sqrt(args.spectral_constant * args.decay ** np.arange(1, args.d + 1))
     basis, _ = np.linalg.qr(rng.standard_normal((args.q, args.q)))
@@ -239,29 +275,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check-dist", help="run the assumption checkers")
     p_check.add_argument("dist_spec", help="path to a distribution spec JSON")
-    p_check.add_argument("--mc-n", type=int, default=100_000)
+    p_check.add_argument("--mc-n", type=_sample_size, default=100_000)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=_cmd_check_dist)
 
     p_jl = sub.add_parser("jl-check", help="empirical distortion check")
     p_jl.add_argument("--family", default="gaussian", choices=FAMILIES)
-    p_jl.add_argument("--q", type=int, default=50)
-    p_jl.add_argument("--d", type=int, default=256)
-    p_jl.add_argument("--epsilon", type=float, default=0.5)
-    p_jl.add_argument("--delta", type=float, default=0.05)
-    p_jl.add_argument("--k", type=int, default=None, help="override the target dimension")
-    p_jl.add_argument("--trials", type=int, default=400)
+    p_jl.add_argument("--q", type=_sample_size, default=50, help="number of points")
+    p_jl.add_argument("--d", type=_positive_int, default=256)
+    p_jl.add_argument("--epsilon", type=_open_unit, default=0.5)
+    p_jl.add_argument("--delta", type=_open_unit, default=0.05)
+    p_jl.add_argument(
+        "--k", type=_positive_int, default=None, help="override the target dimension"
+    )
+    p_jl.add_argument("--trials", type=_positive_int, default=400)
     p_jl.add_argument("--seed", type=int, default=0)
     p_jl.set_defaults(func=_cmd_jl_check)
 
     p_ols = sub.add_parser("ols-check", help="sketched-least-squares bound check")
-    p_ols.add_argument("--d", type=int, default=40)
-    p_ols.add_argument("--q", type=int, default=40)
-    p_ols.add_argument("--k", type=int, default=15)
-    p_ols.add_argument("--r", type=int, default=5)
-    p_ols.add_argument("--decay", type=float, default=0.5)
-    p_ols.add_argument("--spectral-constant", type=float, default=1.0)
-    p_ols.add_argument("--trials", type=int, default=100)
+    p_ols.add_argument("--d", type=_positive_int, default=40)
+    p_ols.add_argument("--q", type=_positive_int, default=40)
+    p_ols.add_argument("--k", type=_positive_int, default=15)
+    p_ols.add_argument("--r", type=_nonnegative_int, default=5)
+    p_ols.add_argument("--decay", type=_positive_float, default=0.5)
+    p_ols.add_argument("--spectral-constant", type=_positive_float, default=1.0)
+    p_ols.add_argument("--trials", type=_positive_int, default=100)
     p_ols.add_argument("--seed", type=int, default=0)
     p_ols.set_defaults(func=_cmd_ols_check)
 

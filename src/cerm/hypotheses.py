@@ -25,7 +25,9 @@ Three solvers:
 * ``erm_regression`` — subgradient descent with a backtracking step size on
   the clipped-linear empirical risk (squared or kl), initialized at the
   ordinary least squares solution for the squared loss.  The clip's
-  subgradient is the identity inside [-beta, beta] and 0 outside.
+  subgradient is the identity inside [-beta, beta] and 0 outside.  Like the
+  Newton solver, it forms its scores as Z x over the design Z = [U, -1],
+  here held column-major, so its result does not depend on U's layout.
 
 ``fit`` is the one dispatch from a (loss, solver) pair to these solvers.
 Its ``iters`` caps the Newton steps of the surrogate classifier and the
@@ -487,11 +489,15 @@ def erm_surrogate_classification(U, y, iters: int = 2000) -> ErmReport:
 # the regression descent
 # ---------------------------------------------------------------------------
 #
-# The regression solver minimizes a mean loss of the scores s = U w - t.  It
-# supplies value(s), the mean objective, and slope(s), its pointwise
-# derivative in s, and ``_descend`` owns the scores: it forms them once per
-# trial point and the gradient (U^T g / n, -mean g), g = slope(s), once per
-# accepted point.
+# The regression solver minimizes a mean loss of the scores s = Z x over the
+# design Z = [U, -1] and x = (w, t), as the Newton solver does.  It supplies
+# value(s), which returns the mean objective and the clipped predictions v,
+# and slope(s, v), the objective's pointwise derivative in s.  ``_descend``
+# owns the scores: it forms them by one product Z x per trial point, and the
+# gradient Z^T slope(s, v) / n by one product per accepted point, reusing the
+# v its value computed.  Z is column-major: numpy's product with a C-ordered
+# n x (k + 1) matrix runs one short dot product per row, and at n = 8192 and
+# k = 10 it takes about 1.6x as long, on one BLAS thread, as the column sweep.
 
 _CHECKPOINT_EVERY = 50
 _PLATEAU_FACTOR = 1e-10
@@ -506,29 +512,33 @@ _MAX_BACKTRACKS = 40
 def _descend(U: np.ndarray, value, slope, x0: np.ndarray, iters: int, plateau_tol: float):
     """Monotone first-order descent on x = (w, t) with backtracking.
 
-    Accepts a step only when the objective does not increase; on rejection the
-    step size shrinks (up to _MAX_BACKTRACKS times per iteration), on success
-    it grows.  Stops early when the decrease over a 50-step window falls
-    below plateau_tol.  Returns (x, checkpoints) with the objective recorded
-    every 50 accepted steps plus at entry and exit.
+    Copies U once into the column-major design Z = [U, -1], so the result
+    does not depend on U's memory layout.  Accepts a step only when the
+    objective does not increase; on rejection the step size shrinks (up to
+    _MAX_BACKTRACKS times per iteration), on success it grows.  Stops early
+    when the decrease over a 50-step window falls below plateau_tol.  Returns
+    (x, checkpoints) with the objective recorded every 50 accepted steps plus
+    at entry and exit.
     """
     n, k = U.shape
+    Z = np.empty((n, k + 1), order="F")
+    Z[:, :k] = U
+    Z[:, k] = -1.0
     x = x0.astype(float).copy()
-    s = U @ x[:k] - x[k]
-    obj = float(value(s))
+    s = Z @ x
+    obj, v = value(s)
     checkpoints = [obj]
     lr = _LR_INIT
     window_start = obj
     for it in range(iters):
-        g_s = slope(s)
-        g = np.concatenate([U.T @ g_s / n, [-np.mean(g_s)]])
+        g = Z.T @ slope(s, v) / n
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = x - lr * g
-            trial_s = U @ trial[:k] - trial[k]
-            trial_obj = float(value(trial_s))
+            trial_s = Z @ trial
+            trial_obj, trial_v = value(trial_s)
             if np.isfinite(trial_obj) and trial_obj <= obj:
-                x, s, obj = trial, trial_s, trial_obj
+                x, s, v, obj = trial, trial_s, trial_v, trial_obj
                 lr *= _LR_GROW
                 accepted = True
                 break
@@ -597,10 +607,11 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
         x0 = np.zeros(k + 1)
 
     def value(s):
-        return np.mean(_loss_values(loss, np.clip(s, -beta, beta), y))
+        v = np.clip(s, -beta, beta)
+        return float(np.mean(_loss_values(loss, v, y))), v
 
-    def slope(s):
-        return np.where(np.abs(s) < beta, pointwise_slope(np.clip(s, -beta, beta)), 0.0)
+    def slope(s, v):
+        return np.where(np.abs(s) < beta, pointwise_slope(v), 0.0)
 
     x, checkpoints = _descend(U, value, slope, x0, iters, _PLATEAU_FACTOR * loss.bound)
 

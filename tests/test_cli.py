@@ -187,6 +187,65 @@ def test_cli_ols_check(capsys):
     assert out["max_ratio"] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, expected",
+    [
+        ("check-dist gm", "--mc-n", "0", "an integer >= 2"),
+        ("check-dist regression", "--mc-n", "0", "an integer >= 2"),
+        ("check-dist regression", "--mc-n", "1", "an integer >= 2"),
+        ("ols-check", "--trials", "0", "a positive integer"),
+        ("ols-check", "--k", "0", "a positive integer"),
+        ("ols-check", "--d", "0", "a positive integer"),
+        ("ols-check", "--r", "-1", "a nonnegative integer"),
+        ("ols-check", "--decay", "-1", "a finite positive number"),
+        ("jl-check", "--k", "0", "a positive integer"),
+        ("jl-check", "--d", "0", "a positive integer"),
+        ("jl-check", "--trials", "0", "a positive integer"),
+        ("jl-check", "--q", "1", "an integer >= 2"),
+        ("jl-check", "--epsilon", "1", "a number in (0, 1)"),
+        ("jl-check", "--delta", "nan", "a number in (0, 1)"),
+    ],
+)
+def test_cli_checks_the_other_subcommands_flags_at_parse_time(
+    tmp_path, regression_spec, capsys, command, flag, value, expected
+):
+    argv = command.split()
+    if argv[0] == "check-dist":
+        if argv[1] == "gm":
+            spec = tmp_path / "gm.json"
+            spec.write_text(
+                json.dumps({"type": "gauss_margin", "d": 4, "gamma": 2.0, "rho": 2.0, "alpha": 0.0})
+            )
+            argv[1] = str(spec)
+        else:
+            argv[1] = regression_spec
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cerm {argv[0]}")
+    assert f"argument {flag}: expected {expected}, got {value!r}" in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--d", "50"], "--d 50 --q 40"),
+        (["--r", "20"], "--r 20: need r < min(q, k) = 15"),
+        (["--r", "5", "--q", "8", "--d", "8", "--k", "5"], "--r 5: need r < min(q, k) = 5"),
+    ],
+)
+def test_cli_ols_check_refuses_crossed_flags_before_any_trial(monkeypatch, flags, named):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a trial before refusing the flags")
+
+    monkeypatch.setattr("cerm.cli.sample_projection", refuse)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ols-check", *flags])
+    assert str(exit_info.value.code).startswith("cerm ols-check: ")
+    assert named in str(exit_info.value.code)
+
+
 def test_cli_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -560,7 +560,7 @@ def test_the_sweep_refuses_a_near_degenerate_lattice_with_its_own_error():
 
 def reference_descend(objective, gradient, x0, iters, plateau_tol):
     """Descent with the objective and the gradient as separate functions of x,
-    each forming the scores U w - t on its own; fixed backtracking schedule."""
+    each forming its scores on its own; fixed backtracking schedule."""
     x = x0.astype(float).copy()
     obj = float(objective(x))
     checkpoints = [obj]
@@ -608,11 +608,15 @@ def reference_surrogate(U, y, iters):
 
 
 def reference_regression(U, y, loss, iters):
+    """The regression descent with the objective and the gradient as separate
+    functions of x, each forming the scores Z x over the column-major design
+    Z = [U, -1] on its own."""
     n, k = U.shape
     beta = loss.beta
+    Z = np.asfortranarray(np.column_stack([U, -np.ones(n)]))
 
     def objective(x):
-        v = np.clip(U @ x[:k] - x[k], -beta, beta)
+        v = np.clip(Z @ x, -beta, beta)
         return float(np.mean(eval_loss(loss, v, y)))
 
     def pointwise_grad(v):
@@ -621,9 +625,9 @@ def reference_regression(U, y, loss, iters):
         return 1.0 / (1.0 + np.exp(-v)) - y
 
     def gradient(x):
-        s = U @ x[:k] - x[k]
+        s = Z @ x
         g_s = np.where(np.abs(s) < beta, pointwise_grad(np.clip(s, -beta, beta)), 0.0)
-        return np.concatenate([U.T @ g_s / n, [-np.mean(g_s)]])
+        return Z.T @ g_s / n
 
     if loss.kind == "squared":
         w0, t0 = ols_init(U, y)
@@ -659,6 +663,25 @@ def test_fused_descent_matches_the_separate_formulation_bit_for_bit():
         assert report.hypothesis.t == x[k]
         assert report.objective_checkpoints == checkpoints
         assert len(checkpoints) > 2
+
+
+def test_regression_results_do_not_depend_on_the_layout_of_u():
+    rng = np.random.default_rng(93)
+    wide = rng.standard_normal((400, 12))
+    strided = wide[:, ::2]
+    assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+    w = rng.standard_normal(6)
+    target = np.clip(0.6 * np.tanh(strided @ w) + 0.3 * rng.standard_normal(400), -0.8, 0.8)
+    binary = (np.sign(strided @ w + 0.5 * rng.standard_normal(400)) + 1.0) / 2.0
+    layouts = (np.ascontiguousarray(strided), np.asfortranarray(strided), strided)
+    for loss, y in ((make_loss("squared", beta=0.8), target), (make_loss("kl", beta=1.5), binary)):
+        reports = [erm_regression(U, y, loss, iters=300) for U in layouts]
+        first = reports[0]
+        assert len(first.objective_checkpoints) > 2
+        for report in reports[1:]:
+            assert np.array_equal(report.hypothesis.w, first.hypothesis.w)
+            assert report.hypothesis.t == first.hypothesis.t
+            assert report.objective_checkpoints == first.objective_checkpoints
 
 
 def test_regression_descent_calls_the_checked_loss_a_fixed_number_of_times(monkeypatch):
