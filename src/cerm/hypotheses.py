@@ -21,7 +21,8 @@ Three solvers:
   surrogate over the k + 1 parameters (w, t), reporting the zero-one risk of
   the result, for scales the exact solver does not take.  It converges in
   a handful of steps, and it stops as soon as the training points are
-  separated, where the surrogate has no minimizer.
+  separated, where the surrogate has no minimizer.  Its logistic weights
+  come from ``_expit``, the sigmoid 1 / (1 + exp(-x)) in numpy.
 * ``erm_regression`` — subgradient descent with a backtracking step size on
   the clipped-linear empirical risk (squared or kl), initialized at the
   ordinary least squares solution for the squared loss.  The clip's
@@ -42,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .losses import LossSpec, _loss_values, eval_loss
 from .projections import AxisPoints
@@ -407,6 +407,16 @@ _GRAD_RTOL = 1e-9
 _MAX_HALVINGS = 40
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)).
+
+    Below x = -709.78, exp(-x) overflows to inf and the result is 0, its
+    limit; the overflow raises no warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def erm_surrogate_classification(U, y, iters: int = 2000) -> ErmReport:
     """Damped Newton on the logistic surrogate for the sign-linear class.
 
@@ -446,7 +456,7 @@ def erm_surrogate_classification(U, y, iters: int = 2000) -> ErmReport:
     obj = float(np.mean(np.logaddexp(0.0, -margins)))
     checkpoints = [obj]
     for _ in range(iters):
-        q = expit(-margins)
+        q = _expit(-margins)
         grad = Z.T @ (-y * q) / n
         if np.max(np.abs(grad)) < grad_floor:
             break
@@ -602,7 +612,7 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
     else:
 
         def pointwise_slope(v):
-            return 1.0 / (1.0 + np.exp(-v)) - y
+            return _expit(v) - y
 
         x0 = np.zeros(k + 1)
 
@@ -616,7 +626,9 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
     x, checkpoints = _descend(U, value, slope, x0, iters, _PLATEAU_FACTOR * loss.bound)
 
     hypothesis = LinearHypothesis(w=x[:k], t=float(x[k]), mode="clip", beta=beta)
-    risk = float(np.mean(eval_loss(loss, hypothesis.predict(U), y)))
+    # Scored on the column-major layout the descent used, so that the risk,
+    # like w and t, does not depend on U's layout.
+    risk = float(np.mean(eval_loss(loss, hypothesis.predict(np.asfortranarray(U)), y)))
     return ErmReport(
         hypothesis=hypothesis,
         empirical_risk=risk,

@@ -13,6 +13,9 @@ of those four values.
 
 ``apply`` compresses either a dense n x d array or an ``AxisPoints`` set,
 whose rows are scaled coordinate vectors and are never stored densely.
+
+``empirical_jl_check`` compares every pairwise squared distance before and
+after fresh maps; it forms them row by row in numpy, in O(q d) memory.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .seeds import derive_seed
 
@@ -169,6 +171,26 @@ def jl_target_dim(q: int, delta: float, epsilon: float) -> int:
     return int(np.ceil(JL_CALIBRATION * np.log(q / delta) / epsilon**2))
 
 
+def _squared_distances(points: np.ndarray) -> np.ndarray:
+    """Squared distances ||x_i - x_j||^2 of all pairs i < j, in the
+    condensed order (0, 1), (0, 2), ..., (1, 2), ... of the upper triangle.
+
+    Each row's differences are summed directly, never through
+    ||a||^2 + ||b||^2 - 2 a.b, which cancels on near-duplicate points, so
+    equal points give exactly 0.  Memory stays O(q d): one row's block of
+    differences at a time.
+    """
+    q = points.shape[0]
+    out = np.empty(q * (q - 1) // 2)
+    start = 0
+    for i in range(q - 1):
+        diff = points[i + 1 :] - points[i]
+        stop = start + q - 1 - i
+        np.einsum("ij,ij->i", diff, diff, out=out[start:stop])
+        start = stop
+    return out
+
+
 def empirical_jl_check(
     family: str,
     points: np.ndarray,
@@ -191,7 +213,7 @@ def empirical_jl_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    base = pdist(points, metric="sqeuclidean")
+    base = _squared_distances(points)
     positive = base > 0.0
     lo = (1.0 - epsilon) * base[positive]
     hi = (1.0 + epsilon) * base[positive]
@@ -200,7 +222,7 @@ def empirical_jl_check(
     d = points.shape[1]
     for t in range(trials):
         pmap = sample_projection(family, k, d, derive_seed(seed, t))
-        proj = pdist(apply(pmap, points), metric="sqeuclidean")[positive]
+        proj = _squared_distances(apply(pmap, points))[positive]
         if np.any(proj < lo) or np.any(proj > hi):
             failures += 1
     return failures / trials

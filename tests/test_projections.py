@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from cerm import projections
 from cerm.projections import (
     FAMILIES,
     AxisPoints,
     InvalidDimensionError,
+    _squared_distances,
     apply,
     empirical_jl_check,
     jl_target_dim,
@@ -126,6 +129,42 @@ def test_empirical_jl_check_deterministic():
     a = empirical_jl_check("gaussian", points, 0.5, 30, trials=50, seed=3)
     b = empirical_jl_check("gaussian", points, 0.5, 30, trials=50, seed=3)
     assert a == b
+
+
+def test_squared_distances_match_scipy_pdist():
+    """Condensed order, rtol 1e-12 (the sums run in another order), and
+    exact zeros on duplicates, also far from the origin, where the identity
+    ||a||^2 + ||b||^2 - 2 a.b would cancel."""
+    rng = np.random.default_rng(5)
+    for q, d, offset in ((2, 1, 0.0), (7, 3, 0.0), (50, 256, 0.0), (120, 5, 1e4)):
+        points = offset + rng.standard_normal((q, d))
+        points[q - 1] = points[0]
+        if q > 2:
+            points[1] = points[0] + 1e-6 * rng.standard_normal(d)
+        ours = _squared_distances(points)
+        theirs = pdist(points, metric="sqeuclidean")
+        np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=0.0)
+        assert np.array_equal(ours == 0.0, theirs == 0.0)
+        assert ours[q - 2] == 0.0  # the pair (0, q - 1)
+        assert np.all(ours[: q - 2] > 0.0)
+
+
+def test_criterion_04_failure_rates_match_a_pdist_check(monkeypatch):
+    """Criterion 4's two JL failure rates, as in tests/test_acceptance.py, come
+    out the same when the distances are taken by scipy's pdist instead."""
+    q, eps, delta, trials = 50, 0.5, 0.05, 400
+    k = jl_target_dim(q, delta, eps)
+    points = np.random.default_rng(2026).standard_normal((q, 256))
+
+    def rates():
+        return tuple(
+            empirical_jl_check("gaussian", points, eps, kk, trials=trials, seed=derive_seed(2026, i))
+            for i, kk in ((1, k), (2, k // 4))
+        )
+
+    ours = rates()
+    monkeypatch.setattr(projections, "_squared_distances", lambda x: pdist(x, metric="sqeuclidean"))
+    assert ours == rates()
 
 
 def test_empirical_jl_check_zero_distance_pairs_pass():
