@@ -11,12 +11,14 @@ A rule fit on compressed inputs u = A x is scored on x itself through
 Three solvers:
 
 * ``erm_exact_classification`` — empirical zero-one risk minimization by a
-  rotational sweep: about every point at k <= 2, in O(n^2 log n), and about
-  every line through two points at k = 3, in O(n^3 log n).  The sweep turns
-  a hyperplane about each pivot and counts the errors on every arc between
-  critical directions; its rule must make exactly the errors it counted, or
-  the solve raises SweepUncertifiedError, so the result is a certified
-  global minimizer at every k.  Guarded to k <= 3 and n <= 200.
+  rotational sweep over the u distinct points, whose labels enter as
+  per-point counts: about every point at k <= 2, in O(n log n + u^2 log u),
+  and about every line through two points at k = 3, in
+  O(n log n + u^3 log u).  The sweep turns a hyperplane about each pivot
+  and counts the errors on every arc between critical directions; its rule
+  must make exactly the errors it counted, or the solve raises
+  SweepUncertifiedError, so the result is a certified global minimizer at
+  every k.  Guarded to k <= 3 and n <= 200 rows, whatever u is.
 * ``erm_surrogate_classification`` — damped Newton on the logistic
   surrogate over the k + 1 parameters (w, t), reporting the zero-one risk of
   the result, for scales the exact solver does not take.  It converges in
@@ -179,6 +181,12 @@ def _best_constant(y_pos: np.ndarray, k: int) -> tuple[int, np.ndarray]:
 # exact zero-one ERM by rotational sweep
 # ---------------------------------------------------------------------------
 #
+# The sweep runs over the u distinct points (rows equal in every coordinate),
+# each with its counts of +1 and -1 labels; a sample from a finite-support
+# law repeats its atoms, so u can be far below n.  Finding them costs
+# O(n log n), and the rule is scored on the training rows themselves.  The
+# guards, k <= 3 and n <= 200, still count rows, not points.
+#
 # A sign rule u -> sign(w.u - t) splits the points by a hyperplane.  In the
 # plane (k <= 2), any labeling a line realizes with points on both sides is
 # also realized by a line through one point p (the pivot) whose normal lies
@@ -189,10 +197,10 @@ def _best_constant(y_pos: np.ndarray, k: int) -> tuple[int, np.ndarray]:
 # either side.  Another point q changes side only where the normal is
 # orthogonal to d = q - p.  Turning the normal through half a circle,
 # (-pi/2, pi/2], covers both orientations, because the opposite normal puts
-# every point off the line on its other side.  Sorting the n - 1 critical
+# every point off the line on its other side.  Sorting the u - 1 critical
 # normals per pivot and summing the side changes counts the errors on every
-# arc: O(n log n) per pivot, O(n^2 log n) in all (Johnson & Preparata, "The
-# densest hemisphere problem", TCS 6, 1978).
+# arc: O(u log u) per pivot, O(n log n + u^2 log u) in all (Johnson &
+# Preparata, "The densest hemisphere problem", TCS 6, 1978).
 #
 # At k = 3 the pivot is the line through two distinct points p and q, with
 # d = q - p.  The planes through that line have the normals N orthogonal to
@@ -211,26 +219,29 @@ def _best_constant(y_pos: np.ndarray, k: int) -> tuple[int, np.ndarray]:
 # relative interior of that face is an open arc of the sweep about (p, q).
 # Coplanar points run the same argument inside their plane.  Collinear points
 # are a 1-d problem, swept on their positions along the line.  All later q of
-# one p are swept at once, O(n log n) per line and O(n^3 log n) in all.
+# one p are swept at once, O(u log u) per line and O(n log n + u^3 log u) in
+# all.
 #
 # Collinear and antipodal vectors give the same critical normal.  It must be
 # one boundary, not two an ulp apart with a zero-length "arc" between them,
 # so sorted neighbours merge when their cross product is exactly 0.
 
 
-def _best_arc(dx, dy, y_pos, best, lift):
+def _best_arc(dx, dy, pos, neg, inverse, best, lift):
     """Count the errors on every arc about a batch of pivots.
 
-    Row r of the (r, n) arrays dx, dy holds one planar vector per point,
+    Row r of the (r, u) arrays dx, dy holds one planar vector per point,
     whose dot product with a normal nu gives the point's side about the
-    row's pivot; the zero vectors are the pivot's group.  ``lift(r, nu)``
-    maps row r's planar normal to (w, s, s0): the rule's weights, every
-    point's score s = u.w and the pivot's score.  The rule puts the group on
-    its cheaper side and its threshold halfway across the gap along s.
-    Returns ``best``, an (errors, v) pair, unless an arc beats it; ties go
-    to the first row and arc.
+    row's pivot; the zero vectors are the pivot's group.  Point j carries
+    pos[j] labels +1 and neg[j] labels -1, and training row i is point
+    inverse[i].  ``lift(r, nu)`` maps row r's planar normal to (w, s, s0):
+    the rule's weights, every training row's score s = u.w and the pivot's
+    score.  The rule puts the group on its cheaper side and its threshold
+    halfway across the gap along s.  Returns ``best``, an (errors, v) pair,
+    unless an arc beats it; ties go to the first row and arc.
     """
-    r, n = dx.shape
+    r, u = dx.shape
+    n = inverse.size
     dup = (dx == 0.0) & (dy == 0.0)  # the pivot's group
     # A point's critical normal is its vector turned +90 degrees, where the
     # point leaves the + side as the normal turns counterclockwise, or its
@@ -243,30 +254,30 @@ def _best_arc(dx, dy, y_pos, best, lift):
     cy = np.where(leaves, cy, -cy) + 0.0
     angle = np.where(dup, np.inf, np.arctan2(cy, cx))  # the group sorts last
     order = np.argsort(angle, axis=1)
-    flat = order + n * np.arange(r)[:, None]
+    flat = order + u * np.arange(r)[:, None]
     angle, cx, cy = angle.ravel()[flat], cx.ravel()[flat], cy.ravel()[flat]
-    # Leaving costs an error when the label is +1 and saves one otherwise.
-    flip = np.where(y_pos, 1, -1)
+    # Leaving costs an error per +1 label and saves one per -1 label.
+    flip = pos - neg
     step = np.where(leaves, flip, -flip).ravel()[flat]
 
     # Just counterclockwise of -pi/2 the normal is (0+, -1): a point is + iff
-    # dy < 0, or dy = 0 and dx > 0.
+    # dy < 0, or dy = 0 and dx > 0, and its -1 labels are then errors.
     plus0 = (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
-    errors0 = np.count_nonzero((plus0 != y_pos) & ~dup, axis=1)[:, None]
+    errors0 = np.where(dup, 0, np.where(plus0, neg, pos)).sum(axis=1)[:, None]
     # The count after crossing sorted normal c holds up to normal c + 1
     # unless the two are the same; after the last one it is errors0 again.
     errors = np.concatenate([errors0, errors0 + np.cumsum(step, axis=1)[:, :-1]], axis=1)
     cross = cx[:, :-1] * cy[:, 1:] - cy[:, :-1] * cx[:, 1:]
     opens = np.isfinite(angle[:, 1:]) & (cross != 0.0)
 
-    group = np.count_nonzero(dup, axis=1)
-    group_plus = np.count_nonzero(dup & y_pos, axis=1)
-    group_minus = group - group_plus
+    group_plus = dup @ pos
+    group_minus = dup @ neg
+    group = group_plus + group_minus
     valid = np.concatenate([(group < n)[:, None], opens], axis=1)
     turned = (n - group)[:, None] - errors  # the opposite normal's count
     cost = np.minimum(errors, turned) + np.minimum(group_plus, group_minus)[:, None]
     cost = np.where(valid, cost, n + 1)
-    i, c = divmod(int(np.argmin(cost)), n)
+    i, c = divmod(int(np.argmin(cost)), u)
     if cost[i, c] >= best[0]:
         return best
 
@@ -282,7 +293,7 @@ def _best_arc(dx, dy, y_pos, best, lift):
     if turned[i, c] < errors[i, c]:
         normal = -normal
     w, s, s0 = lift(i, normal)
-    plus = np.where(dup[i] | (s == s0), group_minus[i] <= group_plus[i], s > s0)
+    plus = np.where(dup[i][inverse] | (s == s0), group_minus[i] <= group_plus[i], s > s0)
     below, above = s[~plus], s[plus]
     if below.size and above.size:
         lo, hi = below.max(), above.min()
@@ -297,40 +308,47 @@ def _best_arc(dx, dy, y_pos, best, lift):
 def _sweep(U, y) -> tuple[int, np.ndarray]:
     """The best sign rule for k <= 3 by a rotational sweep.
 
+    The points are the distinct rows of U in the order they first occur.
     The pivots are every point at k <= 2, with k = 1 as the plane with a
-    zero second coordinate, and every line through two distinct points at
-    k = 3.  Returns (errors, v) with v = (w, t); the errors are the sweep's
-    count, which the caller certifies against the returned rule.
+    zero second coordinate, and every line through two points at k = 3.
+    Returns (errors, v) with v = (w, t); the errors are the sweep's count,
+    which the caller certifies against the returned rule.
     """
     n, k = U.shape
     y_pos = y == 1.0
     best = _best_constant(y_pos, k)
+    # Adding 0.0 makes -0.0 and 0.0 one point; numpy 2.0.0's inverse is 2-d.
+    _, first, inverse = np.unique(U + 0.0, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    first = first[order]
+    inverse = np.argsort(order)[inverse.reshape(-1)]
+    u = first.size
+    pos = np.bincount(inverse[y_pos], minlength=u)
+    neg = np.bincount(inverse, minlength=u) - pos
     if k <= 2:
         P = np.zeros((n, 2))
         P[:, :k] = U
-        D = P[None, :, :] - P[:, None, :]  # D[i, j] = P[j] - P[i]
+        Q = P[first]
+        D = Q[None, :, :] - Q[:, None, :]  # D[i, j] = Q[j] - Q[i]
 
         def lift(i, normal):
             s = P @ normal
-            return normal[:k], s, s[i]
+            return normal[:k], s, s[first[i]]
 
-        return _best_arc(D[..., 0], D[..., 1], y_pos, best, lift)
+        return _best_arc(D[..., 0], D[..., 1], pos, neg, inverse, best, lift)
 
-    rel = U - U[0]
-    far = np.flatnonzero(np.any(rel != 0.0, axis=1))
-    if far.size and not np.any(np.cross(rel[far[0]], rel)):
+    V = U[first]
+    rel = V - V[0]
+    if u > 1 and not np.any(np.cross(rel[1], rel)):
         # All points on one line: sweep their positions along it.  The 1-d
         # sweep's weight is exactly +-1 or 0, so the rule's scores are the
         # positions' own.
-        d = rel[far[0]]
+        d = rel[1]
         errors, v = _sweep((U @ d)[:, None], y)
         return errors, np.append(v[0] * d, v[1])
-    for p in range(n - 1):
-        rel = U - U[p]
-        later = p + 1 + np.flatnonzero(np.any(rel[p + 1 :] != 0.0, axis=1))
-        if not later.size:
-            continue
-        d = rel[later]
+    for p in range(u - 1):
+        rel = V - V[p]
+        d = rel[p + 1 :]
         # Per row, the axes in cyclic order from d's largest entry, and the
         # entries of c = d x (x - p) on the other two: c_a = d_b e_o - d_o e_b
         # and c_b = d_o e_a - d_a e_o for e = x - p and axes (o, a, b).
@@ -343,23 +361,25 @@ def _sweep(U, y) -> tuple[int, np.ndarray]:
             m[axes[r, 1:]] = nu
             N = np.cross(m, d[r])
             s = U @ N
-            return N, s, s[p]
+            return N, s, s[first[p]]
 
-        best = _best_arc(d_b * e_o - d_o * e_b, d_o * e_a - d_a * e_o, y_pos, best, lift)
+        c_a, c_b = d_b * e_o - d_o * e_b, d_o * e_a - d_a * e_o
+        best = _best_arc(c_a, c_b, pos, neg, inverse, best, lift)
     return best
 
 
 def erm_exact_classification(U, y) -> ErmReport:
     """Empirical zero-one risk minimization over sign-linear rules.
 
-    A rotational sweep finds a global minimizer: about every point at
-    k <= 2, in O(n^2 log n), and about every line through two points at
-    k = 3, in O(n^3 log n).  The returned rule's recomputed risk must equal
-    the sweep's error count, or SweepUncertifiedError is raised.  That can
-    happen only where the best rule must separate points closer than its
-    floating-point evaluation resolves, such as nearly collinear or nearly
-    coplanar points or near-duplicates.
-    Scale-guarded to k <= 3, n <= 200.
+    A rotational sweep over the u distinct rows of U, with their labels as
+    per-point counts, finds a global minimizer: about every point at
+    k <= 2, in O(n log n + u^2 log u), and about every line through two
+    points at k = 3, in O(n log n + u^3 log u).  The returned rule's
+    recomputed risk must equal the sweep's error count, or
+    SweepUncertifiedError is raised.  That can happen only where the best
+    rule must separate points closer than its floating-point evaluation
+    resolves, such as nearly collinear or nearly coplanar points or
+    near-duplicates.  Scale-guarded to k <= 3, n <= 200, whatever u is.
     """
     U, y = _validate_classification(U, y)
     n, k = U.shape

@@ -554,6 +554,187 @@ def test_the_sweep_refuses_a_near_degenerate_lattice_with_its_own_error():
 
 
 # ---------------------------------------------------------------------------
+# the per-row reference sweep
+# ---------------------------------------------------------------------------
+#
+# The sweep over training rows rather than distinct points: every row is a
+# pivot (k <= 2) or ends a pivot line (k = 3), every row is a column, and
+# each column carries its one label.  The production sweep must return the
+# same count and the same rule, bit for bit.
+
+
+def reference_best_arc(dx, dy, y_pos, best, lift):
+    """``hypotheses._best_arc`` over one column per training row."""
+    r, n = dx.shape
+    dup = (dx == 0.0) & (dy == 0.0)
+    cx, cy = -dy, dx
+    leaves = (cx > 0.0) | ((cx == 0.0) & (cy > 0.0))
+    cx = np.where(leaves, cx, -cx) + 0.0
+    cy = np.where(leaves, cy, -cy) + 0.0
+    angle = np.where(dup, np.inf, np.arctan2(cy, cx))
+    order = np.argsort(angle, axis=1)
+    flat = order + n * np.arange(r)[:, None]
+    angle, cx, cy = angle.ravel()[flat], cx.ravel()[flat], cy.ravel()[flat]
+    flip = np.where(y_pos, 1, -1)
+    step = np.where(leaves, flip, -flip).ravel()[flat]
+
+    plus0 = (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
+    errors0 = np.count_nonzero((plus0 != y_pos) & ~dup, axis=1)[:, None]
+    errors = np.concatenate([errors0, errors0 + np.cumsum(step, axis=1)[:, :-1]], axis=1)
+    cross = cx[:, :-1] * cy[:, 1:] - cy[:, :-1] * cx[:, 1:]
+    opens = np.isfinite(angle[:, 1:]) & (cross != 0.0)
+
+    group = np.count_nonzero(dup, axis=1)
+    group_plus = np.count_nonzero(dup & y_pos, axis=1)
+    group_minus = group - group_plus
+    valid = np.concatenate([(group < n)[:, None], opens], axis=1)
+    turned = (n - group)[:, None] - errors
+    cost = np.minimum(errors, turned) + np.minimum(group_plus, group_minus)[:, None]
+    cost = np.where(valid, cost, n + 1)
+    i, c = divmod(int(np.argmin(cost)), n)
+    if cost[i, c] >= best[0]:
+        return best
+
+    if c == 0:
+        last = int(np.count_nonzero(np.isfinite(angle[i]))) - 1
+        lo_angle, hi_angle = angle[i, last] - np.pi, angle[i, 0]
+    else:
+        lo_angle, hi_angle = angle[i, c - 1], angle[i, c]
+    mid = 0.5 * (lo_angle + hi_angle)
+    normal = np.array([np.cos(mid), np.sin(mid)])
+    if turned[i, c] < errors[i, c]:
+        normal = -normal
+    w, s, s0 = lift(i, normal)
+    plus = np.where(dup[i] | (s == s0), group_minus[i] <= group_plus[i], s > s0)
+    below, above = s[~plus], s[plus]
+    if below.size and above.size:
+        lo, hi = below.max(), above.min()
+        t = 0.5 * (lo + hi)
+        if not lo < t:
+            t = hi
+    else:
+        t = s0
+    return int(cost[i, c]), np.append(w, t)
+
+
+def reference_sweep(U, y):
+    """``hypotheses._sweep`` with every row a pivot: O(n^2 log n) at k <= 2
+    and O(n^3 log n) at k = 3, whatever the number of distinct rows."""
+    n, k = U.shape
+    y_pos = y == 1.0
+    best = hypotheses._best_constant(y_pos, k)
+    if k <= 2:
+        P = np.zeros((n, 2))
+        P[:, :k] = U
+        D = P[None, :, :] - P[:, None, :]
+
+        def lift(i, normal):
+            s = P @ normal
+            return normal[:k], s, s[i]
+
+        return reference_best_arc(D[..., 0], D[..., 1], y_pos, best, lift)
+
+    rel = U - U[0]
+    far = np.flatnonzero(np.any(rel != 0.0, axis=1))
+    if far.size and not np.any(np.cross(rel[far[0]], rel)):
+        d = rel[far[0]]
+        errors, v = reference_sweep((U @ d)[:, None], y)
+        return errors, np.append(v[0] * d, v[1])
+    for p in range(n - 1):
+        rel = U - U[p]
+        later = p + 1 + np.flatnonzero(np.any(rel[p + 1 :] != 0.0, axis=1))
+        if not later.size:
+            continue
+        d = rel[later]
+        axes = (np.argmax(np.abs(d), axis=1)[:, None] + [0, 1, 2]) % 3
+        d_o, d_a, d_b = np.take_along_axis(d, axes, axis=1).T[..., None]
+        e_o, e_a, e_b = rel.T[axes.T]
+
+        def lift(r, nu):
+            m = np.zeros(3)
+            m[axes[r, 1:]] = nu
+            N = np.cross(m, d[r])
+            s = U @ N
+            return N, s, s[p]
+
+        best = reference_best_arc(d_b * e_o - d_o * e_b, d_o * e_a - d_a * e_o, y_pos, best, lift)
+    return best
+
+
+def projected_assouad_sample(k, n, seed):
+    """n rows of a q = 3000 Assouad law at the benchmark's exponents, under a
+    gaussian k x (q + 1) map: a few dozen distinct rows, each repeated."""
+    q = 3000
+    rng = np.random.default_rng(seed)
+    dist = AssouadDist(q, q**0.25, q**-0.25, q**-0.25, sigma=rng.choice([-1.0, 1.0], size=q))
+    X, y = dist.sample(n, seed)
+    return apply(sample_projection("gaussian", k, q + 1, seed), X), y
+
+
+def sweep_families(rng):
+    """(U, y) pairs at k = 1, 2, 3 with repeated rows: lattices in
+    {-2, ..., 2}^k, the same lattices * 0.5 + 0.25, gaussian points with
+    their rows repeated, projected Assouad samples, and lattice rows that
+    differ only in the sign of a zero."""
+    for k in (1, 2, 3):
+        for _ in range(25):
+            n = int(rng.integers(1, 60 if k < 3 else 30))
+            lattice = rng.integers(-2, 3, size=(n, k)).astype(float)
+            for U in (lattice, lattice * 0.5 + 0.25):
+                yield U, rng.choice([-1.0, 1.0], size=n)
+            gauss = rng.standard_normal((max(n // 3, 1), k))
+            U = gauss[rng.integers(0, len(gauss), size=n)]
+            yield U, noisy_labels(rng, U)
+            signed = np.where(lattice == 0.0, rng.choice([-0.0, 0.0], size=lattice.shape), lattice)
+            yield signed, rng.choice([-1.0, 1.0], size=n)
+        for seed in range(3):
+            yield projected_assouad_sample(k, EXACT_MAX_N if k < 3 else 60, 10 * k + seed)
+
+
+def test_sweep_matches_the_per_row_reference_bit_for_bit():
+    rng = np.random.default_rng(82)
+    for U, y in sweep_families(rng):
+        errors, v = hypotheses._sweep(U, y)
+        ref_errors, ref_v = reference_sweep(U, y)
+        assert errors == ref_errors and np.array_equal(v, ref_v), (U.tolist(), y.tolist())
+
+
+def test_the_sweep_works_on_distinct_points_only(monkeypatch):
+    """At n = 200 the k = 2 sweep makes one (u, u) pass over the u distinct
+    rows, and every k = 3 pass has u columns and at most u - 1 pivot lines."""
+    shapes = []
+    best_arc = hypotheses._best_arc
+
+    def recorded(dx, *args):
+        shapes.append(dx.shape)
+        return best_arc(dx, *args)
+
+    monkeypatch.setattr(hypotheses, "_best_arc", recorded)
+    for k in (2, 3):
+        U, y = projected_assouad_sample(k, EXACT_MAX_N, 40 + k)
+        u = len(np.unique(U, axis=0))
+        assert u < EXACT_MAX_N // 4
+        shapes.clear()
+        erm_exact_classification(U, y)
+        if k == 2:
+            assert shapes == [(u, u)]
+        else:
+            assert len(shapes) == u - 1
+            assert all(cols == u and 1 <= rows <= u - 1 for rows, cols in shapes), shapes
+
+
+def test_a_sample_stacked_on_itself_doubles_the_count_and_keeps_the_rule():
+    rng = np.random.default_rng(83)
+    for k in (1, 2, 3):
+        for n in (1, 2, 7, 20, 50):
+            for U in (rng.standard_normal((n, k)), rng.integers(-2, 3, size=(n, k)).astype(float)):
+                y = noisy_labels(rng, U)
+                errors, v = hypotheses._sweep(U, y)
+                twice, twice_v = hypotheses._sweep(np.concatenate([U, U]), np.concatenate([y, y]))
+                assert twice == 2 * errors and np.array_equal(twice_v, v), (U.tolist(), y.tolist())
+
+
+# ---------------------------------------------------------------------------
 # the solvers against reference formulations
 # ---------------------------------------------------------------------------
 
