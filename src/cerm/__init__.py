@@ -76,7 +76,6 @@ from .synthdist import (
     check_tsybakov,
     chi_squared_adjacent,
     dist_from_config,
-    dist_to_config,
 )
 
 __all__ = [
@@ -138,7 +137,6 @@ __all__ = [
     "check_tsybakov",
     "chi_squared_adjacent",
     "dist_from_config",
-    "dist_to_config",
     # ensembles
     "EnsembleModel",
     "member_excess_risks",

@@ -9,7 +9,9 @@ otherwise.
 
 Only training data is projected.  A member fit as u -> w.u - t on the
 compression A x predicts x -> (A^T w).x - t, so members are scored through
-these pulled-back rules on the evaluation points themselves.
+these pulled-back rules on the evaluation points themselves.  A dense
+evaluation set is scored one row block at a time, every member on each
+block, so the pass reads the set from memory once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .hypotheses import ErmReport, LinearHypothesis, fit
 from .losses import LossSpec
-from .projections import ProjectionMap, apply, sample_projection
+from .projections import AxisPoints, ProjectionMap, _row_blocks, apply, sample_projection
 from .riskbounds import RiskEstimate, _estimate_excess_risks
 from .seeds import derive_seed
 
@@ -106,12 +108,23 @@ def _member_outputs(model: EnsembleModel, X: np.ndarray, spare_rows: int = 0) ->
     """The m x N member outputs on X, followed by ``spare_rows`` unfilled rows.
 
     X is an N x d array or an ``AxisPoints`` set.  Row i is member i's
-    pulled-back rule on X: one length-d product per member on a dense X, a
-    gather from the pulled-back weights on axis points.  X is never projected.
+    pulled-back rule on X.  A dense X is read once, one row block at a time:
+    every member scores a block while it is in cache.  Axis points are
+    scored by a gather from the pulled-back weights.  X is never projected.
     """
     outputs = np.empty((model.m + spare_rows, len(X)))
-    for i, (pmap, hyp) in enumerate(model.members):
-        outputs[i] = hyp.pull_back(pmap.matrix).predict(X)
+    if isinstance(X, AxisPoints):
+        # One length-d rule at a time: at large d, the m rules together
+        # would outweigh the gather.
+        for i, (pmap, hyp) in enumerate(model.members):
+            outputs[i] = hyp.pull_back(pmap.matrix).predict(X)
+        return outputs
+    rules = [hyp.pull_back(pmap.matrix) for pmap, hyp in model.members]
+    X = np.asarray(X, dtype=float)
+    for rows in _row_blocks(len(X), X.shape[-1]):
+        block = X[rows]
+        for i, rule in enumerate(rules):
+            outputs[i, rows] = rule.predict(block)
     return outputs
 
 
@@ -136,7 +149,9 @@ def member_excess_risks(
     once from ``seed`` (or, for a finite-support law, the atoms are built
     once), each member scores it through its pulled-back rule without
     projecting it, and the combined prediction is formed from those same
-    member outputs.  An Assouad law's atoms are an ``AxisPoints`` set, which
+    member outputs.  A dense test set is scored per row block, every member
+    on one block of rows before the next, not as one whole-set product per
+    member.  An Assouad law's atoms are an ``AxisPoints`` set, which
     each member scores by gathering q + 1 of its pulled-back weights, so the
     pass takes O(m q) memory and no (q+1)^2 coordinate array is built.
     Member-vs-ensemble comparisons are therefore paired rather than

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, _loss_values, eval_loss
-from .projections import AxisPoints
+from .losses import LossSpec, eval_loss
+from .projections import AxisPoints, _row_blocks
 
 __all__ = [
     "LinearHypothesis",
@@ -111,7 +111,13 @@ class LinearHypothesis:
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.w.shape[0]:
             raise ValueError(f"expected n x {self.w.shape[0]} input, got shape {U.shape}")
-        return U @ self.w - self.t
+        # One product per row block: scoring one of U's blocks on its own,
+        # as the ensemble's evaluation pass does, then gives the same values
+        # as scoring all of U, whatever BLAS's thread count.
+        scores = np.empty(U.shape[0])
+        for rows in _row_blocks(*U.shape):
+            np.matmul(U[rows], self.w, out=scores[rows])
+        return np.subtract(scores, self.t, out=scores)
 
     def predict(self, U: np.ndarray) -> np.ndarray:
         s = self.raw(U)
@@ -521,13 +527,16 @@ def erm_surrogate_classification(U, y, iters: int = 2000) -> ErmReport:
 #
 # The regression solver minimizes a mean loss of the scores s = Z x over the
 # design Z = [U, -1] and x = (w, t), as the Newton solver does.  It supplies
-# value(s), which returns the mean objective and the clipped predictions v,
-# and slope(s, v), the objective's pointwise derivative in s.  ``_descend``
-# owns the scores: it forms them by one product Z x per trial point, and the
-# gradient Z^T slope(s, v) / n by one product per accepted point, reusing the
-# v its value computed.  Z is column-major: numpy's product with a C-ordered
-# n x (k + 1) matrix runs one short dot product per row, and at n = 8192 and
-# k = 10 it takes about 1.6x as long, on one BLAS thread, as the column sweep.
+# value(s, r, work), which fills r with the per-row values its slope reads
+# and returns the mean objective, and slope(s, r, out), which writes the
+# objective's pointwise derivative in s to out.  ``_descend`` owns the
+# scores and every length-n buffer: it forms the scores by one product Z x
+# per trial point, written in place, and the gradient Z^T slope(s, r) / n by
+# one product per accepted point, reusing the r its value computed, so a
+# trial allocates no length-n array.  Z is column-major: numpy's product
+# with a C-ordered n x (k + 1) matrix runs one short dot product per row, and
+# at n = 8192 and k = 10 it takes about 1.6x as long, on one BLAS thread, as
+# the column sweep.
 
 _CHECKPOINT_EVERY = 50
 _PLATEAU_FACTOR = 1e-10
@@ -555,20 +564,23 @@ def _descend(U: np.ndarray, value, slope, x0: np.ndarray, iters: int, plateau_to
     Z[:, :k] = U
     Z[:, k] = -1.0
     x = x0.astype(float).copy()
-    s = Z @ x
-    obj, v = value(s)
+    # The scores and value rows of the current point and of the trial, and
+    # a scratch row; an accepted trial swaps the two pairs.
+    s, r, trial_s, trial_r, work = np.empty((5, n))
+    obj = value(np.matmul(Z, x, out=s), r, work)
     checkpoints = [obj]
     lr = _LR_INIT
     window_start = obj
     for it in range(iters):
-        g = Z.T @ slope(s, v) / n
+        g = Z.T @ slope(s, r, work) / n
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = x - lr * g
-            trial_s = Z @ trial
-            trial_obj, trial_v = value(trial_s)
+            trial_obj = value(np.matmul(Z, trial, out=trial_s), trial_r, work)
             if np.isfinite(trial_obj) and trial_obj <= obj:
-                x, s, v, obj = trial, trial_s, trial_v, trial_obj
+                x, obj = trial, trial_obj
+                s, trial_s = trial_s, s
+                r, trial_r = trial_r, r
                 lr *= _LR_GROW
                 accepted = True
                 break
@@ -619,29 +631,45 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
         raise ValueError("y must have one label per row of U")
     # Validate the label domain up front against the loss.
     eval_loss(loss, np.zeros_like(y), y)
-    k = U.shape[1]
+    n, k = U.shape
     beta = loss.beta
 
+    # The loss formulas of ``_loss_values`` on the clipped predictions v,
+    # evaluated in place: r holds v - y for the squared loss, whose slope
+    # reuses that residual, and v itself for kl.
     if loss.kind == "squared":
 
-        def pointwise_slope(v):
-            return 2.0 * (v - y)
+        def loss_values(r, out):
+            np.subtract(r, y, out=r)
+            return np.square(r, out=out)
+
+        def pointwise_slope(r, out):
+            return np.multiply(r, 2.0, out=out)
 
         w0, t0 = ols_init(U, y)
         x0 = np.concatenate([w0, [t0]])
     else:
+        label_sign = -(2.0 * y - 1.0)
 
-        def pointwise_slope(v):
-            return _expit(v) - y
+        def loss_values(r, out):
+            return np.logaddexp(0.0, np.multiply(label_sign, r, out=out), out=out)
+
+        def pointwise_slope(r, out):
+            return np.subtract(_expit(r), y, out=out)
 
         x0 = np.zeros(k + 1)
 
-    def value(s):
-        v = np.clip(s, -beta, beta)
-        return float(np.mean(_loss_values(loss, v, y))), v
+    def value(s, r, work):
+        np.clip(s, -beta, beta, out=r)
+        return float(np.mean(loss_values(r, work)))
 
-    def slope(s, v):
-        return np.where(np.abs(s) < beta, pointwise_slope(v), 0.0)
+    clipped = np.empty(n, dtype=bool)
+
+    def slope(s, r, out):
+        # np.where(|s| < beta, pointwise_slope, 0), without its temporaries
+        np.logical_not(np.less(np.abs(s, out=out), beta, out=clipped), out=clipped)
+        np.copyto(pointwise_slope(r, out), 0.0, where=clipped)
+        return out
 
     x, checkpoints = _descend(U, value, slope, x0, iters, _PLATEAU_FACTOR * loss.bound)
 

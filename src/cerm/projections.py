@@ -121,6 +121,29 @@ class AxisPoints:
         return dense
 
 
+# Dense n x d point sets are built and scored in row blocks of about this
+# many bytes, so that a block stays in cache while every step that reads it
+# runs.
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n: int, d: int) -> list[slice]:
+    """Slices that cover the rows of an n x d array in blocks of about
+    ``_BLOCK_BYTES``.
+
+    Every block but the last holds a multiple of four rows, and the last
+    never holds one row alone.  OpenBLAS's gemv kernels score rows four at a
+    time, and numpy sends a one-row product to a dot kernel that rounds
+    differently; with these blocks, on one BLAS thread, each row of
+    ``X[block] @ w`` equals that row of ``X @ w`` bit for bit.
+    """
+    rows = 4 * max(1, _BLOCK_BYTES // (32 * max(d, 1)))
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def sample_projection(family: str, k: int, d: int, seed: int) -> ProjectionMap:
     """Draw a compression map; a pure function of (family, k, d, seed)."""
     if k < 1 or d < 1:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LOSS_KINDS, LossSpec, bayes_action, eval_loss, make_loss
-from .projections import AxisPoints
+from .projections import AxisPoints, _row_blocks
 from .riskbounds import RiskEstimate
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "check_moment",
     "check_tsybakov",
     "check_spectral_decay",
-    "dist_to_config",
     "dist_from_config",
 ]
 
@@ -446,17 +445,28 @@ class GaussMarginDist:
         return e / np.linalg.norm(e)
 
     def sample(self, n: int, seed: int):
+        """n labeled draws (X, y), a pure function of (n, seed).
+
+        X is built in place in the Gaussian draw, one cache-sized block of
+        rows at a time: each row is projected off w, scaled to unit length
+        and then to its radius, and shifted by (M + t) w.  Each step is
+        elementwise or per row, so X needs no n x d temporary.
+        """
         rng = np.random.default_rng(seed)
         m, radius = self._draw_margin_radius(n, rng)
-        g = rng.standard_normal((n, self.d))
-        g -= (g @ self.w)[:, None] * self.w[None, :]
-        norms = np.linalg.norm(g, axis=1)
-        bad = norms < 1e-30
-        if np.any(bad):
-            g[bad] = self._orthogonal_fallback()
-            norms[bad] = 1.0
-        theta = g / norms[:, None]
-        X = (m + self.t)[:, None] * self.w[None, :] + radius[:, None] * theta
+        X = rng.standard_normal((n, self.d))
+        shift = m + self.t
+        for rows in _row_blocks(n, self.d):
+            g = X[rows]
+            g -= (g @ self.w)[:, None] * self.w[None, :]
+            norms = np.linalg.norm(g, axis=1)
+            bad = norms < 1e-30
+            if np.any(bad):
+                g[bad] = self._orthogonal_fallback()
+                norms[bad] = 1.0
+            g /= norms[:, None]
+            g *= radius[rows, None]
+            g += shift[rows, None] * self.w[None, :]
         sign = np.where(m >= 0.0, 1.0, -1.0)
         eta = (1.0 + sign * self._confidence(np.abs(m))) / 2.0
         y = np.where(rng.random(n) < eta, 1.0, -1.0)
@@ -559,7 +569,8 @@ class RegressionDist:
 
     def sample(self, n: int, seed: int):
         rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, self.d)) * self._scales[None, :]
+        X = rng.standard_normal((n, self.d))
+        X *= self._scales[None, :]
         s = self._signal(X)
         if self.noise is not None and self.noise[1] > 0:
             s = s + rng.uniform(-self.noise[1], self.noise[1], size=n)
@@ -738,54 +749,8 @@ def check_spectral_decay(X, top: int = 20) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# declarative (de)serialization
+# distributions from declarative configs
 # ---------------------------------------------------------------------------
-
-
-def dist_to_config(dist) -> dict:
-    """Serialize a distribution to a plain JSON-able dict."""
-    if isinstance(dist, AssouadDist):
-        return {
-            "type": "assouad",
-            "q": dist.q,
-            "r": dist.r,
-            "v": dist.v,
-            "epsilon": dist.epsilon,
-            "sigma": [int(s) for s in dist.sigma],
-        }
-    if isinstance(dist, GaussMarginDist):
-        return {
-            "type": "gauss_margin",
-            "d": dist.d,
-            "gamma": dist.gamma,
-            "rho": dist.rho,
-            "alpha": dist.alpha,
-            "w": [float(x) for x in dist.w],
-            "t": dist.t,
-            "radius_cap": dist.radius_cap,
-        }
-    if isinstance(dist, RegressionDist):
-        return {
-            "type": "regression",
-            "d": dist.d,
-            "spectral_constant": dist.spectral_constant,
-            "spectral_decay": dist.spectral_decay,
-            "w": [float(x) for x in dist.w],
-            "t": dist.t,
-            "beta": dist.beta,
-            "noise": None if dist.noise is None else {"kind": dist.noise[0], "amplitude": dist.noise[1]},
-            "w_max": dist.w_max,
-        }
-    if isinstance(dist, FiniteSupportDist):
-        return {
-            "type": "finite",
-            "points": dist.points.tolist(),
-            "probs": dist.probs.tolist(),
-            "label_values": dist.label_values.tolist(),
-            "label_probs": dist.label_probs.tolist(),
-            "loss": {"kind": dist.loss_spec.kind, "beta": dist.loss_spec.beta},
-        }
-    raise TypeError(f"cannot serialize distribution of type {type(dist).__name__}")
 
 
 class ConfigError(ValueError):
@@ -896,7 +861,7 @@ _CONFIG_SCHEMA = {
 
 
 def dist_from_config(config: dict):
-    """Inverse of dist_to_config.
+    """Build the distribution a JSON config describes.
 
     Raises ConfigError for an unknown type or field, and for a field of the
     wrong kind: an integer field takes only integers, a number field only

@@ -11,7 +11,7 @@ from cerm.ensemble import (
 )
 from cerm.losses import bayes_action, eval_loss, make_loss
 from cerm.hypotheses import LinearHypothesis
-from cerm.projections import FAMILIES, AxisPoints, apply, sample_projection
+from cerm.projections import FAMILIES, AxisPoints, _row_blocks, apply, sample_projection
 from cerm.riskbounds import estimate_compressibility, estimate_excess_risk
 from cerm.seeds import derive_seed
 from cerm.synthdist import AssouadDist, GaussMarginDist, RegressionDist
@@ -154,8 +154,16 @@ def _reference_excess_risk(predictor, dist, n_test, seed):
     return float(np.mean(values))
 
 
+def _blocked_n_test(d):
+    """An evaluation size of three full row blocks and a ragged fourth."""
+    return 3 * _row_blocks(1 << 18, d)[0].stop + 17
+
+
 def _trained_case(case):
-    """(dist, model, n_test) for each branch of the excess-risk estimator."""
+    """(dist, model, n_test) for each branch of the excess-risk estimator.
+
+    The continuous laws' test sets span several row blocks, so the one-pass
+    scoring runs block by block with a ragged last block."""
     if case == "atoms":
         sigma = np.where(np.arange(9) % 3 == 0, 1.0, -1.0)
         dist = AssouadDist(q=9, r=2.0, v=0.6, epsilon=0.3, sigma=sigma)
@@ -167,13 +175,13 @@ def _trained_case(case):
         dist, X, y = classification_data(n=200, seed=5)
         model = train_ensemble(X, y, dist.loss_spec, "gaussian", k=4, m=6,
                                master_seed=9, iters=100)
-        return dist, model, 3000
+        return dist, model, _blocked_n_test(dist.d)
     dist = RegressionDist(d=6, spectral_constant=1.0, spectral_decay=0.5,
                           w=np.full(6, 0.5))
     X, y = dist.sample(150, seed=4)
     model = train_ensemble(X, y, dist.loss_spec, "gaussian", k=3, m=5,
                            master_seed=2, iters=200)
-    return dist, model, 3000
+    return dist, model, _blocked_n_test(dist.d)
 
 
 @pytest.mark.parametrize("case", ["atoms", "eta", "regression"])

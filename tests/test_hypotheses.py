@@ -18,7 +18,7 @@ from cerm.hypotheses import (
     fit,
     ols_init,
 )
-from cerm.losses import eval_loss, make_loss
+from cerm.losses import _loss_values, eval_loss, make_loss
 from cerm.projections import apply, sample_projection
 from cerm.riskbounds import optimal_k_classification, optimal_k_regression
 from cerm.synthdist import AssouadDist, GaussMarginDist, RegressionDist
@@ -864,6 +864,94 @@ def test_regression_results_do_not_depend_on_the_layout_of_u():
             assert report.hypothesis.t == first.hypothesis.t
             assert report.objective_checkpoints == first.objective_checkpoints
             assert report.empirical_risk == first.empirical_risk
+
+
+def allocating_descend(U, value, slope, x0, iters, plateau_tol):
+    """The regression descent as it was before it kept its length-n buffers:
+    every trial allocates fresh scores, clipped predictions and loss rows."""
+    n, k = U.shape
+    Z = np.empty((n, k + 1), order="F")
+    Z[:, :k] = U
+    Z[:, k] = -1.0
+    x = x0.astype(float).copy()
+    s = Z @ x
+    obj, v = value(s)
+    checkpoints = [obj]
+    lr = 1.0
+    window_start = obj
+    for it in range(iters):
+        g = Z.T @ slope(s, v) / n
+        accepted = False
+        for _ in range(40):
+            trial = x - lr * g
+            trial_s = Z @ trial
+            trial_obj, trial_v = value(trial_s)
+            if np.isfinite(trial_obj) and trial_obj <= obj:
+                x, s, v, obj = trial, trial_s, trial_v, trial_obj
+                lr *= 1.3
+                accepted = True
+                break
+            lr *= 0.5
+        if not accepted:
+            break
+        if (it + 1) % 50 == 0:
+            checkpoints.append(obj)
+            if window_start - obj < plateau_tol:
+                break
+            window_start = obj
+    if checkpoints[-1] != obj:
+        checkpoints.append(obj)
+    return x, tuple(checkpoints)
+
+
+def allocating_regression(U, y, loss, iters):
+    """erm_regression's (w, t, checkpoints, empirical risk) from the
+    allocating descent and its value and slope closures."""
+    k = U.shape[1]
+    beta = loss.beta
+    if loss.kind == "squared":
+
+        def pointwise_slope(v):
+            return 2.0 * (v - y)
+
+        w0, t0 = ols_init(U, y)
+        x0 = np.concatenate([w0, [t0]])
+    else:
+
+        def pointwise_slope(v):
+            return hypotheses._expit(v) - y
+
+        x0 = np.zeros(k + 1)
+
+    def value(s):
+        v = np.clip(s, -beta, beta)
+        return float(np.mean(_loss_values(loss, v, y))), v
+
+    def slope(s, v):
+        return np.where(np.abs(s) < beta, pointwise_slope(v), 0.0)
+
+    x, checkpoints = allocating_descend(U, value, slope, x0, iters, 1e-10 * loss.bound)
+    h = LinearHypothesis(w=x[:k], t=float(x[k]), mode="clip", beta=beta)
+    risk = float(np.mean(eval_loss(loss, h.predict(np.asfortranarray(U)), y)))
+    return x[:k], x[k], checkpoints, risk
+
+
+def test_in_place_descent_matches_the_allocating_descent_bit_for_bit():
+    rng = np.random.default_rng(94)
+    for n, k, iters in ((2000, 10, 300), (300, 3, 400), (64, 1, 2000)):
+        U = rng.standard_normal((n, k))
+        w = rng.standard_normal(k)
+        # Scores range past the clip, so both sides of its kink are exercised.
+        target = np.clip(0.6 * np.tanh(U @ w) + 0.3 * rng.standard_normal(n), -0.8, 0.8)
+        binary = (np.sign(U @ w + 0.5 * rng.standard_normal(n)) + 1.0) / 2.0
+        for loss, y in ((make_loss("squared", beta=0.8), target), (make_loss("kl", beta=1.5), binary)):
+            report = erm_regression(U, y, loss, iters=iters)
+            w_ref, t_ref, checkpoints, risk = allocating_regression(U, y, loss, iters)
+            assert len(checkpoints) > 2
+            assert np.array_equal(report.hypothesis.w, w_ref)
+            assert report.hypothesis.t == t_ref
+            assert report.objective_checkpoints == checkpoints
+            assert report.empirical_risk == risk
 
 
 def test_regression_descent_calls_the_checked_loss_a_fixed_number_of_times(monkeypatch):

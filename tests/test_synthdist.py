@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cerm.losses import make_loss
-from cerm.projections import AxisPoints
+from cerm.projections import AxisPoints, _row_blocks
 from cerm.synthdist import (
     AssouadDist,
     FiniteSupportDist,
@@ -20,7 +21,6 @@ from cerm.synthdist import (
     check_tsybakov,
     chi_squared_adjacent,
     dist_from_config,
-    dist_to_config,
 )
 
 
@@ -231,6 +231,83 @@ def test_gauss_margin_validation():
         GaussMarginDist(3, gamma=2.0, rho=3.0, alpha=0.5, radius_cap=0.5)
 
 
+def whole_array_gauss_margin_sample(dist, n, seed):
+    """GaussMarginDist.sample as whole-array steps, each with its own n x d
+    temporaries: the reference the in-place, blocked draw must equal."""
+    rng = np.random.default_rng(seed)
+    m, radius = dist._draw_margin_radius(n, rng)
+    g = rng.standard_normal((n, dist.d))
+    g -= (g @ dist.w)[:, None] * dist.w[None, :]
+    norms = np.linalg.norm(g, axis=1)
+    bad = norms < 1e-30
+    if np.any(bad):
+        g[bad] = dist._orthogonal_fallback()
+        norms[bad] = 1.0
+    theta = g / norms[:, None]
+    X = (m + dist.t)[:, None] * dist.w[None, :] + radius[:, None] * theta
+    sign = np.where(m >= 0.0, 1.0, -1.0)
+    eta = (1.0 + sign * dist._confidence(np.abs(m))) / 2.0
+    y = np.where(rng.random(n) < eta, 1.0, -1.0)
+    return X, y
+
+
+def oblique_gauss_margin(d):
+    w = np.linspace(1.0, 2.0, d)
+    return GaussMarginDist(d, gamma=2.0, rho=2.0, alpha=0.4, w=w / np.linalg.norm(w), t=0.3)
+
+
+@pytest.mark.parametrize("d", [2, 50])
+def test_gauss_margin_blocked_draw_equals_the_whole_array_draw(d):
+    """Bit for bit, at sizes around one row block and past several blocks
+    with a ragged last one.  (With BLAS on several threads, the whole-array
+    product X @ w itself can round differently at some sizes; the benchmark
+    and these sizes run it as one thread would.)"""
+    dist = oblique_gauss_margin(d)
+    block = _row_blocks(1 << 18, d)[0].stop
+    for n in (1, block - 1, block, block + 1, 3 * block + 17):
+        X, y = dist.sample(n, seed=n)
+        X_ref, y_ref = whole_array_gauss_margin_sample(dist, n, seed=n)
+        assert np.array_equal(X, X_ref) and np.array_equal(y, y_ref), n
+        assert X.flags.c_contiguous
+
+
+def test_gauss_margin_draw_builds_no_full_size_temporary():
+    """The whole-array steps peak near 4x the returned bytes; in place, the
+    draw stays under 1.3x them."""
+    dist = oblique_gauss_margin(50)
+    tracemalloc.start()
+    try:
+        X, y = dist.sample(50_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = X.nbytes + y.nbytes
+    assert peak < 1.3 * returned, f"peak {peak / returned:.2f}x the returned bytes"
+
+
+def test_row_blocks_cover_the_rows_in_multiples_of_four():
+    for d in (1, 5, 50, 3001, 10**7):
+        rows = _row_blocks(1 << 18, d)[0].stop
+        assert rows % 4 == 0 and rows * d * 8 <= max(2**20, 32 * d)
+        for n in (0, 1, 2, rows - 1, rows, rows + 1, rows + 2, 3 * rows + 1, 3 * rows + 17):
+            blocks = _row_blocks(n, d)
+            covered = np.concatenate([np.arange(n)[b] for b in blocks]) if blocks else []
+            assert np.array_equal(covered, np.arange(n))
+            assert all(b.start % 4 == 0 for b in blocks)
+            assert n < 2 or blocks[-1].stop - blocks[-1].start > 1
+
+
+def test_regression_draw_scales_the_gaussian_draw_in_place():
+    dist = RegressionDist(d=7, spectral_constant=1.0, spectral_decay=0.5, w=np.full(7, 0.3),
+                          noise=("bounded_uniform", 0.2))
+    X, y = dist.sample(1000, seed=8)
+    rng = np.random.default_rng(8)
+    X_ref = rng.standard_normal((1000, 7)) * dist._scales[None, :]
+    assert np.array_equal(X, X_ref)
+    s = dist._signal(X_ref) + rng.uniform(-0.2, 0.2, size=1000)
+    assert np.array_equal(y, np.clip(s, -dist.beta, dist.beta))
+
+
 def test_checker_geometric_margin_recovers_exponent():
     dist = GaussMarginDist(6, gamma=2.0, rho=3.0, alpha=0.5)
     out = check_geometric_margin(dist, np.geomspace(0.05, 0.8, 6), mc_n=200_000, seed=101)
@@ -350,18 +427,6 @@ def test_regression_w_max_rejection():
                        noise=("gaussian", 0.1))
 
 
-def test_dist_config_round_trips():
-    dists = [
-        two_atom_dist(),
-        AssouadDist(q=4, r=1.5, v=0.5, epsilon=0.3, sigma=[1, -1, 1, -1]),
-        GaussMarginDist(5, gamma=2.0, rho=3.0, alpha=0.5, t=0.2),
-        RegressionDist(d=3, spectral_constant=2.0, spectral_decay=0.5,
-                       w=np.array([1.0, 0.5, 0.25]), t=0.1, beta=2.0,
-                       noise=("bounded_uniform", 0.4)),
-    ]
-    for dist in dists:
-        config = dist_to_config(dist)
-        clone = dist_from_config(config)
-        assert dist_to_config(clone) == config
+def test_dist_from_config_refuses_an_unknown_type():
     with pytest.raises(ValueError):
         dist_from_config({"type": "nope"})
