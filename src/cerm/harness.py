@@ -21,6 +21,7 @@ calibrated certificate.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -46,11 +47,14 @@ from .riskbounds import (
 )
 from .seeds import derive_seed
 from .synthdist import (
+    _REQUIRED,
     ConfigError,
     _int_field,
     _loss,
     _number_field,
-    _object,
+    _number_in,
+    _one_of,
+    _read_fields,
     _require,
     dist_from_config,
 )
@@ -85,8 +89,6 @@ CSV_COLUMNS = (
     "wall_time_ms",
 )
 
-_K_RULES = ("fixed", "classification", "regression")
-
 #: The numerical failures a trial records in its row's error column.  Any
 #: other exception is a fault in the program or its input and ends the run.
 _TRIAL_FAILURES = (
@@ -102,21 +104,149 @@ class InsufficientPointsError(ValueError):
 
 
 def config_hash(config_dict: dict) -> str:
-    """sha256 over the canonical JSON form of the parsed config."""
+    """sha256 over the canonical JSON form of the config as written, without the defaults."""
     canon = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _int_list(raw, path: str) -> tuple[int, ...]:
-    _require(isinstance(raw, (list, tuple)) and len(raw) > 0, path, "must be a non-empty list")
-    return tuple(_int_field(v, f"{path}[{i}]") for i, v in enumerate(raw))
+def _int_list(value, path: str) -> tuple[int, ...]:
+    _require(isinstance(value, (list, tuple)) and len(value) > 0, path, "must be a non-empty list")
+    return tuple(_int_field(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _output(value, path: str) -> str:
+    _require(isinstance(value, str) and len(value) > 0, path, "must be a non-empty path stem")
+    return value
+
+
+def _distribution(value, path: str):
+    """The law the config describes, built once per parse."""
+    _require(isinstance(value, dict), path, "must be an object")
+    try:
+        return dist_from_config(value)
+    except ValueError as exc:  # ConfigError, LossDomainError and the constructors' refusals
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _exponent(message: str, in_range):
+    """A reader of a k-rule exponent: a number, then one that passes ``in_range``."""
+    return lambda value, path: _number_in(message, in_range)(_number_field(value, path), path)
+
+
+#: Each k rule's fields besides ``rule``, as field -> (reader, default).
+_K_RULE_FIELDS = {
+    "fixed": {"k": (_int_field, _REQUIRED)},
+    "classification": {
+        "gamma": (_exponent("must be positive", lambda v: v > 0), _REQUIRED),
+        "rho": (_exponent("must be positive", lambda v: v > 0), _REQUIRED),
+        "alpha": (_exponent("must lie in [0, 1)", lambda v: 0 <= v < 1), _REQUIRED),
+    },
+    "regression": {},
+}
+
+
+def _k_rule(value, path: str) -> dict:
+    _require(isinstance(value, dict), path, "must be an object")
+    rule = _one_of(tuple(_K_RULE_FIELDS))(value.get("rule"), f"{path}.rule")
+    return {"rule": rule, **_read_fields(value, path, _K_RULE_FIELDS[rule], extra=("rule",))}
+
+
+def _compressibility(value, path: str) -> dict:
+    fields = {"reps": (_int_field, _REQUIRED), "pop_factor": (_int_field, _REQUIRED)}
+    return _read_fields(value, path, fields)
+
+
+#: The top-level config keys, as field -> (reader, default).  A field whose
+#: default is None may be null; the checks below fill ``loss`` and
+#: ``bracket_alpha`` when they are.
+_FIELDS = {
+    "distribution": (_distribution, _REQUIRED),
+    "loss": (_loss, None),
+    "family": (_one_of(FAMILIES), "gaussian"),
+    "n_list": (_int_list, _REQUIRED),
+    "m_list": (_int_list, _REQUIRED),
+    "k_rule": (_k_rule, _REQUIRED),
+    "trials": (_int_field, _REQUIRED),
+    "n_test": (_int_field, 100_000),
+    "master_seed": (lambda value, path: _int_field(value, path, minimum=0), 0),
+    "solver": (_one_of(("surrogate", "exact"), "must be 'surrogate' or 'exact'"), "surrogate"),
+    "solver_iters": (_int_field, 2000),
+    "output": (_output, _REQUIRED),
+    "compressibility": (_compressibility, None),
+    "bracket_alpha": (_number_in("must lie in [0, 1]", lambda v: 0 <= v <= 1), None),
+    "delta": (_number_in("must lie in (0, 1)", lambda v: 0 < v < 1), 0.05),
+    "threads": (_int_field, 1),
+}
+
+
+def _loss_matches_law(values: dict):
+    """``loss`` defaults to the law's own; a loss written out must agree with it."""
+    law = values["distribution"].loss_spec
+    loss = values["loss"] = law if values["loss"] is None else values["loss"]
+    _require(loss.kind == law.kind, "loss.kind", f"distribution expects {law.kind!r}")
+    beta_agrees = loss.kind == "zero_one" or loss.beta == law.beta
+    _require(beta_agrees, "loss.beta", f"distribution expects beta = {law.beta}")
+
+
+def _k_rule_matches_law(values: dict):
+    """The classification rule's exponents must be the law's, where it has them."""
+    for name in ("gamma", "rho", "alpha"):
+        configured = getattr(values["distribution"], name, None)
+        if name in values["k_rule"] and configured is not None:
+            _require(
+                values["k_rule"][name] == float(configured),
+                f"k_rule.{name}",
+                f"inconsistent with the distribution's value {configured}",
+            )
+
+
+def _exact_solver_limits(values: dict):
+    """The exact solver takes the zero-one loss only, and refuses larger
+    inputs: such a config would only record ScaleGuardError in every trial
+    after sampling, or end the run in the compressibility fits."""
+    if values["solver"] != "exact":
+        return
+    _require(values["loss"].kind == "zero_one", "solver", "'exact' is only defined for the zero-one loss")
+    for n in values["n_list"]:
+        _require(n <= EXACT_MAX_N, "n_list", f"the exact solver takes n <= {EXACT_MAX_N}, got {n}")
+        k = _k_for(values["k_rule"], n)
+        _require(
+            k <= EXACT_MAX_K,
+            "k_rule",
+            f"the exact solver takes k <= {EXACT_MAX_K}, but the rule gives k = {k} at n = {n}",
+        )
+    if values["compressibility"] is not None:
+        pop_n = values["compressibility"]["pop_factor"] * max(values["n_list"])
+        _require(
+            pop_n <= EXACT_MAX_N,
+            "compressibility.pop_factor",
+            f"the exact solver takes n <= {EXACT_MAX_N}, but the fits use {pop_n} points",
+        )
+
+
+def _bracket_alpha_default(values: dict):
+    """The bracket's noise exponent, unless written out: the classification
+    rule's alpha, 0 for the zero-one loss at a fixed k, and 1 otherwise."""
+    if values["bracket_alpha"] is None:
+        k_rule = values["k_rule"]
+        fixed_zero_one = k_rule["rule"] == "fixed" and values["loss"].kind == "zero_one"
+        values["bracket_alpha"] = k_rule.get("alpha", 0.0 if fixed_zero_one else 1.0)
+
+
+#: The checks that involve more than one field, run in this order after the
+#: readers; the later ones read the loss the first one fills in.
+_CROSS_FIELD_CHECKS = (_loss_matches_law, _k_rule_matches_law, _exact_solver_limits, _bracket_alpha_default)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description.  Build with ``from_dict``."""
+    """Validated experiment description.  Build with ``from_dict``.
 
-    dist_config: dict
+    Each field but ``raw`` holds its key's parsed value, defaults filled in;
+    ``distribution`` holds the law.  ``raw`` is a copy of the config as written.
+    """
+
+    distribution: object
     loss: LossSpec
     family: str
     n_list: tuple[int, ...]
@@ -129,174 +259,23 @@ class ExperimentConfig:
     solver_iters: int
     output: str
     compressibility: dict | None
-    bracket_alpha: float | None
+    bracket_alpha: float
     delta: float
     threads: int
     raw: dict
 
-    _KNOWN_KEYS = frozenset(
-        {
-            "distribution",
-            "loss",
-            "family",
-            "n_list",
-            "m_list",
-            "k_rule",
-            "trials",
-            "n_test",
-            "master_seed",
-            "solver",
-            "solver_iters",
-            "output",
-            "compressibility",
-            "bracket_alpha",
-            "delta",
-            "threads",
-        }
-    )
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "", "config must be a JSON object")
-        _object(raw, "", cls._KNOWN_KEYS)
-
-        dist_config = raw.get("distribution")
-        _require(isinstance(dist_config, dict), "distribution", "must be an object")
-        try:
-            dist = dist_from_config(dist_config)
-        except Exception as exc:
-            raise ConfigError(f"distribution: {exc}") from exc
-
-        loss_cfg = raw.get("loss")
-        if loss_cfg is None:
-            loss = dist.loss_spec
-        else:
-            loss = _loss(loss_cfg, "loss")
-            _require(
-                loss.kind == dist.loss_spec.kind,
-                "loss.kind",
-                f"distribution expects {dist.loss_spec.kind!r}",
-            )
-            if loss.kind != "zero_one":
-                _require(
-                    loss.beta == dist.loss_spec.beta,
-                    "loss.beta",
-                    f"distribution expects beta = {dist.loss_spec.beta}",
-                )
-
-        family = raw.get("family", "gaussian")
-        _require(family in FAMILIES, "family", f"must be one of {FAMILIES}")
-
-        n_list = _int_list(raw.get("n_list"), "n_list")
-        m_list = _int_list(raw.get("m_list"), "m_list")
-
-        k_rule = raw.get("k_rule")
-        _require(isinstance(k_rule, dict), "k_rule", "must be an object")
-        rule = k_rule.get("rule")
-        _require(rule in _K_RULES, "k_rule.rule", f"must be one of {_K_RULES}")
-        if rule == "fixed":
-            _object(k_rule, "k_rule", {"rule", "k"})
-            _int_field(k_rule.get("k"), "k_rule.k")
-        elif rule == "classification":
-            _object(k_rule, "k_rule", {"rule", "gamma", "rho", "alpha"})
-            for name in ("gamma", "rho", "alpha"):
-                val = _number_field(k_rule.get(name), f"k_rule.{name}", "must be a number")
-                configured = getattr(dist, name, None)
-                if configured is not None:
-                    _require(
-                        val == float(configured),
-                        f"k_rule.{name}",
-                        f"inconsistent with the distribution's value {configured}",
-                    )
-            _require(k_rule["gamma"] > 0, "k_rule.gamma", "must be positive")
-            _require(k_rule["rho"] > 0, "k_rule.rho", "must be positive")
-            _require(0 <= k_rule["alpha"] < 1, "k_rule.alpha", "must lie in [0, 1)")
-        else:
-            _object(k_rule, "k_rule", {"rule"})
-
-        trials = _int_field(raw.get("trials"), "trials")
-        n_test = _int_field(raw.get("n_test", 100_000), "n_test")
-        master_seed = _int_field(raw.get("master_seed", 0), "master_seed", minimum=0)
-
-        solver = raw.get("solver", "surrogate")
-        _require(solver in ("surrogate", "exact"), "solver", "must be 'surrogate' or 'exact'")
-        if solver == "exact":
-            _require(loss.kind == "zero_one", "solver", "'exact' is only defined for the zero-one loss")
-        solver_iters = _int_field(raw.get("solver_iters", 2000), "solver_iters")
-
-        output = raw.get("output")
-        _require(isinstance(output, str) and len(output) > 0, "output", "must be a non-empty path stem")
-
-        compressibility = raw.get("compressibility")
-        if compressibility is not None:
-            _object(compressibility, "compressibility", {"reps", "pop_factor"})
-            for name in ("reps", "pop_factor"):
-                _int_field(compressibility.get(name), f"compressibility.{name}")
-
-        if solver == "exact":
-            # The exact solver refuses larger inputs, so such a config would
-            # only record ScaleGuardError in every trial after sampling, or
-            # end the run in the compressibility fits.
-            for n in n_list:
-                _require(n <= EXACT_MAX_N, "n_list", f"the exact solver takes n <= {EXACT_MAX_N}, got {n}")
-                k = _k_for(k_rule, n)
-                _require(
-                    k <= EXACT_MAX_K,
-                    "k_rule",
-                    f"the exact solver takes k <= {EXACT_MAX_K}, but the rule gives k = {k} at n = {n}",
-                )
-            if compressibility is not None:
-                pop_n = compressibility["pop_factor"] * max(n_list)
-                _require(
-                    pop_n <= EXACT_MAX_N,
-                    "compressibility.pop_factor",
-                    f"the exact solver takes n <= {EXACT_MAX_N}, but the fits use {pop_n} points",
-                )
-
-        bracket_alpha = raw.get("bracket_alpha")
-        if bracket_alpha is not None:
-            bracket_alpha = _number_field(
-                bracket_alpha, "bracket_alpha", "must lie in [0, 1]", lambda v: 0 <= v <= 1
-            )
-        delta = _number_field(
-            raw.get("delta", 0.05), "delta", "must lie in (0, 1)", lambda v: 0 < v < 1
-        )
-        threads = _int_field(raw.get("threads", 1), "threads")
-
-        return cls(
-            dist_config=dist_config,
-            loss=loss,
-            family=family,
-            n_list=n_list,
-            m_list=m_list,
-            k_rule=dict(k_rule),
-            trials=trials,
-            n_test=n_test,
-            master_seed=master_seed,
-            solver=solver,
-            solver_iters=solver_iters,
-            output=output,
-            compressibility=None if compressibility is None else dict(compressibility),
-            bracket_alpha=bracket_alpha,
-            delta=delta,
-            threads=threads,
-            raw=raw,
-        )
+        raw = copy.deepcopy(raw)  # later edits to the caller's dict change nothing here
+        values = _read_fields(raw, "", _FIELDS)
+        for check in _CROSS_FIELD_CHECKS:
+            check(values)
+        return cls(**values, raw=raw)
 
     def make_dist(self):
-        return dist_from_config(self.dist_config)
-
-    def resolve_bracket_alpha(self) -> float:
-        """Noise exponent used in the bracket: explicit config value first,
-        then the k rule's own exponent, then a conservative loss default."""
-        if self.bracket_alpha is not None:
-            return self.bracket_alpha
-        rule = self.k_rule["rule"]
-        if rule == "classification":
-            return float(self.k_rule["alpha"])
-        if rule == "regression":
-            return 1.0
-        return 0.0 if self.loss.kind == "zero_one" else 1.0
+        """A fresh copy of the parsed law, for one job to sample from."""
+        return copy.deepcopy(self.distribution)
 
 
 def _k_for(k_rule: dict, n: int) -> int:
@@ -404,7 +383,7 @@ def _run_trial(config: ExperimentConfig, dist, cell: Cell, trial: int, psi_hat: 
                 k=cell.k,
                 m=cell.m,
                 delta=config.delta,
-                alpha=config.resolve_bracket_alpha(),
+                alpha=config.bracket_alpha,
                 psi_hat=psi_hat,
             )
             row["bracket_total"] = bracket.total

@@ -762,14 +762,6 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
-def _object(value, path: str, known) -> dict:
-    """``value``, once it is an object at ``path`` with no key outside ``known``."""
-    _require(isinstance(value, dict), path, "must be an object")
-    for key in value:
-        _require(key in known, f"{path}.{key}" if path else key, "unknown config key")
-    return value
-
-
 # JSON true/false arrive as bool, which subclasses int: both field helpers
 # reject it explicitly so that `true` never passes as 1.  Neither converts a
 # string or truncates a fraction.  Python's json also parses NaN, Infinity
@@ -804,25 +796,58 @@ def _numbers(value, path: str) -> np.ndarray:
     return arr
 
 
-def _noise(value, path: str) -> tuple:
-    _object(value, path, {"kind", "amplitude"})
-    return value.get("kind"), _number_field(value.get("amplitude"), f"{path}.amplitude")
+def _number_in(message: str, in_range):
+    """A reader of a number that must pass ``in_range``; ``message`` refuses the rest."""
+    return lambda value, path: _number_field(value, path, message, in_range)
 
 
-def _loss(value, path: str) -> LossSpec:
-    _object(value, path, {"kind", "beta"})
-    kind = value.get("kind")
-    _require(kind in LOSS_KINDS, f"{path}.kind", f"must be one of {LOSS_KINDS}")
-    beta = _number_field(
-        value.get("beta", 1.0), f"{path}.beta", "must be positive", lambda v: v > 0
-    )
-    return make_loss(kind, beta)
+def _one_of(choices: tuple, message: str | None = None):
+    """A reader of a field that must equal one of ``choices``."""
+    message = message or f"must be one of {choices}"
+
+    def read(value, path: str):
+        _require(value in choices, path, message)
+        return value
+
+    return read
 
 
 _REQUIRED = object()
 
+
+def _read_fields(obj, path: str, fields: dict, extra=()) -> dict:
+    """The parsed ``fields``, field -> (reader, default), of the object at ``path``.
+
+    A key outside ``fields`` and ``extra`` (keys the caller reads) is refused.
+    A missing key takes its default; _REQUIRED goes to the reader, which
+    refuses it.  A field whose default is None may be null, and reads as None.
+    """
+    _require(isinstance(obj, dict), path, "must be an object")
+    prefix = f"{path}." if path else ""
+    for key in obj:
+        _require(key in fields or key in extra, prefix + key, "unknown config key")
+    values = {}
+    for name, (read, default) in fields.items():
+        value = obj.get(name, default)
+        values[name] = None if value is None and default is None else read(value, prefix + name)
+    return values
+
+
+def _noise(value, path: str) -> tuple:
+    fields = {"kind": (lambda kind, _: kind, None), "amplitude": (_number_field, _REQUIRED)}
+    return tuple(_read_fields(value, path, fields).values())
+
+
+def _loss(value, path: str) -> LossSpec:
+    fields = {
+        "kind": (_one_of(LOSS_KINDS), _REQUIRED),
+        "beta": (_number_in("must be positive", lambda v: v > 0), 1.0),
+    }
+    return make_loss(**_read_fields(value, path, fields))
+
+
 #: Each distribution type's class and the fields of its config, as
-#: field -> (reader, default).  A field whose default is None may be null.
+#: field -> (reader, default), read by ``_read_fields``.
 _CONFIG_SCHEMA = {
     "assouad": (AssouadDist, {
         "q": (_int_field, _REQUIRED),
@@ -868,15 +893,5 @@ def dist_from_config(config: dict):
     numbers, and neither takes JSON true or false.
     """
     kind = config.get("type") if isinstance(config, dict) else None
-    _require(
-        isinstance(kind, str) and kind in _CONFIG_SCHEMA,
-        "type",
-        f"must be one of {tuple(_CONFIG_SCHEMA)}",
-    )
-    cls, fields = _CONFIG_SCHEMA[kind]
-    _object(config, "", {"type", *fields})
-    kwargs = {}
-    for name, (read, default) in fields.items():
-        value = config.get(name, default)
-        kwargs[name] = None if value is None and default is None else read(value, name)
-    return cls(**kwargs)
+    cls, fields = _CONFIG_SCHEMA[_one_of(tuple(_CONFIG_SCHEMA))(kind, "type")]
+    return cls(**_read_fields(config, "", fields, extra=("type",)))

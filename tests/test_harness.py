@@ -3,11 +3,12 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from cerm import hypotheses
+from cerm import hypotheses, synthdist
 from cerm.harness import (
     CSV_COLUMNS,
     THREADS_ENV_VAR,
@@ -204,6 +205,34 @@ def test_config_list_and_scalar_validation(tmp_path):
         ExperimentConfig.from_dict(regression_config(tmp_path, output=""))
 
 
+#: An override value that removes the key from the config.
+ABSENT = object()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"family": "bogus"}, "family: must be one of ('gaussian', 'rademacher', 'achlioptas_sparse')"),
+        ({"solver": "annealed"}, "solver: must be 'surrogate' or 'exact'"),
+        ({"n_test": 0}, "n_test: must be an integer >= 1"),
+        ({"master_seed": -1}, "master_seed: must be an integer >= 0"),
+        ({"threads": 0}, "threads: must be an integer >= 1"),
+        ({"bracket_alpha": 1.5}, "bracket_alpha: must lie in [0, 1]"),
+        ({"delta": 0}, "delta: must lie in (0, 1)"),
+        ({"output": 5}, "output: must be a non-empty path stem"),
+        ({"trials": ABSENT}, "trials: must be an integer >= 1"),
+        (None, ": config must be a JSON object"),
+    ],
+)
+def test_config_refusal_names_its_field(tmp_path, override, message):
+    if override is None:  # the config is a JSON list, not an object
+        cfg = [regression_config(tmp_path)]
+    else:
+        cfg = {k: v for k, v in regression_config(tmp_path, **override).items() if v is not ABSENT}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(cfg)
+
+
 def test_solver_iters_defaults_at_parse_time_only(tmp_path):
     cfg = regression_config(tmp_path)
     del cfg["solver_iters"]
@@ -259,6 +288,40 @@ def test_config_refuses_exact_sizes_the_solver_refuses(tmp_path):
     # The surrogate solver has no size limit.
     big = classification_config(tmp_path, n_list=[1000], k_rule={"rule": "fixed", "k": 5})
     assert ExperimentConfig.from_dict(big).solver == "surrogate"
+
+
+def test_bracket_alpha_defaults_at_parse_time(tmp_path):
+    rule = {"rule": "classification", "gamma": 2.0, "rho": 2.0, "alpha": 0.25}
+    law = {"type": "gauss_margin", "d": 5, "gamma": 2.0, "rho": 2.0, "alpha": 0.25}
+    for cfg, alpha in (
+        (classification_config(tmp_path, distribution=law, k_rule=rule), 0.25),
+        (classification_config(tmp_path), 0.0),  # fixed k, zero-one loss
+        (regression_config(tmp_path), 1.0),  # fixed k, squared loss
+        (regression_config(tmp_path, k_rule={"rule": "regression"}), 1.0),
+        (regression_config(tmp_path, bracket_alpha=0.5), 0.5),
+    ):
+        assert ExperimentConfig.from_dict(cfg).bracket_alpha == alpha
+
+
+def test_config_lets_a_programming_error_in_a_law_out(tmp_path, monkeypatch):
+    class Broken:
+        def __init__(self, **kwargs):
+            raise NameError("name 'undefined_helper' is not defined")
+
+    _, fields = synthdist._CONFIG_SCHEMA["gauss_margin"]
+    monkeypatch.setitem(synthdist._CONFIG_SCHEMA, "gauss_margin", (Broken, fields))
+    with pytest.raises(NameError, match="undefined_helper"):
+        ExperimentConfig.from_dict(classification_config(tmp_path))
+
+
+def test_config_owns_its_data(tmp_path):
+    cfg = classification_config(tmp_path)
+    config = ExperimentConfig.from_dict(cfg)
+    written = config_hash(config.raw)
+    cfg["distribution"]["d"] = 9
+    cfg["trials"] = 5
+    assert config.make_dist().d == 5
+    assert config_hash(config.raw) == written
 
 
 def test_config_hash_is_order_insensitive(tmp_path):
