@@ -38,11 +38,6 @@ from .synthdist import (
 __all__ = ["main"]
 
 
-def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _emit(payload: dict):
     json.dump(payload, sys.stdout, indent=2, sort_keys=True, default=_jsonable)
     sys.stdout.write("\n")
@@ -58,8 +53,17 @@ def _jsonable(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
+def _parse(args, path: str, parse):
+    """``parse`` of the JSON at ``path``; a refused config exits 2 naming its field."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except ValueError as exc:  # ConfigError, a law's own refusal, or malformed JSON
+        args.parser.error(f"{path}: {exc}")
+
+
 def _cmd_run(args) -> int:
-    config = ExperimentConfig.from_dict(_load_json(args.config))
+    config = _parse(args, args.config, ExperimentConfig.from_dict)
     path = run_experiment(config)
     _emit({"results": path, "manifest": config.output + ".manifest.jsonl"})
     return 0
@@ -132,7 +136,7 @@ def _cmd_compressibility(args) -> int:
                 f"cerm compressibility: --k-list has k = {max(args.k_list)}: "
                 f"the exact solver takes k <= {EXACT_MAX_K}"
             )
-    dist = dist_from_config(_load_json(args.dist_spec))
+    dist = _parse(args, args.dist_spec, dist_from_config)
     out = []
     for i, k in enumerate(sorted(set(args.k_list))):
         est = estimate_compressibility(
@@ -150,7 +154,7 @@ def _cmd_compressibility(args) -> int:
 
 
 def _cmd_check_dist(args) -> int:
-    dist = dist_from_config(_load_json(args.dist_spec))
+    dist = _parse(args, args.dist_spec, dist_from_config)
     report: dict = {"type": type(dist).__name__}
     if isinstance(dist, RegressionDist):
         X, _ = dist.sample(args.mc_n, args.seed)
@@ -255,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_fit = sub.add_parser("fit", help="fit a power law to results")
     p_fit.add_argument("results", help="path to a results CSV")
@@ -271,13 +275,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_psi.add_argument("--pop-n", type=_positive_int, default=2000)
     p_psi.add_argument("--solver", default="surrogate", choices=("surrogate", "exact"))
     p_psi.add_argument("--seed", type=int, default=0)
-    p_psi.set_defaults(func=_cmd_compressibility)
+    p_psi.set_defaults(func=_cmd_compressibility, parser=p_psi)
 
     p_check = sub.add_parser("check-dist", help="run the assumption checkers")
     p_check.add_argument("dist_spec", help="path to a distribution spec JSON")
     p_check.add_argument("--mc-n", type=_sample_size, default=100_000)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.set_defaults(func=_cmd_check_dist)
+    p_check.set_defaults(func=_cmd_check_dist, parser=p_check)
 
     p_jl = sub.add_parser("jl-check", help="empirical distortion check")
     p_jl.add_argument("--family", default="gaussian", choices=FAMILIES)

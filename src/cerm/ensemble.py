@@ -77,11 +77,13 @@ def train_ensemble(
 
     Member i draws its projection with seed ``derive_seed(master_seed, i)``,
     so retraining with the same arguments is bit-identical and ensembles with
-    different master seeds are independent.
+    different master seeds are independent.  An ``AxisPoints`` X, such as an
+    Assouad sample, is compressed by ``apply``'s gather, with no n x d array
+    built; the members equal those fit on ``X.toarray()`` bit for bit.
     """
-    X = np.asarray(X, dtype=float)
+    X = X if isinstance(X, AxisPoints) else np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
+    if len(X.shape) != 2 or y.shape != (X.shape[0],):
         raise ValueError("X must be n x d with matching labels y")
     if m < 1:
         raise ValueError("m must be >= 1")

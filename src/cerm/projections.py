@@ -166,7 +166,8 @@ def apply(pmap: ProjectionMap, X: np.ndarray) -> np.ndarray:
     """Compress the rows of an n x d matrix to n x k.
 
     Row j of the output is ``pmap.matrix @ X[j]``; inputs are not mutated.
-    An ``AxisPoints`` set is compressed by a column gather: its row j maps to
+    An ``AxisPoints`` set, such as an Assouad sample in training, is
+    compressed by a column gather: its row j maps to
     ``scales[j] * pmap.matrix[:, axes[j]]``, which equals the dense product
     bit for bit up to the sign of a zero.
     """

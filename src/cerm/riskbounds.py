@@ -152,8 +152,9 @@ def _estimate_excess_risks(
 
     if loss.kind == "zero_one" and hasattr(dist, "eta"):
         X, _ = dist.sample(n_test, seed)
-        weight = np.abs(2.0 * dist.eta(X) - 1.0)
-        bayes = dist.bayes_predict(X)
+        # Bayes predicts the sign of 2 eta - 1; bayes_predict differs only at weight 0.
+        signed = 2.0 * dist.eta(X) - 1.0
+        weight, bayes = np.abs(signed), np.where(signed >= 0.0, 1.0, -1.0)
         rows = _prediction_rows(predict_rows, X)
         return [_mc_estimate(weight * (row != bayes)) for row in rows]
 

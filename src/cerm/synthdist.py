@@ -186,8 +186,8 @@ class AssouadDist:
     the heavy atom at margin 1/sqrt(2) and the light atoms at r / sqrt(2 q).
 
     Per-atom quantities (``atom_profile``) are computed arithmetically, and
-    ``atoms()`` returns the points as an ``AxisPoints`` set, so both take
-    O(q) memory and run at any q.
+    ``atoms()`` and ``sample()`` return their points as ``AxisPoints`` sets,
+    which ``eta`` and ``bayes_predict`` read, so no method builds coordinates.
     """
 
     def __init__(self, q: int, r: float, v: float, epsilon: float, sigma=None):
@@ -240,20 +240,12 @@ class AssouadDist:
         label_probs = np.stack([1.0 - eta, eta], axis=1)
         return points, self._atom_probs(), label_values, label_probs
 
-    def _atom_index(self, X) -> np.ndarray:
-        if isinstance(X, AxisPoints):
-            return X.axes
-        return np.argmax(np.abs(np.asarray(X, dtype=float)), axis=1)
+    def eta(self, X: AxisPoints) -> np.ndarray:
+        return self._atom_eta()[X.axes]
 
-    def eta(self, X) -> np.ndarray:
-        idx = self._atom_index(X)
-        eta = self._atom_eta()
-        return eta[idx]
-
-    def bayes_predict(self, X) -> np.ndarray:
-        idx = self._atom_index(X)
-        light = np.where(self.sigma[np.maximum(idx - 1, 0)] >= 0.0, 1.0, -1.0)
-        return np.where(idx == 0, 1.0, light)
+    def bayes_predict(self, X: AxisPoints) -> np.ndarray:
+        light = np.where(self.sigma[np.maximum(X.axes - 1, 0)] >= 0.0, 1.0, -1.0)
+        return np.where(X.axes == 0, 1.0, light)
 
     def bayes_risk(self) -> RiskEstimate:
         probs = self._atom_probs()
@@ -262,10 +254,10 @@ class AssouadDist:
         return RiskEstimate(value=value, std_error=0.0, n_samples=self.q + 1, exact=True)
 
     def sample(self, n: int, seed: int):
+        """n i.i.d. draws (X, y); X is an ``AxisPoints`` set of atoms."""
         rng = np.random.default_rng(seed)
         idx = rng.choice(self.q + 1, size=n, p=self._atom_probs())
-        X = np.zeros((n, self.q + 1))
-        X[np.arange(n), idx] = np.where(idx == 0, 1.0, self.r)
+        X = AxisPoints(idx, np.where(idx == 0, 1.0, self.r), self.q + 1)
         eta = self._atom_eta()[idx]
         y = np.where(rng.random(n) < eta, 1.0, -1.0)
         return X, y
@@ -834,7 +826,7 @@ def _read_fields(obj, path: str, fields: dict, extra=()) -> dict:
 
 
 def _noise(value, path: str) -> tuple:
-    fields = {"kind": (lambda kind, _: kind, None), "amplitude": (_number_field, _REQUIRED)}
+    fields = {"kind": (_one_of(("bounded_uniform",)), _REQUIRED), "amplitude": (_number_field, _REQUIRED)}
     return tuple(_read_fields(value, path, fields).values())
 
 

@@ -249,3 +249,33 @@ def test_cli_ols_check_refuses_crossed_flags_before_any_trial(monkeypatch, flags
 def test_cli_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "command, spec, named",
+    [
+        ("run", {"distribution": {"type": "assouad", "q": 4, "r": 1.5, "v": 0.5,
+                                  "epsilon": 0.25},
+                 "n_list": [40], "m_list": [2], "k_rule": {"rule": "fixed", "k": 2},
+                 "trails": 1, "output": "misspelt"},
+         "trails: unknown config key"),
+        ("check-dist", {"type": "regression", "d": 2, "spectral_constant": 1.0,
+                        "spectral_decay": 0.5, "w": [0.1, 0.1],
+                        "noise": {"kind": "gaussian", "amplitude": 0.1}},
+         "noise.kind: must be one of ('bounded_uniform',)"),
+        ("check-dist", {"type": "regression", "d": 2, "spectral_constant": 1.0,
+                        "spectral_decay": 0.5, "w": [0.1, 0.1, 0.1]},
+         "w must be a d-vector"),
+        ("compressibility --k-list 2", {"type": "assouad", "q": 4, "r": 1.5}, "v: must be a number"),
+    ],
+)
+def test_cli_refuses_a_bad_config_in_one_line(tmp_path, capsys, command, spec, named):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = command.split()
+    with pytest.raises(SystemExit) as exit_info:
+        main([argv[0], str(path), *argv[1:]])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: cerm {argv[0]}")
+    assert err.splitlines()[-1] == f"cerm {argv[0]}: error: {path}: {named}"

@@ -328,3 +328,41 @@ def test_assouad_evaluation_memory_is_linear_in_q():
         tracemalloc.stop()
     assert len(members) == 25
     assert peak < 10 * 2**20, f"evaluation peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("solver", ["exact", "surrogate"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_assouad_training_on_axis_points_equals_dense_training(family, solver):
+    """Each member compresses an Assouad sample by a column gather; its fit
+    and the vote are those on the sample's dense coordinates, bit for bit."""
+    q = 3000
+    sigma = np.where(np.arange(q) % 3 == 0, 1.0, -1.0)
+    dist = AssouadDist(q=q, r=q**0.25, v=q**-0.25, epsilon=0.3, sigma=sigma)
+    X, y = dist.sample(150, seed=11)
+    models = [
+        train_ensemble(points, y, dist.loss_spec, family, k=2, m=5, solver=solver,
+                       master_seed=12, iters=200)
+        for points in (X, X.toarray())
+    ]
+    for (_, axis_hyp), (_, dense_hyp) in zip(models[0].members, models[1].members):
+        assert np.array_equal(axis_hyp.w, dense_hyp.w) and axis_hyp.t == dense_hyp.t
+    atoms = dist.atoms()[0]
+    assert np.array_equal(predict(models[0], atoms), predict(models[1], atoms))
+    assert np.array_equal(predict(models[0], X), predict(models[1], X.toarray()))
+
+
+def test_assouad_training_memory_is_linear_in_q():
+    """At q = 20 000 and n = 200 the dense sample would take 32 MB; trained
+    on axis points, the pass peaks little above its 25 maps' 7.6 MiB."""
+    q = 20_000
+    dist = AssouadDist(q=q, r=q**0.25, v=q**-0.25, epsilon=0.3)
+    tracemalloc.start()
+    try:
+        X, y = dist.sample(200, seed=5)
+        model = train_ensemble(X, y, dist.loss_spec, "gaussian", k=2, m=25,
+                               solver="exact", master_seed=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.m == 25
+    assert peak < 12 * 2**20, f"training peaked at {peak / 2**20:.1f} MiB"

@@ -233,6 +233,15 @@ def test_config_refusal_names_its_field(tmp_path, override, message):
         ExperimentConfig.from_dict(cfg)
 
 
+@pytest.mark.parametrize("noise", [{"kind": "gaussian", "amplitude": 0.1}, {"amplitude": 0.1}])
+def test_noise_kind_refusal_names_its_field(tmp_path, noise):
+    cfg = regression_config(tmp_path)
+    cfg["distribution"]["noise"] = noise
+    message = "distribution: noise.kind: must be one of ('bounded_uniform',)"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(cfg)
+
+
 def test_solver_iters_defaults_at_parse_time_only(tmp_path):
     cfg = regression_config(tmp_path)
     del cfg["solver_iters"]

@@ -516,7 +516,7 @@ def test_sweep_matches_the_enumeration_oracle():
         sigma = rng.choice([-1.0, 1.0], size=q)
         dist = AssouadDist(q, q**0.25, q ** (-alpha / 2.0), q ** (-(1.0 - alpha) / 2.0), sigma=sigma)
         X, y = dist.sample(60, int(alpha * 100))
-        assert len(np.unique(X, axis=0)) < 60
+        assert len(np.unique(X.axes)) < 60  # distinct rows: each axis is one atom
         cases.append((apply(sample_projection("gaussian", 3, q + 1, int(alpha * 4)), X), y))
 
     for U, y in cases:

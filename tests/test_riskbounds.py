@@ -104,6 +104,22 @@ def test_excess_risk_eta_path():
     assert est0.value == 0.0
 
 
+def test_eta_path_takes_the_margin_once(monkeypatch):
+    """The weights and the Bayes predictions come from one pass over the test
+    set, and the estimate equals the one formed with ``bayes_predict``."""
+    dist = GaussMarginDist(4, gamma=2.0, rho=3.0, alpha=0.5)
+    X, _ = dist.sample(5_000, 3)
+    reference = np.mean(np.abs(2.0 * dist.eta(X) - 1.0) * (dist.bayes_predict(X) != 1.0))
+    calls = []
+    margin_of = GaussMarginDist.margin_of
+    monkeypatch.setattr(
+        GaussMarginDist, "margin_of", lambda self, X: calls.append(len(X)) or margin_of(self, X)
+    )
+    est = estimate_excess_risk(lambda X: np.ones(X.shape[0]), dist, n_test=5_000, seed=3)
+    assert calls == [5_000]
+    assert est.value == reference
+
+
 def test_excess_risk_paired_regression_path():
     dist = RegressionDist(d=3, spectral_constant=1.0, spectral_decay=0.5, w=np.full(3, 0.2))
     est = estimate_excess_risk(dist.bayes_predict, dist, n_test=500, seed=0)

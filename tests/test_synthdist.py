@@ -182,6 +182,17 @@ def test_assouad_sampling_and_bayes():
     assert dist.bayes_risk().value == pytest.approx(0.5 * 0.0 + 0.5 * 0.35, abs=1e-15)
 
 
+def test_assouad_sample_is_a_set_of_axis_points():
+    """Each draw is an atom norm_l e_l, held as its (axis, scale) pair."""
+    dist = AssouadDist(q=7000, r=3.0, v=0.5, epsilon=0.25)
+    X, y = dist.sample(300, seed=4)
+    assert isinstance(X, AxisPoints) and X.shape == (300, 7001)
+    assert np.array_equal(X.scales, np.where(X.axes == 0, 1.0, 3.0))
+    assert np.all(y[X.axes == 0] == 1.0)  # the heavy atom's label is clean
+    again, _ = dist.sample(300, seed=4)
+    assert np.array_equal(again.axes, X.axes)
+
+
 def test_gauss_margin_noise_exponent_rules():
     assert GaussMarginDist(3, gamma=2.0, rho=3.0, alpha=0.0).noise_exponent == 2.0
     assert GaussMarginDist(3, gamma=3.0, rho=3.0, alpha=0.6).noise_exponent == pytest.approx(2.0)
