@@ -54,10 +54,12 @@ def _jsonable(value):
 
 
 def _parse(args, path: str, parse):
-    """``parse`` of the JSON at ``path``; a refused config exits 2 naming its field."""
+    """``parse`` of the JSON at ``path``; a refusal or an unreadable path exits 2 naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
+    except OSError as exc:
+        args.parser.error(f"{path}: {exc.strerror or exc}")
     except ValueError as exc:  # ConfigError, a law's own refusal, or malformed JSON
         args.parser.error(f"{path}: {exc}")
 
@@ -127,14 +129,10 @@ def _cmd_compressibility(args) -> int:
         # The exact solver refuses larger fits, but only after the points
         # are sampled; refuse the flags before any work, as configs are.
         if args.pop_n > EXACT_MAX_N:
-            raise SystemExit(
-                f"cerm compressibility: --pop-n {args.pop_n}: "
-                f"the exact solver takes n <= {EXACT_MAX_N}"
-            )
+            args.parser.error(f"--pop-n {args.pop_n}: the exact solver takes n <= {EXACT_MAX_N}")
         if max(args.k_list) > EXACT_MAX_K:
-            raise SystemExit(
-                f"cerm compressibility: --k-list has k = {max(args.k_list)}: "
-                f"the exact solver takes k <= {EXACT_MAX_K}"
+            args.parser.error(
+                f"--k-list has k = {max(args.k_list)}: the exact solver takes k <= {EXACT_MAX_K}"
             )
     dist = _parse(args, args.dist_spec, dist_from_config)
     out = []
@@ -215,14 +213,9 @@ def _cmd_jl_check(args) -> int:
 
 def _cmd_ols_check(args) -> int:
     if args.d > args.q:
-        raise SystemExit(
-            f"cerm ols-check: --d {args.d} --q {args.q}: "
-            "the spectral design needs d <= q to be realized exactly"
-        )
+        args.parser.error(f"--d {args.d} --q {args.q}: the spectral design needs d <= q")
     if args.r >= min(args.q, args.k):
-        raise SystemExit(
-            f"cerm ols-check: --r {args.r}: need r < min(q, k) = {min(args.q, args.k)}"
-        )
+        args.parser.error(f"--r {args.r}: need r < min(q, k) = {min(args.q, args.k)}")
     rng = np.random.default_rng(args.seed)
     scales = np.sqrt(args.spectral_constant * args.decay ** np.arange(1, args.d + 1))
     basis, _ = np.linalg.qr(rng.standard_normal((args.q, args.q)))
@@ -305,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ols.add_argument("--spectral-constant", type=_positive_float, default=1.0)
     p_ols.add_argument("--trials", type=_positive_int, default=100)
     p_ols.add_argument("--seed", type=int, default=0)
-    p_ols.set_defaults(func=_cmd_ols_check)
+    p_ols.set_defaults(func=_cmd_ols_check, parser=p_ols)
 
     return parser
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossSpec, eval_loss
-from .projections import AxisPoints, _row_blocks
+from .projections import AxisPoints, _rows_dot
 
 __all__ = [
     "LinearHypothesis",
@@ -111,12 +111,7 @@ class LinearHypothesis:
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.w.shape[0]:
             raise ValueError(f"expected n x {self.w.shape[0]} input, got shape {U.shape}")
-        # One product per row block: scoring one of U's blocks on its own,
-        # as the ensemble's evaluation pass does, then gives the same values
-        # as scoring all of U, whatever BLAS's thread count.
-        scores = np.empty(U.shape[0])
-        for rows in _row_blocks(*U.shape):
-            np.matmul(U[rows], self.w, out=scores[rows])
+        scores = _rows_dot(U, self.w)
         return np.subtract(scores, self.t, out=scores)
 
     def predict(self, U: np.ndarray) -> np.ndarray:

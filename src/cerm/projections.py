@@ -13,6 +13,8 @@ of those four values.
 
 ``apply`` compresses either a dense n x d array or an ``AxisPoints`` set,
 whose rows are scaled coordinate vectors and are never stored densely.
+Outside the solvers, every product of a dense point set with a weight
+vector runs through ``_rows_dot``, so no row depends on BLAS's thread count.
 
 ``empirical_jl_check`` compares every pairwise squared distance before and
 after fresh maps; it forms them row by row in numpy, in O(q d) memory.
@@ -142,6 +144,17 @@ def _row_blocks(n: int, d: int) -> list[slice]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _rows_dot(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``X @ w`` for a dense n x d array, one product per ``_row_blocks``
+    block: the whole-array product bit for bit on one BLAS thread, and the
+    same on two, where the whole-array product rounds some rows apart."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty(X.shape[0])
+    for rows in _row_blocks(*X.shape):
+        np.matmul(X[rows], w, out=out[rows])
+    return out
 
 
 def sample_projection(family: str, k: int, d: int, seed: int) -> ProjectionMap:

@@ -229,8 +229,7 @@ def estimate_compressibility(
         values[rep] = estimate_excess_risk(
             report.hypothesis.pull_back(pmap.matrix).predict, dist, n_test=pop_n, seed=eval_seed
         ).value
-    se = float(np.std(values, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return RiskEstimate(value=float(np.mean(values)), std_error=se, n_samples=reps, exact=False)
+    return _mc_estimate(values)
 
 
 # ---------------------------------------------------------------------------

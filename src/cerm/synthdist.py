@@ -24,7 +24,8 @@ Duck-typed interface consumed by the risk estimators: attributes ``d`` and
 ``atoms()``; continuous classification laws add ``eta``.  The assumption
 checkers additionally use ``atom_profile()`` (exact per-atom masses, noise
 weights, margins, and norms) or ``margin_profile(n, seed)`` (a Monte-Carlo
-draw of the same quantities).
+draw of the same quantities).  Margins and signals are formed by
+``projections._rows_dot``, and every row block is one of ``_row_blocks``.
 
 Floating-point note: several constructions place a family exactly on its
 class boundary, turning the membership inequalities into equalities that
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LOSS_KINDS, LossSpec, bayes_action, eval_loss, make_loss
-from .projections import AxisPoints, _row_blocks
-from .riskbounds import RiskEstimate
+from .projections import AxisPoints, _row_blocks, _rows_dot
+from .riskbounds import RiskEstimate, _mc_estimate
 
 __all__ = [
     "ConfigError",
@@ -126,13 +127,11 @@ class FiniteSupportDist:
     def bayes_predict(self, X) -> np.ndarray:
         """Bayes action of the nearest atom (exact on the atoms themselves)."""
         X = np.asarray(X, dtype=float)
-        actions = self.bayes_actions()
-        out = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], 4096):
-            block = X[start : start + 4096]
-            d2 = ((block[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=2)
-            out[start : start + 4096] = actions[np.argmin(d2, axis=1)]
-        return out
+        nearest = np.empty(X.shape[0], dtype=np.intp)
+        # a block's rows x atoms x d differences take about one row block
+        for rows in _row_blocks(X.shape[0], self.points.size):
+            nearest[rows] = np.argmin(((X[rows, None, :] - self.points) ** 2).sum(axis=2), axis=1)
+        return self.bayes_actions()[nearest]
 
     def bayes_risk(self) -> RiskEstimate:
         actions = self.bayes_actions()
@@ -410,13 +409,16 @@ class GaussMarginDist:
             return np.ones_like(margin_abs)
         return np.minimum(1.0, margin_abs**self.noise_exponent)
 
-    def margin_of(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.w - self.t
-
-    def eta(self, X) -> np.ndarray:
-        m = self.margin_of(X)
+    def _eta_at(self, m: np.ndarray) -> np.ndarray:
+        """eta at signed margins m; a margin of 0 counts as positive."""
         sign = np.where(m >= 0.0, 1.0, -1.0)
         return (1.0 + sign * self._confidence(np.abs(m))) / 2.0
+
+    def margin_of(self, X) -> np.ndarray:
+        return _rows_dot(X, self.w) - self.t
+
+    def eta(self, X) -> np.ndarray:
+        return self._eta_at(self.margin_of(X))
 
     def bayes_predict(self, X) -> np.ndarray:
         return np.where(self.margin_of(X) >= 0.0, 1.0, -1.0)
@@ -450,7 +452,7 @@ class GaussMarginDist:
         shift = m + self.t
         for rows in _row_blocks(n, self.d):
             g = X[rows]
-            g -= (g @ self.w)[:, None] * self.w[None, :]
+            g -= _rows_dot(g, self.w)[:, None] * self.w[None, :]
             norms = np.linalg.norm(g, axis=1)
             bad = norms < 1e-30
             if np.any(bad):
@@ -459,9 +461,7 @@ class GaussMarginDist:
             g /= norms[:, None]
             g *= radius[rows, None]
             g += shift[rows, None] * self.w[None, :]
-        sign = np.where(m >= 0.0, 1.0, -1.0)
-        eta = (1.0 + sign * self._confidence(np.abs(m))) / 2.0
-        y = np.where(rng.random(n) < eta, 1.0, -1.0)
+        y = np.where(rng.random(n) < self._eta_at(m), 1.0, -1.0)
         return X, y
 
     def margin_profile(self, n: int, seed: int):
@@ -483,9 +483,7 @@ class GaussMarginDist:
             return RiskEstimate(value=0.0, std_error=0.0, n_samples=0, exact=True)
         rng = np.random.default_rng(seed)
         margin_abs = rng.random(mc_n) ** (1.0 / self.gamma)
-        values = (1.0 - self._confidence(margin_abs)) / 2.0
-        se = float(np.std(values, ddof=1) / math.sqrt(mc_n))
-        return RiskEstimate(value=float(np.mean(values)), std_error=se, n_samples=mc_n)
+        return _mc_estimate((1.0 - self._confidence(margin_abs)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +499,8 @@ class RegressionDist:
     beta]).  Noiseless, the Bayes predictor is clip(w.x + t) and the Bayes
     risk is exactly 0.  With bounded uniform noise the conditional mean has no
     tidy closed form post-clip, so it is computed by Gauss-Legendre quadrature
-    over the noise law — a numeric oracle, not an asserted formula.
+    over the noise law, one row block at a time — a numeric oracle, not an
+    asserted formula.
     """
 
     _QUAD_NODES = 201
@@ -552,12 +551,20 @@ class RegressionDist:
         self._scales = np.sqrt(self.eigenvalues)
 
     def _signal(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.w + self.t
+        return _rows_dot(X, self.w) + self.t
 
-    def _noise_quadrature(self):
+    def _label_moments(self, s: np.ndarray, second: bool = False) -> np.ndarray:
+        """E[Y | s], and E[Y^2 | s] as a second row if ``second``, at signals s = w.x + t."""
         nodes, weights = np.polynomial.legendre.leggauss(self._QUAD_NODES)
-        amp = self.noise[1]
-        return nodes * amp, weights / 2.0  # weights sum to 1 on the scaled law
+        nodes *= self.noise[1]
+        weights /= 2.0  # weights sum to 1 on the scaled law
+        moments = np.empty((1 + second, s.shape[0]))
+        for rows in _row_blocks(s.shape[0], self._QUAD_NODES):
+            clipped = np.clip(s[rows, None] + nodes, -self.beta, self.beta)
+            moments[0, rows] = _rows_dot(clipped, weights)
+            if second:
+                moments[1, rows] = _rows_dot(np.square(clipped, out=clipped), weights)
+        return moments
 
     def sample(self, n: int, seed: int):
         rng = np.random.default_rng(seed)
@@ -573,23 +580,14 @@ class RegressionDist:
         s = self._signal(X)
         if self.noise is None or self.noise[1] == 0:
             return np.clip(s, -self.beta, self.beta)
-        nodes, weights = self._noise_quadrature()
-        clipped = np.clip(s[:, None] + nodes[None, :], -self.beta, self.beta)
-        return clipped @ weights
+        return self._label_moments(s)[0]
 
     def bayes_risk(self, mc_n: int = 100_000, seed: int = 0) -> RiskEstimate:
         if self.noise is None or self.noise[1] == 0:
             return RiskEstimate(value=0.0, std_error=0.0, n_samples=0, exact=True)
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((mc_n, self.d)) * self._scales[None, :]
-        s = self._signal(X)
-        nodes, weights = self._noise_quadrature()
-        clipped = np.clip(s[:, None] + nodes[None, :], -self.beta, self.beta)
-        mean = clipped @ weights
-        second = (clipped**2) @ weights
-        values = second - mean**2  # conditional variance of Y given X
-        se = float(np.std(values, ddof=1) / math.sqrt(mc_n))
-        return RiskEstimate(value=float(np.mean(values)), std_error=se, n_samples=mc_n)
+        X, _ = self.sample(mc_n, seed)
+        mean, second = self._label_moments(self._signal(X), second=True)
+        return _mc_estimate(second - mean**2)  # the conditional variance of Y given X
 
 
 # ---------------------------------------------------------------------------

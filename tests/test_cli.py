@@ -89,7 +89,7 @@ def test_cli_compressibility(regression_spec, capsys):
         assert entry["psi_hat"] >= 0.0 and entry["se"] >= 0.0
 
 
-def test_cli_compressibility_refuses_exact_sizes_before_sampling(tmp_path, monkeypatch):
+def test_cli_compressibility_refuses_exact_sizes_before_sampling(tmp_path, monkeypatch, capsys):
     spec = tmp_path / "gm.json"
     spec.write_text(
         json.dumps({"type": "gauss_margin", "d": 4, "gamma": 2.0, "rho": 2.0, "alpha": 0.0})
@@ -107,8 +107,10 @@ def test_cli_compressibility_refuses_exact_sizes_before_sampling(tmp_path, monke
         argv = ["compressibility", str(spec), "--k-list", "2", "--solver", "exact", *flags]
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
-        assert named in str(exit_info.value.code)
-        assert exit_info.value.code != 0
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cerm compressibility")
+        assert err.splitlines()[-1].startswith(f"cerm compressibility: error: {named}: ")
 
 
 @pytest.mark.parametrize(
@@ -235,15 +237,17 @@ def test_cli_checks_the_other_subcommands_flags_at_parse_time(
         (["--r", "5", "--q", "8", "--d", "8", "--k", "5"], "--r 5: need r < min(q, k) = 5"),
     ],
 )
-def test_cli_ols_check_refuses_crossed_flags_before_any_trial(monkeypatch, flags, named):
+def test_cli_ols_check_refuses_crossed_flags_before_any_trial(monkeypatch, capsys, flags, named):
     def refuse(*args, **kwargs):
         raise AssertionError("ran a trial before refusing the flags")
 
     monkeypatch.setattr("cerm.cli.sample_projection", refuse)
     with pytest.raises(SystemExit) as exit_info:
         main(["ols-check", *flags])
-    assert str(exit_info.value.code).startswith("cerm ols-check: ")
-    assert named in str(exit_info.value.code)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cerm ols-check")
+    assert err.splitlines()[-1].startswith(f"cerm ols-check: error: {named}")
 
 
 def test_cli_rejects_unknown_subcommand(capsys):
@@ -279,3 +283,18 @@ def test_cli_refuses_a_bad_config_in_one_line(tmp_path, capsys, command, spec, n
     err = capsys.readouterr().err
     assert err.startswith(f"usage: cerm {argv[0]}")
     assert err.splitlines()[-1] == f"cerm {argv[0]}: error: {path}: {named}"
+
+
+@pytest.mark.parametrize("command", ["run", "compressibility --k-list 2", "check-dist"])
+def test_cli_refuses_an_unreadable_config_path_naming_it(tmp_path, capsys, command):
+    argv = command.split()
+    for path, reason in (
+        (tmp_path / "nosuch.json", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], str(path), *argv[1:]])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: cerm {argv[0]}")
+        assert err.splitlines()[-1] == f"cerm {argv[0]}: error: {path}: {reason}"

@@ -3,11 +3,15 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cerm
 from cerm import hypotheses, synthdist
 from cerm.harness import (
     CSV_COLUMNS,
@@ -425,6 +429,51 @@ def test_classification_rerun_is_identical_and_thread_invariant(tmp_path, monkey
     assert first == second == third
     assert len(first) == 1 + 12
     assert all(row[CSV_COLUMNS.index("error")] == "" for row in first[1:])
+
+
+def _run_at_blas_threads(cfg, blas_threads):
+    """Run ``cfg`` in a fresh interpreter whose BLAS uses ``blas_threads``
+    threads; the CSV's rows without the wall-time column."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cerm.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop(THREADS_ENV_VAR, None)
+    cfg = dict(cfg, output=f"{cfg['output']}_blas{blas_threads}")
+    script = "import json, sys, cerm; print(cerm.run_experiment(json.loads(sys.argv[1])))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(cfg)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return strip_wall_time(done.stdout.strip())
+
+
+@pytest.mark.parametrize("law", ["regression", "gauss_margin"])
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path, law):
+    """Byte-identical CSVs at one and two BLAS threads.  With 50 003 test
+    points and the regression law's n = 8195, whole-array products X @ w
+    round some rows differently on two threads; the row-blocked products
+    do not."""
+    if law == "regression":
+        cfg = regression_config(
+            tmp_path,
+            distribution={"type": "regression", "d": 32, "spectral_constant": 1.0,
+                          "spectral_decay": 0.2, "w": [1.0] * 32},
+            n_list=[1001, 8195], m_list=[5], k_rule={"rule": "regression"},
+            trials=2, n_test=50_003, master_seed=0, solver_iters=300,
+        )
+    else:
+        cfg = classification_config(
+            tmp_path,
+            distribution={"type": "gauss_margin", "d": 50, "gamma": 2.0, "rho": 2.0,
+                          "alpha": 0.5, "t": 0.1},
+            n_list=[1001], m_list=[3], k_rule={"rule": "fixed", "k": 8},
+            trials=2, n_test=50_003, master_seed=0, solver_iters=50,
+        )
+    one, two = (_run_at_blas_threads(cfg, threads) for threads in (1, 2))
+    assert len(one) == 1 + len(cfg["n_list"]) * cfg["trials"]
+    assert all(row[CSV_COLUMNS.index("error")] == "" for row in one[1:])
+    assert one == two
 
 
 def test_thread_override_must_be_integer(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cerm.losses import make_loss
-from cerm.projections import AxisPoints, _row_blocks
+from cerm.projections import AxisPoints, _row_blocks, _rows_dot
 from cerm.synthdist import (
     AssouadDist,
     FiniteSupportDist,
@@ -308,6 +308,18 @@ def test_row_blocks_cover_the_rows_in_multiples_of_four():
             assert n < 2 or blocks[-1].stop - blocks[-1].start > 1
 
 
+@pytest.mark.parametrize("d", [1, 5, 50, 201])
+def test_rows_dot_equals_the_whole_array_product(d):
+    """Bit for bit at ragged sizes around one row block and past several.
+    (At these sizes the whole-array product rounds as on one BLAS thread.)"""
+    rng = np.random.default_rng(d)
+    w = rng.standard_normal(d)
+    block = _row_blocks(1 << 18, d)[0].stop
+    for n in (1, block - 1, block, block + 1, 3 * block + 17):
+        X = rng.standard_normal((n, d))
+        assert np.array_equal(_rows_dot(X, w), X @ w), n
+
+
 def test_regression_draw_scales_the_gaussian_draw_in_place():
     dist = RegressionDist(d=7, spectral_constant=1.0, spectral_decay=0.5, w=np.full(7, 0.3),
                           noise=("bounded_uniform", 0.2))
@@ -409,6 +421,42 @@ def test_regression_quadrature_matches_direct_integration():
     grid = np.linspace(-0.7, 0.7, 200_001)
     kink = np.trapezoid(np.clip(s[0] + grid, -1, 1), grid) / 1.4
     assert got[0] == pytest.approx(kink, abs=2e-5)
+
+
+def noisy_regression():
+    w = np.linspace(0.2, 1.0, 6)
+    return RegressionDist(d=6, spectral_constant=1.0, spectral_decay=0.5, w=w, t=0.1,
+                          noise=("bounded_uniform", 0.3))
+
+
+def test_regression_quadrature_equals_the_whole_table_quadrature():
+    """Blocked over several quadrature blocks with a ragged last one, the
+    oracle equals the whole points x nodes table's sums bit for bit, and
+    the Bayes risk's design is ``sample``'s."""
+    dist = noisy_regression()
+    n = 3 * _row_blocks(1 << 18, dist._QUAD_NODES)[0].stop + 17
+    X, _ = dist.sample(n, seed=4)
+    nodes, weights = np.polynomial.legendre.leggauss(dist._QUAD_NODES)
+    clipped = np.clip((X @ dist.w + dist.t)[:, None] + 0.3 * nodes, -1.0, 1.0)
+    mean, second = clipped @ (weights / 2.0), (clipped**2) @ (weights / 2.0)
+    assert np.array_equal(dist.bayes_predict(X), mean)
+    values = second - mean**2
+    est = dist.bayes_risk(mc_n=n, seed=4)
+    assert est.value == float(np.mean(values))
+    assert est.std_error == float(np.std(values, ddof=1) / math.sqrt(n))
+
+
+def test_regression_quadrature_builds_no_full_size_table():
+    """The whole 50 003 x 201 table of clipped labels would take 80 MB."""
+    dist = noisy_regression()
+    X, _ = dist.sample(50_003, seed=2)
+    tracemalloc.start()
+    try:
+        dist.bayes_predict(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_regression_noise_variance_exact_in_linear_region():
