@@ -533,33 +533,17 @@ def fit_rate(results_path: str, x_field: str = "n", y_field: str = "ensemble_exc
         )
 
     lx = np.log(np.asarray(xs))
-    ly = np.log(np.asarray(means))
-    means_arr = np.asarray(means)
-    ses_arr = np.asarray(ses)
-
+    means_arr, ses_arr = np.asarray(means), np.asarray(ses)
+    ly = np.log(means_arr)
     if np.all(ses_arr > 0) and np.all(np.isfinite(ses_arr / means_arr)):
-        # Var(ln mean) ~ (se / mean)^2 by the delta method.
-        weights = (means_arr / ses_arr) ** 2
-        xw = float(np.sum(weights * lx) / np.sum(weights))
-        yw = float(np.sum(weights * ly) / np.sum(weights))
-        sxx = float(np.sum(weights * (lx - xw) ** 2))
-        slope = float(np.sum(weights * (lx - xw) * (ly - yw)) / sxx)
-        intercept = yw - slope * xw
-        slope_se = math.sqrt(1.0 / sxx)
-    else:
-        xm = float(np.mean(lx))
-        ym = float(np.mean(ly))
-        sxx = float(np.sum((lx - xm) ** 2))
-        slope = float(np.sum((lx - xm) * (ly - ym)) / sxx)
-        intercept = ym - slope * xm
-        resid = ly - (intercept + slope * lx)
-        sigma2 = float(np.sum(resid**2)) / (len(xs) - 2)
-        slope_se = math.sqrt(sigma2 / sxx)
-
+        # Var(ln mean) ~ (se / mean)^2 by the delta method: weight mean / se.
+        coeffs, cov = np.polyfit(lx, ly, 1, w=means_arr / ses_arr, cov="unscaled")
+    else:  # unweighted; the covariance is scaled by the residual variance
+        coeffs, cov = np.polyfit(lx, ly, 1, cov=True)
     return {
-        "slope": slope,
-        "intercept": float(intercept),
-        "ci95": 1.96 * slope_se,
+        "slope": float(coeffs[0]),
+        "intercept": float(coeffs[1]),
+        "ci95": 1.96 * math.sqrt(cov[0, 0]),
         "n_points": len(xs),
         "dropped": dropped,
         "skipped_rows": skipped_rows,

@@ -162,8 +162,9 @@ def _check_domain(loss: LossSpec, v: np.ndarray, y: np.ndarray) -> None:
 def _loss_values(loss: LossSpec, v: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The loss formulas on float arrays, with no domain checks.
 
-    For callers that have checked the labels once and build the predictions
-    inside the domain, such as the regression descent's clipped predictions.
+    ``eval_loss`` calls it once its checks pass, and the tests' allocating
+    reference descent calls it directly.  The regression descent does not:
+    it evaluates the same formulas in place on its clipped predictions.
     """
     if loss.kind == "zero_one":
         return 0.5 * (1.0 - v * y)

@@ -17,7 +17,8 @@ Outside the solvers, every product of a dense point set with a weight
 vector runs through ``_rows_dot``, so no row depends on BLAS's thread count.
 
 ``empirical_jl_check`` compares every pairwise squared distance before and
-after fresh maps; it forms them row by row in numpy, in O(q d) memory.
+after fresh maps; it forms them row by row in numpy, and holds the q(q - 1)/2
+distances before and after a map at once.
 """
 
 from __future__ import annotations
@@ -115,6 +116,10 @@ class AxisPoints:
 
     def __len__(self) -> int:
         return self.axes.shape[0]
+
+    def __getitem__(self, rows) -> AxisPoints:
+        """The rows an index array picks, as a set of their own."""
+        return AxisPoints(self.axes[rows], self.scales[rows], self.d)
 
     def toarray(self) -> np.ndarray:
         """The dense n x d coordinates."""
@@ -214,8 +219,8 @@ def _squared_distances(points: np.ndarray) -> np.ndarray:
 
     Each row's differences are summed directly, never through
     ||a||^2 + ||b||^2 - 2 a.b, which cancels on near-duplicate points, so
-    equal points give exactly 0.  Memory stays O(q d): one row's block of
-    differences at a time.
+    equal points give exactly 0.  Beyond the q(q - 1)/2 distances returned,
+    it holds one row's block of differences at a time.
     """
     q = points.shape[0]
     out = np.empty(q * (q - 1) // 2)

@@ -2,11 +2,13 @@
 
 Four families:
 
-* ``FiniteSupportDist`` — an explicit discrete law over labeled atoms; every
-  risk computed under it is an exact finite sum.
+* ``FiniteSupportDist`` — an explicit discrete law over labeled atoms, held
+  as a dense array or an ``AxisPoints`` set; every risk computed under it is
+  an exact finite sum.
 * ``AssouadDist`` — the hypercube-indexed family on q + 1 orthogonal axes that
-  drives minimax lower bounds: a heavy clean atom at e_0 and q light atoms at
-  radius r whose labels flip with the sign pattern sigma.
+  drives minimax lower bounds: a finite-support law over q + 1 axis atoms, a
+  heavy clean atom at e_0 and q light atoms at radius r whose labels flip
+  with the sign pattern sigma.
   ``build_assouad_family`` picks (q, r, v, epsilon) from a sample size and the
   margin/moment/noise exponents so that the family sits exactly on the
   boundary of the target class.
@@ -41,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LOSS_KINDS, LossSpec, bayes_action, eval_loss, make_loss
+from .losses import LOSS_KINDS, LossDomainError, LossSpec, bayes_action, eval_loss, make_loss
 from .projections import AxisPoints, _row_blocks, _rows_dot
-from .riskbounds import RiskEstimate, _mc_estimate
+from .riskbounds import RiskEstimate, _atom_conditional_risks, _mc_estimate
 
 __all__ = [
     "ConfigError",
@@ -82,37 +84,46 @@ def _leq(lhs: float, rhs: float) -> bool:
 
 
 class FiniteSupportDist:
-    """A discrete law: atom i has probability probs[i] and conditional label
-    distribution (label_values[i], label_probs[i]).
+    """A discrete law: atom i is row i of ``points``, with probability
+    probs[i] and conditional label distribution (label_values[i],
+    label_probs[i]).
 
-    All risks under such a law are exact finite sums, which is what makes it
-    the reference oracle for the estimator and ensemble property tests.
+    ``points`` is an s x d array or an ``AxisPoints`` set.  All risks under
+    such a law are exact finite sums, which is what makes it the reference
+    oracle for the estimator and ensemble property tests.  The nearest-atom
+    ``bayes_predict`` is for dense atoms; a law on axis atoms supplies its
+    own.
     """
 
     def __init__(self, points, probs, label_values, label_probs, loss: LossSpec):
-        self.points = np.asarray(points, dtype=float)
+        if not isinstance(points, AxisPoints):
+            points = np.asarray(points, dtype=float)
+            if points.ndim != 2:
+                raise ValueError("points: must be s x d")
+        self.points = points
         self.probs = np.asarray(probs, dtype=float)
         self.label_values = np.asarray(label_values, dtype=float)
         self.label_probs = np.asarray(label_probs, dtype=float)
         self.loss_spec = loss
-        if self.points.ndim != 2:
-            raise ValueError("points must be s x d")
-        s = self.points.shape[0]
+        s = len(points)
         if self.probs.shape != (s,):
-            raise ValueError("probs must have one entry per atom")
+            raise ValueError("probs: must have one entry per atom")
         if np.any(self.probs < 0) or abs(float(np.sum(self.probs)) - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1")
-        if self.label_values.shape != self.label_probs.shape or self.label_values.ndim != 2:
-            raise ValueError("label_values and label_probs must be matching s x L arrays")
-        if self.label_values.shape[0] != s:
-            raise ValueError("one label row per atom required")
+            raise ValueError("probs: must be nonnegative and sum to 1")
+        if self.label_values.ndim != 2 or self.label_values.shape[0] != s:
+            raise ValueError("label_values: must be an s x L array, one row per atom")
+        if self.label_probs.shape != self.label_values.shape:
+            raise ValueError("label_probs: must match the shape of label_values")
         row_sums = np.sum(self.label_probs, axis=1)
         if np.any(self.label_probs < 0) or np.any(np.abs(row_sums - 1.0) > 1e-12):
-            raise ValueError("label_probs rows must be distributions")
+            raise ValueError("label_probs: rows must be distributions")
         # Label domain check: every listed label value must be legal for the
         # loss, padded entries included.
         probe = 1.0 if loss.kind == "zero_one" else 0.0
-        eval_loss(loss, probe, self.label_values)
+        try:
+            eval_loss(loss, probe, self.label_values)
+        except LossDomainError as exc:
+            raise LossDomainError(f"label_values: {exc}") from exc
 
     @property
     def d(self) -> int:
@@ -134,23 +145,26 @@ class FiniteSupportDist:
         return self.bayes_actions()[nearest]
 
     def bayes_risk(self) -> RiskEstimate:
-        actions = self.bayes_actions()
-        losses = eval_loss(self.loss_spec, actions[:, None], self.label_values)
-        per_atom = np.sum(self.label_probs * losses, axis=1)
+        per_atom = _atom_conditional_risks(
+            self.loss_spec, self.bayes_actions(), self.label_values, self.label_probs
+        )
         return RiskEstimate(
             value=float(np.sum(self.probs * per_atom)),
             std_error=0.0,
-            n_samples=self.points.shape[0],
+            n_samples=len(self.probs),
             exact=True,
         )
 
     def sample(self, n: int, seed: int):
+        """n i.i.d. draws (X, y): atoms by their masses, then each row's label
+        by its atom's law.  X has the type of ``points``; a draw costs O(n)
+        beyond the O(s) mass table of the atom draw."""
         rng = np.random.default_rng(seed)
-        idx = rng.choice(self.points.shape[0], size=n, p=self.probs)
+        idx = rng.choice(len(self.probs), size=n, p=self.probs)
         X = self.points[idx]
         u = rng.random(n)
-        cum = np.cumsum(self.label_probs, axis=1)
-        label_idx = np.argmax(u[:, None] < cum[idx], axis=1)
+        cum = np.cumsum(self.label_probs[idx], axis=1)
+        label_idx = np.argmax(u[:, None] < cum, axis=1)
         y = self.label_values[idx, label_idx]
         return X, y
 
@@ -175,8 +189,8 @@ class AssouadParams:
     n: int
 
 
-class AssouadDist:
-    """q + 1 atoms on orthogonal axes in R^(q+1).
+class AssouadDist(FiniteSupportDist):
+    """q + 1 atoms on orthogonal axes in R^(q+1): a finite-support law.
 
     The heavy atom x_0 = e_0 has mass 1 - v and a deterministic +1 label; the
     light atoms x_l = r e_l (l = 1..q) have mass v/q each and labels with
@@ -184,82 +198,53 @@ class AssouadDist:
     vector (e_0 + q^(-1/2) sum sigma_l e_l) / sqrt(2) with offset 0, putting
     the heavy atom at margin 1/sqrt(2) and the light atoms at r / sqrt(2 q).
 
-    Per-atom quantities (``atom_profile``) are computed arithmetically, and
-    ``atoms()`` and ``sample()`` return their points as ``AxisPoints`` sets,
-    which ``eta`` and ``bayes_predict`` read, so no method builds coordinates.
+    The atoms are an ``AxisPoints`` set, atom l on axis l, and the label
+    columns are (+1, -1), so ``FiniteSupportDist`` samples, lists and sums
+    the law with no coordinates built.  ``eta`` and ``bayes_predict`` read
+    the atom of each row of an ``AxisPoints`` set.
     """
 
     def __init__(self, q: int, r: float, v: float, epsilon: float, sigma=None):
         if q < 1:
-            raise ValueError("q must be >= 1")
+            raise ValueError("q: must be >= 1")
         if not 1.0 <= r <= math.sqrt(q) * (1.0 + _REL_TOL):
-            raise ValueError(f"r must lie in [1, sqrt(q)], got {r}")
+            raise ValueError(f"r: must lie in [1, sqrt(q)], got {r}")
         if not 0.0 < v <= 1.0:
-            raise ValueError("v must lie in (0, 1]")
+            raise ValueError("v: must lie in (0, 1]")
         if not 0.0 < epsilon < 0.5:
-            raise ValueError("epsilon must lie in (0, 1/2)")
+            raise ValueError("epsilon: must lie in (0, 1/2)")
         if sigma is None:
             sigma = np.ones(q)
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (q,) or not np.all((sigma == 1.0) | (sigma == -1.0)):
-            raise ValueError("sigma must be a length-q vector of +-1")
+            raise ValueError("sigma: must be a length-q vector of +-1")
         self.q = q
         self.r = float(r)
         self.v = float(v)
         self.epsilon = float(epsilon)
         self.sigma = sigma
-        self.loss_spec = make_loss("zero_one")
-
-    @property
-    def d(self) -> int:
-        return self.q + 1
-
-    def _atom_probs(self) -> np.ndarray:
-        return np.concatenate([[1.0 - self.v], np.full(self.q, self.v / self.q)])
-
-    def _atom_eta(self) -> np.ndarray:
-        return np.concatenate([[1.0], (1.0 + self.epsilon * self.sigma) / 2.0])
+        eta = np.concatenate([[1.0], (1.0 + self.epsilon * sigma) / 2.0])
+        super().__init__(
+            AxisPoints(np.arange(q + 1), np.concatenate([[1.0], np.full(q, self.r)]), q + 1),
+            np.concatenate([[1.0 - self.v], np.full(q, self.v / q)]),
+            np.tile([1.0, -1.0], (q + 1, 1)),
+            np.stack([eta, 1.0 - eta], axis=1),
+            make_loss("zero_one"),
+        )
 
     def atom_profile(self):
         """(probs, |2 eta - 1|, |margin|, norm) per atom, no coordinates built."""
-        probs = self._atom_probs()
         weights = np.concatenate([[1.0], np.full(self.q, self.epsilon)])
         margins = np.concatenate(
             [[1.0 / math.sqrt(2.0)], np.full(self.q, self.r / math.sqrt(2.0 * self.q))]
         )
-        norms = np.concatenate([[1.0], np.full(self.q, self.r)])
-        return probs, weights, margins, norms
-
-    def atoms(self):
-        """(points, probs, label_values, label_probs); atom l is point l = norm_l e_l."""
-        _, _, _, norms = self.atom_profile()
-        points = AxisPoints(np.arange(self.q + 1), norms, self.q + 1)
-        eta = self._atom_eta()
-        label_values = np.tile([-1.0, 1.0], (self.q + 1, 1))
-        label_probs = np.stack([1.0 - eta, eta], axis=1)
-        return points, self._atom_probs(), label_values, label_probs
+        return self.probs, weights, margins, self.points.scales
 
     def eta(self, X: AxisPoints) -> np.ndarray:
-        return self._atom_eta()[X.axes]
+        return self.label_probs[X.axes, 0]
 
     def bayes_predict(self, X: AxisPoints) -> np.ndarray:
-        light = np.where(self.sigma[np.maximum(X.axes - 1, 0)] >= 0.0, 1.0, -1.0)
-        return np.where(X.axes == 0, 1.0, light)
-
-    def bayes_risk(self) -> RiskEstimate:
-        probs = self._atom_probs()
-        eta = self._atom_eta()
-        value = float(np.sum(probs * np.minimum(eta, 1.0 - eta)))
-        return RiskEstimate(value=value, std_error=0.0, n_samples=self.q + 1, exact=True)
-
-    def sample(self, n: int, seed: int):
-        """n i.i.d. draws (X, y); X is an ``AxisPoints`` set of atoms."""
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(self.q + 1, size=n, p=self._atom_probs())
-        X = AxisPoints(idx, np.where(idx == 0, 1.0, self.r), self.q + 1)
-        eta = self._atom_eta()[idx]
-        y = np.where(rng.random(n) < eta, 1.0, -1.0)
-        return X, y
+        return self.bayes_actions()[X.axes]
 
 
 def assouad_min_n(gamma: float, rho: float, alpha: float) -> float:
@@ -337,10 +322,10 @@ def chi_squared_adjacent(dist_a: AssouadDist, dist_b: AssouadDist) -> float:
     flips = np.nonzero(dist_a.sigma != dist_b.sigma)[0]
     if flips.size != 1:
         raise ValueError(f"sign patterns must differ at exactly one atom, got {flips.size}")
-    l = int(flips[0])
-    mass = dist_a.v / dist_a.q
-    eta_a = (1.0 + dist_a.epsilon * dist_a.sigma[l]) / 2.0
-    eta_b = (1.0 + dist_b.epsilon * dist_b.sigma[l]) / 2.0
+    atom = int(flips[0]) + 1
+    mass = dist_a.probs[atom]
+    eta_a = dist_a.label_probs[atom, 0]
+    eta_b = dist_b.label_probs[atom, 0]
     return mass * (eta_a - eta_b) ** 2 * (1.0 / eta_b + 1.0 / (1.0 - eta_b))
 
 
@@ -373,21 +358,22 @@ class GaussMarginDist:
         radius_cap: float = 1e3,
     ):
         if d < 2:
-            raise ValueError("need d >= 2 for an off-margin direction")
-        if gamma <= 0 or rho <= 0:
-            raise ValueError("gamma and rho must be positive")
+            raise ValueError("d: must be >= 2 for an off-margin direction")
+        for name, value in (("gamma", gamma), ("rho", rho)):
+            if value <= 0:
+                raise ValueError(f"{name}: must be positive")
         if not 0 <= alpha <= 1:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ValueError("alpha: must lie in [0, 1]")
         if radius_cap <= 1:
-            raise ValueError("radius_cap must exceed 1")
+            raise ValueError("radius_cap: must exceed 1")
         if w is None:
             w = np.zeros(d)
             w[0] = 1.0
         w = np.asarray(w, dtype=float)
         if w.shape != (d,):
-            raise ValueError("w must be a d-vector")
+            raise ValueError("w: must be a d-vector")
         if abs(np.linalg.norm(w) - 1.0) > 1e-9:
-            raise ValueError("w must be a unit vector")
+            raise ValueError("w: must be a unit vector")
         self.d = int(d)
         self.gamma = float(gamma)
         self.rho = float(rho)
@@ -517,25 +503,25 @@ class RegressionDist:
         w_max: float = 10.0,
     ):
         if d < 1:
-            raise ValueError("d must be >= 1")
+            raise ValueError("d: must be >= 1")
         if spectral_constant < 1.0:
-            raise ValueError("spectral_constant must be >= 1")
+            raise ValueError("spectral_constant: must be >= 1")
         if not 0.0 < spectral_decay < 1.0:
-            raise ValueError("spectral_decay must lie in (0, 1)")
+            raise ValueError("spectral_decay: must lie in (0, 1)")
         if beta <= 0:
-            raise ValueError("beta must be positive")
+            raise ValueError("beta: must be positive")
         w = np.asarray(w, dtype=float)
         if w.shape != (d,):
-            raise ValueError("w must be a d-vector")
+            raise ValueError("w: must be a d-vector")
         norm = float(np.linalg.norm(w))
         if norm > w_max:
-            raise ValueError(f"||w|| = {norm:.4g} exceeds the class radius {w_max}; not rescaling")
+            raise ValueError(f"w: ||w|| = {norm:.4g} exceeds the class radius {w_max}; not rescaling")
         if noise is not None:
             kind, amplitude = noise
             if kind != "bounded_uniform":
-                raise ValueError(f"unknown noise model {kind!r}")
+                raise ValueError(f"noise: unknown noise model {kind!r}")
             if amplitude < 0:
-                raise ValueError("noise amplitude must be nonnegative")
+                raise ValueError("noise: amplitude must be nonnegative")
             noise = (kind, float(amplitude))
         self.d = int(d)
         self.spectral_constant = float(spectral_constant)

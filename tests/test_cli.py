@@ -269,7 +269,7 @@ def test_cli_rejects_unknown_subcommand(capsys):
          "noise.kind: must be one of ('bounded_uniform',)"),
         ("check-dist", {"type": "regression", "d": 2, "spectral_constant": 1.0,
                         "spectral_decay": 0.5, "w": [0.1, 0.1, 0.1]},
-         "w must be a d-vector"),
+         "w: must be a d-vector"),
         ("compressibility --k-list 2", {"type": "assouad", "q": 4, "r": 1.5}, "v: must be a number"),
     ],
 )

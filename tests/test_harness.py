@@ -237,6 +237,53 @@ def test_config_refusal_names_its_field(tmp_path, override, message):
         ExperimentConfig.from_dict(cfg)
 
 
+#: A valid law of each type, and one bad value per check of its constructor.
+_LAWS = {
+    "finite": {"points": [[0.0], [1.0]], "probs": [0.5, 0.5],
+               "label_values": [[-1.0, 1.0], [-1.0, 1.0]], "label_probs": [[0.3, 0.7], [0.9, 0.1]]},
+    "assouad": {"q": 4, "r": 1.5, "v": 0.5, "epsilon": 0.25},
+    "gauss_margin": {"d": 3, "gamma": 2.0, "rho": 2.0, "alpha": 0.5},
+    "regression": {"d": 2, "spectral_constant": 1.0, "spectral_decay": 0.5, "w": [0.3, 0.3]},
+}
+_BAD_LAW_FIELDS = [
+    ("finite", "points", [0.0, 1.0]),
+    ("finite", "probs", [1.0]),
+    ("finite", "probs", [0.7, 0.7]),
+    ("finite", "label_values", [[-1.0, 1.0]]),
+    ("finite", "label_values", [[0.0, 1.0], [-1.0, 1.0]]),  # off the zero_one domain
+    ("finite", "label_probs", [[0.5, 0.5]]),
+    ("finite", "label_probs", [[0.5, 0.6], [0.5, 0.5]]),
+    ("assouad", "q", 0),
+    ("assouad", "r", 0.5),
+    ("assouad", "r", 2.5),  # above sqrt(q)
+    ("assouad", "v", 1.5),
+    ("assouad", "epsilon", 0.5),
+    ("assouad", "sigma", [1.0, -1.0]),  # not length q
+    ("assouad", "sigma", [1.0, 0.0, 1.0, -1.0]),
+    ("gauss_margin", "d", 1),
+    ("gauss_margin", "gamma", 0.0),
+    ("gauss_margin", "rho", -1.0),
+    ("gauss_margin", "alpha", 1.5),
+    ("gauss_margin", "radius_cap", 0.5),
+    ("gauss_margin", "w", [1.0, 0.0]),
+    ("gauss_margin", "w", [1.0, 1.0, 0.0]),
+    ("regression", "d", 0),
+    ("regression", "spectral_constant", 0.5),
+    ("regression", "spectral_decay", 1.0),
+    ("regression", "beta", 0.0),
+    ("regression", "w", [0.3, 0.3, 0.3]),
+    ("regression", "w", [10.0, 10.0]),  # beyond w_max
+    ("regression", "noise", {"kind": "bounded_uniform", "amplitude": -0.1}),
+]
+
+
+@pytest.mark.parametrize("kind, field, value", _BAD_LAW_FIELDS)
+def test_law_refusal_names_its_field(tmp_path, kind, field, value):
+    distribution = {"type": kind, **_LAWS[kind], field: value}
+    with pytest.raises(ConfigError, match=f"^distribution: {field}: "):
+        ExperimentConfig.from_dict(regression_config(tmp_path, distribution=distribution))
+
+
 @pytest.mark.parametrize("noise", [{"kind": "gaussian", "amplitude": 0.1}, {"amplitude": 0.1}])
 def test_noise_kind_refusal_names_its_field(tmp_path, noise):
     cfg = regression_config(tmp_path)
@@ -594,7 +641,7 @@ def test_fit_rate_recovers_exact_power_law(tmp_path):
     assert fit["n_points"] == 4 and fit["dropped"] == 0 and fit["skipped_rows"] == 0
 
 
-def test_fit_rate_weighted_fit_matches_polyfit(tmp_path):
+def test_fit_rate_weighted_fit_matches_the_delta_method_closed_form(tmp_path):
     rng = np.random.default_rng(11)
     path = str(tmp_path / "noisy.csv")
     rows = []
@@ -607,16 +654,22 @@ def test_fit_rate_weighted_fit_matches_polyfit(tmp_path):
     assert abs(fit["slope"] + 0.7) < 3.0 * (fit["ci95"] / 1.96)
     assert fit["ci95"] > 0.0
 
-    # independent check: numpy's weighted polyfit with sigma = se/mean weights
+    # independent check: weighted least squares written out, with the
+    # delta-method weights (mean / se)^2 and slope variance 1 / Sxx
     groups: dict[float, list[float]] = {}
     for n, y, _ in rows:
         groups.setdefault(n, []).append(y)
     xs = sorted(groups)
     means = np.array([np.mean(groups[x]) for x in xs])
     ses = np.array([np.std(groups[x], ddof=1) / math.sqrt(len(groups[x])) for x in xs])
-    coeffs = np.polyfit(np.log(xs), np.log(means), 1, w=means / ses)
-    assert fit["slope"] == pytest.approx(coeffs[0], rel=1e-10)
-    assert fit["intercept"] == pytest.approx(coeffs[1], rel=1e-10)
+    lx, ly, weights = np.log(xs), np.log(means), (means / ses) ** 2
+    xw = np.sum(weights * lx) / np.sum(weights)
+    yw = np.sum(weights * ly) / np.sum(weights)
+    sxx = np.sum(weights * (lx - xw) ** 2)
+    slope = np.sum(weights * (lx - xw) * (ly - yw)) / sxx
+    assert fit["slope"] == pytest.approx(slope, rel=1e-10)
+    assert fit["intercept"] == pytest.approx(yw - slope * xw, rel=1e-10)
+    assert fit["ci95"] == pytest.approx(1.96 * math.sqrt(1.0 / sxx), rel=1e-10)
 
 
 def test_fit_rate_skips_error_rows_and_drops_nonpositive(tmp_path):

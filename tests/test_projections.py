@@ -97,6 +97,22 @@ def test_axis_points_validation():
         AxisPoints([0], [np.nan], 8)
 
 
+def test_axis_points_index_array_picks_rows():
+    """Indexing by an index array gives the picked rows as a set of their
+    own, repeats and any order allowed, through the same validation."""
+    points = AxisPoints([3, 0, 5, 5], [2.0, -1.0, 0.0, 4.0], 8)
+    idx = np.array([2, 0, 0, 3, 1])
+    picked = points[idx]
+    assert isinstance(picked, AxisPoints) and picked.shape == (5, 8)
+    assert picked.axes.dtype == np.intp
+    assert np.array_equal(picked.toarray(), points.toarray()[idx])
+    assert len(points[np.array([], dtype=np.intp)]) == 0
+    with pytest.raises(ValueError):
+        points[1]  # a scalar index would give a 0-d set
+    with pytest.raises(IndexError):
+        points[np.array([4])]
+
+
 def test_invalid_construction():
     with pytest.raises(InvalidDimensionError):
         sample_projection("gaussian", 0, 8, 0)

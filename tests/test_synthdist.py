@@ -169,7 +169,79 @@ def test_assouad_atoms_at_large_q_take_no_coordinates():
     assert p_margins[0] == pytest.approx(1 / math.sqrt(2))
     # The law's own Bayes predictor and eta read the atom of each point.
     assert np.array_equal(dist.bayes_predict(points), np.concatenate([[1.0], sigma]))
-    assert np.array_equal(dist.eta(points), label_probs[:, 1])
+    assert np.array_equal(dist.eta(points), label_probs[:, label_values[0] == 1.0].ravel())
+
+
+class _AssouadFormulas:
+    """The Assouad law written out from its definition, with no table: the
+    reference its finite-support form must equal bit for bit."""
+
+    def __init__(self, dist):
+        self.q, self.r, self.v, self.eps, self.sigma = dist.q, dist.r, dist.v, dist.epsilon, dist.sigma
+        self.probs = np.concatenate([[1.0 - self.v], np.full(self.q, self.v / self.q)])
+        self.eta = np.concatenate([[1.0], (1.0 + self.eps * self.sigma) / 2.0])
+
+    def sample(self, n, seed):
+        """The atom draw, then y = +1 iff u < eta."""
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(self.q + 1, size=n, p=self.probs)
+        y = np.where(rng.random(n) < self.eta[idx], 1.0, -1.0)
+        return idx, np.where(idx == 0, 1.0, self.r), y
+
+    def bayes_predict(self, axes):
+        light = np.where(self.sigma[np.maximum(axes - 1, 0)] >= 0.0, 1.0, -1.0)
+        return np.where(axes == 0, 1.0, light)
+
+    def bayes_risk(self):
+        return float(np.sum(self.probs * np.minimum(self.eta, 1.0 - self.eta)))
+
+    def chi_squared_flip(self, l):
+        """chi^2 to the member whose sign l is flipped."""
+        eta_a = (1.0 + self.eps * self.sigma[l]) / 2.0
+        eta_b = (1.0 - self.eps * self.sigma[l]) / 2.0
+        return self.v / self.q * (eta_a - eta_b) ** 2 * (1.0 / eta_b + 1.0 / (1.0 - eta_b))
+
+
+@pytest.mark.parametrize("q", [4, 3000, 7000])
+def test_assouad_law_equals_its_formulas(q):
+    """Sampling, atoms, eta, the Bayes rule, the Bayes risk and chi^2 of the
+    finite-support form equal the law's own formulas bit for bit."""
+    for seed in range(4):
+        rng = np.random.default_rng([q, seed])
+        sigma = np.where(rng.random(q) < 0.5, -1.0, 1.0)
+        r = 1.0 + (math.sqrt(q) - 1.0) * rng.random()
+        dist = AssouadDist(q, r, v=0.2 + 0.8 * rng.random(), epsilon=0.49 * rng.random(), sigma=sigma)
+        ref = _AssouadFormulas(dist)
+        for n in (200, 5000):
+            X, y = dist.sample(n, seed=seed + 10)
+            axes, scales, y_ref = ref.sample(n, seed=seed + 10)
+            assert isinstance(X, AxisPoints) and X.d == q + 1
+            assert np.array_equal(X.axes, axes) and np.array_equal(X.scales, scales)
+            assert np.array_equal(y, y_ref)
+            assert np.array_equal(dist.eta(X), ref.eta[axes])
+            assert np.array_equal(dist.bayes_predict(X), ref.bayes_predict(axes))
+        points, probs, label_values, label_probs = dist.atoms()
+        assert np.array_equal(points.axes, np.arange(q + 1))
+        assert np.array_equal(points.scales, np.concatenate([[1.0], np.full(q, r)]))
+        assert np.array_equal(probs, ref.probs)
+        assert np.array_equal(label_values, np.tile([1.0, -1.0], (q + 1, 1)))
+        assert np.array_equal(label_probs, np.stack([ref.eta, 1.0 - ref.eta], axis=1))
+        assert np.array_equal(dist.eta(points), ref.eta)
+        assert np.array_equal(dist.bayes_predict(points), ref.bayes_predict(np.arange(q + 1)))
+        risk = dist.bayes_risk()
+        assert risk.value == ref.bayes_risk() and risk.exact and risk.n_samples == q + 1
+        l = int(rng.integers(q))
+        flipped = sigma.copy()
+        flipped[l] = -flipped[l]
+        other = AssouadDist(q, dist.r, dist.v, dist.epsilon, flipped)
+        assert chi_squared_adjacent(dist, other) == ref.chi_squared_flip(l)
+
+
+def test_assouad_law_is_a_finite_support_law():
+    """One class samples, lists and sums every finite law."""
+    assert issubclass(AssouadDist, FiniteSupportDist)
+    for name in ("sample", "atoms", "bayes_risk", "d"):
+        assert name not in vars(AssouadDist), name
 
 
 def test_assouad_sampling_and_bayes():
