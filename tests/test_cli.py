@@ -267,9 +267,10 @@ def test_cli_rejects_unknown_subcommand(capsys):
                         "spectral_decay": 0.5, "w": [0.1, 0.1],
                         "noise": {"kind": "gaussian", "amplitude": 0.1}},
          "noise.kind: must be one of ('bounded_uniform',)"),
-        ("check-dist", {"type": "regression", "d": 2, "spectral_constant": 1.0,
-                        "spectral_decay": 0.5, "w": [0.1, 0.1, 0.1]},
-         "w: must be a d-vector"),
+        # The id predates the field-first message; it is pinned so the case keeps its name.
+        pytest.param("check-dist", {"type": "regression", "d": 2, "spectral_constant": 1.0,
+                                    "spectral_decay": 0.5, "w": [0.1, 0.1, 0.1]},
+                     "w: must be a d-vector", id="check-dist-spec2-w must be a d-vector"),
         ("compressibility --k-list 2", {"type": "assouad", "q": 4, "r": 1.5}, "v: must be a number"),
     ],
 )
