@@ -2,7 +2,11 @@
 
 Each member gets its own projection map, drawn from the shared family with a
 seed derived from the ensemble's master seed, and a predictor fit by empirical
-risk minimization on its compressed view of the same training sample.  The
+risk minimization on its compressed view of the same training sample.
+Members are fit in groups: consecutive members whose stacked designs, n x
+(k + 1) doubles each, fit in ``projections._BLOCK_BYTES`` go through one
+``fit`` call, so the Newton solver runs small members in lockstep while a
+large member is fit alone.  The grouping never changes a result.  The
 combination rule is the loss's combiner: majority vote with ties broken
 toward +1 for the zero-one loss, the clipped mean of member outputs
 otherwise.
@@ -22,7 +26,7 @@ import numpy as np
 
 from .hypotheses import ErmReport, LinearHypothesis, fit
 from .losses import LossSpec
-from .projections import AxisPoints, ProjectionMap, _row_blocks, apply, sample_projection
+from .projections import _BLOCK_BYTES, AxisPoints, ProjectionMap, _row_blocks, apply, sample_projection
 from .riskbounds import RiskEstimate, _estimate_excess_risks
 from .seeds import derive_seed
 
@@ -80,6 +84,11 @@ def train_ensemble(
     different master seeds are independent.  An ``AxisPoints`` X, such as an
     Assouad sample, is compressed by ``apply``'s gather, with no n x d array
     built; the members equal those fit on ``X.toarray()`` bit for bit.
+
+    Members are compressed in order and fit in groups of as many as keep
+    their stacked n x (k + 1) designs within ``_BLOCK_BYTES`` (at least
+    one), one ``fit`` call per group.  Each member's report equals the one
+    its design gives when fit alone, so the group size changes no result.
     """
     X = X if isinstance(X, AxisPoints) else np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -87,14 +96,16 @@ def train_ensemble(
         raise ValueError("X must be n x d with matching labels y")
     if m < 1:
         raise ValueError("m must be >= 1")
-    d = X.shape[1]
+    n, d = X.shape
+    group = max(1, _BLOCK_BYTES // max(1, 8 * n * (k + 1)))
     members = []
     reports = []
-    for i in range(m):
-        pmap = sample_projection(family, k, d, derive_seed(master_seed, i))
-        report = fit(apply(pmap, X), y, loss, solver, iters)
-        members.append((pmap, report.hypothesis))
-        reports.append(report)
+    for start in range(0, m, group):
+        maps = [sample_projection(family, k, d, derive_seed(master_seed, i))
+                for i in range(start, min(m, start + group))]
+        group_reports = fit(_stack([apply(pmap, X) for pmap in maps]), y, loss, solver, iters)
+        members.extend((pmap, report.hypothesis) for pmap, report in zip(maps, group_reports))
+        reports.extend(group_reports)
     return EnsembleModel(
         members=tuple(members),
         loss=loss,
@@ -104,6 +115,13 @@ def train_ensemble(
         m=m,
         member_reports=tuple(reports),
     )
+
+
+def _stack(designs: list[np.ndarray]) -> np.ndarray:
+    """The designs as one g x n x k stack; a lone design as a view of it,
+    without a copy.  Passed straight to ``fit``, the designs are freed when
+    it returns, before the next group is compressed."""
+    return designs[0][None] if len(designs) == 1 else np.stack(designs)
 
 
 def _member_outputs(model: EnsembleModel, X: np.ndarray, spare_rows: int = 0) -> np.ndarray:

@@ -109,6 +109,22 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+#: The types of JSON's immutable values.
+_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+def _copy_json(value):
+    """A copy of a JSON value that shares its immutable leaves: every dict
+    and list is new, and a list of leaves alone is copied in one step."""
+    if isinstance(value, dict):
+        return {key: _copy_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        if _JSON_LEAVES.issuperset(map(type, value)):
+            return value.copy()
+        return [_copy_json(item) for item in value]
+    return value
+
+
 def _int_list(value, path: str) -> tuple[int, ...]:
     _require(isinstance(value, (list, tuple)) and len(value) > 0, path, "must be a non-empty list")
     return tuple(_int_field(v, f"{path}[{i}]") for i, v in enumerate(value))
@@ -267,7 +283,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "", "config must be a JSON object")
-        raw = copy.deepcopy(raw)  # later edits to the caller's dict change nothing here
+        raw = _copy_json(raw)  # later edits to the caller's dict change nothing here
         values = _read_fields(raw, "", _FIELDS)
         for check in _CROSS_FIELD_CHECKS:
             check(values)

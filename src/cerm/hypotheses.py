@@ -24,7 +24,10 @@ Three solvers:
   the result, for scales the exact solver does not take.  It converges in
   a handful of steps, and it stops as soon as the training points are
   separated, where the surrogate has no minimizer.  Its logistic weights
-  come from ``_expit``, the sigmoid 1 / (1 + exp(-x)) in numpy.
+  come from ``_expit``, the sigmoid 1 / (1 + exp(-x)) in numpy.  It also
+  takes a stack of member designs that share the labels and runs them in
+  lockstep, one numpy call per step for the stack, each member exactly as
+  its solo solve runs.
 * ``erm_regression`` — subgradient descent with a backtracking step size on
   the clipped-linear empirical risk (squared or kl), initialized at the
   ordinary least squares solution for the squared loss.  The clip's
@@ -34,7 +37,10 @@ Three solvers:
 
 ``fit`` is the one dispatch from a (loss, solver) pair to these solvers.
 Its ``iters`` caps the Newton steps of the surrogate classifier and the
-descent steps of the regression solver; the exact solver takes no cap.
+descent steps of the regression solver; the exact solver takes no cap.  It
+takes one n x k design or a g x n x k stack of them: a stack goes to the
+Newton solver whole, and to the other two one design at a time.  Either way
+a member's report is the one its design gives alone, bit for bit.
 
 Every report's ``empirical_risk`` is recomputed from the returned hypothesis
 on the training pairs, never taken from solver internals.
@@ -152,12 +158,14 @@ class ErmReport:
     objective_checkpoints: tuple | None = None
 
 
-def _validate_classification(U, y):
+def _validate_classification(U, y, stack: bool = False):
+    """U and y as float arrays; with ``stack``, U may be a g x n x k stack of
+    designs that share the labels y."""
     U = np.asarray(U, dtype=float)
-    if U.ndim != 2:
-        raise ValueError("U must be an n x k array")
+    if U.ndim != 2 and not (stack and U.ndim == 3):
+        raise ValueError("U must be an n x k array" + (" or a g x n x k stack" if stack else ""))
     y = np.asarray(y, dtype=float)
-    if y.shape != (U.shape[0],):
+    if y.shape != U.shape[-2:-1]:
         raise ValueError("y must have one label per row of U")
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("labels must be in {-1, +1}")
@@ -306,6 +314,29 @@ def _best_arc(dx, dy, pos, neg, inverse, best, lift):
     return int(cost[i, c]), np.append(w, t)
 
 
+def _distinct_rows(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an n x k array, numbered in the order they first
+    occur: row first[j] is point j's first occurrence, and row i is point
+    inverse[i].  Rows equal in every coordinate are one point, and -0.0
+    equals 0.0.
+
+    A stable lexsort over the columns puts equal rows next to each other in
+    row order, so each run of equal rows starts at its first occurrence.
+    """
+    n = U.shape[0]
+    order = np.lexsort(U.T)
+    sorted_rows = U[order]
+    starts = np.ones(n, dtype=bool)
+    np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=starts[1:])
+    runs = order[starts]  # each run's first row, in sorted order
+    by_first = np.argsort(runs)
+    point = np.empty(runs.size, dtype=np.intp)
+    point[by_first] = np.arange(runs.size)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = point[np.cumsum(starts) - 1]
+    return runs[by_first], inverse
+
+
 def _sweep(U, y) -> tuple[int, np.ndarray]:
     """The best sign rule for k <= 3 by a rotational sweep.
 
@@ -318,11 +349,7 @@ def _sweep(U, y) -> tuple[int, np.ndarray]:
     n, k = U.shape
     y_pos = y == 1.0
     best = _best_constant(y_pos, k)
-    # Adding 0.0 makes -0.0 and 0.0 one point; numpy 2.0.0's inverse is 2-d.
-    _, first, inverse = np.unique(U + 0.0, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    first = first[order]
-    inverse = np.argsort(order)[inverse.reshape(-1)]
+    first, inverse = _distinct_rows(U)
     u = first.size
     pos = np.bincount(inverse[y_pos], minlength=u)
     neg = np.bincount(inverse, minlength=u) - pos
@@ -438,7 +465,7 @@ def _expit(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def erm_surrogate_classification(U, y, iters: int = 2000) -> ErmReport:
+def erm_surrogate_classification(U, y, iters: int = 2000):
     """Damped Newton on the logistic surrogate for the sign-linear class.
 
     Minimizes mean log(1 + exp(-y s)) over the scores s = Z x, with
@@ -457,63 +484,112 @@ def erm_surrogate_classification(U, y, iters: int = 2000) -> ErmReport:
       separated, the surrogate has no minimizer, and the rule's zero-one risk
       is already 0.
 
+    U may also be a g x n x k stack of member designs that share the labels
+    y; the result is then a tuple of g reports.  The members advance in
+    lockstep, one numpy call per step for the whole stack, and each leaves
+    the batch when its own stop rule fires, before any later work on it.
+    Every member does the floating-point operations of its solo solve, one
+    BLAS or LAPACK call per member for each product and solve, so its
+    report equals the one ``erm_surrogate_classification(U[j], y)`` gives
+    bit for bit.
+
     It runs no other solver; how far that risk is from the optimum is for a
     caller to measure with ``erm_exact_classification`` where that is
     feasible.  ``objective_checkpoints`` holds the objective at the start and
     after every accepted step.
     """
-    U, y = _validate_classification(U, y)
-    n, k = U.shape
-    Z = np.empty((n, k + 1))
-    Z[:, :k] = U
-    Z[:, k] = -1.0
-    W = np.empty_like(Z)  # Z scaled by the root curvature, rewritten each step
-    diag = np.diag_indices(k + 1)
+    U, y = _validate_classification(U, y, stack=True)
+    stacked = U.ndim == 3
+    if not stacked:
+        U = U[None]
+    g, n, k = U.shape
+    Z = np.empty((g, n, k + 1))
+    Z[..., :k] = U
+    Z[..., k] = -1.0
     # At the start, x = 0, every q is 1/2.
-    grad_floor = _GRAD_RTOL * float(np.max(np.abs(Z.T @ y))) / (2 * n)
+    grad_floor = _GRAD_RTOL * np.max(np.abs(Z.transpose(0, 2, 1) @ y), axis=1) / (2 * n)
 
-    x = np.zeros(k + 1)
-    margins = np.zeros(n)
-    obj = float(np.mean(np.logaddexp(0.0, -margins)))
-    checkpoints = [obj]
+    # The running members' state, one row each; ``member`` names their
+    # places in the stack.  A member that stops leaves every array at once.
+    member = np.arange(g)
+    x = np.zeros((g, k + 1))
+    margins = np.zeros((g, n))
+    obj = np.mean(np.logaddexp(0.0, -margins), axis=1)
+    checkpoints = [[value] for value in obj.tolist()]
+    final = np.zeros((g, k + 1))
+
+    def leave(stops):
+        nonlocal member, x, margins, obj, grad_floor, Z
+        if not stops.any():
+            return slice(None)
+        final[member[stops]] = x[stops]
+        keep = ~stops
+        member, x, margins, obj, grad_floor, Z = (
+            a[keep] for a in (member, x, margins, obj, grad_floor, Z)
+        )
+        return keep
+
+    def trial_point(Z, x, dx, step):
+        trial = x - step * dx
+        trial_margins = y * (Z @ trial[..., None])[..., 0]
+        return trial, trial_margins, np.logaddexp(0.0, -trial_margins).mean(axis=1)
+
+    W_rows = np.empty_like(Z)  # Z scaled by the root curvature, rewritten each step
     for _ in range(iters):
+        if not member.size:
+            break
         q = _expit(-margins)
-        grad = Z.T @ (-y * q) / n
-        if np.max(np.abs(grad)) < grad_floor:
+        grad = Z.transpose(0, 2, 1) @ (-y * q)[..., None] / n
+        keep = leave(np.abs(grad[..., 0]).max(axis=1) < grad_floor)
+        if not member.size:
             break
-        np.multiply(Z, np.sqrt(q * (1.0 - q))[:, None], out=W)
-        H = W.T @ W / n
-        curvature = H[diag]
-        H[diag] += _NEWTON_RIDGE * np.where(curvature > 0.0, curvature, 1.0)
+        grad, q = grad[keep], q[keep]
+        W = np.multiply(Z, np.sqrt(q * (1.0 - q))[..., None], out=W_rows[: len(Z)])
+        H = W.transpose(0, 2, 1) @ W / n
+        curvature = H.reshape(-1, (k + 1) ** 2)[:, :: k + 2]  # a view of each diagonal
+        curvature += _NEWTON_RIDGE * np.where(curvature > 0.0, curvature, 1.0)
         dx = np.linalg.solve(H, grad)
-        if float(grad @ dx) / 2.0 < _NEWTON_TOL:
+        keep = leave((grad.transpose(0, 2, 1) @ dx)[:, 0, 0] / 2.0 < _NEWTON_TOL)
+        if not member.size:
             break
+        dx = dx[keep, :, 0]
+
+        # Halve each member's step until its objective does not rise; the
+        # members still halving run together, with the same step.  A row's
+        # next_* hold its last trial, kept once accepted.
         step = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            trial = x - step * dx
-            trial_margins = y * (Z @ trial)
-            trial_obj = float(np.mean(np.logaddexp(0.0, -trial_margins)))
-            if trial_obj <= obj:
-                accepted = True
+        next_x, next_margins, next_obj = trial_point(Z, x, dx, step)
+        accepted = next_obj <= obj
+        halving = np.flatnonzero(~accepted)
+        for _ in range(_MAX_HALVINGS - 1):
+            if not halving.size:
                 break
             step *= 0.5
-        if not accepted:
-            break
-        decrease = obj - trial_obj
-        x, margins, obj = trial, trial_margins, trial_obj
-        checkpoints.append(obj)
-        if decrease < _NEWTON_TOL or np.all(margins > 0.0):
-            break
+            trial = trial_point(Z[halving], x[halving], dx[halving], step)
+            next_x[halving], next_margins[halving], next_obj[halving] = trial
+            ok = trial[2] <= obj[halving]
+            accepted[halving[ok]] = True
+            halving = halving[~ok]
+        keep = leave(~accepted)
+        decrease = obj - next_obj[keep]
+        x, margins, obj = next_x[keep], next_margins[keep], next_obj[keep]
+        for j, value in zip(member.tolist(), obj.tolist()):
+            checkpoints[j].append(value)
+        leave((decrease < _NEWTON_TOL) | (margins > 0.0).all(axis=1))
+    final[member] = x
 
-    hypothesis = LinearHypothesis(w=x[:k], t=float(x[k]), mode="sign")
-    risk = _zero_one_risk(hypothesis, U, y)
-    return ErmReport(
-        hypothesis=hypothesis,
-        empirical_risk=risk,
-        solver="surrogate",
-        objective_checkpoints=tuple(checkpoints),
-    )
+    reports = []
+    for j in range(g):
+        hypothesis = LinearHypothesis(w=final[j, :k].copy(), t=float(final[j, k]), mode="sign")
+        reports.append(
+            ErmReport(
+                hypothesis=hypothesis,
+                empirical_risk=_zero_one_risk(hypothesis, U[j], y),
+                solver="surrogate",
+                objective_checkpoints=tuple(checkpoints[j]),
+            )
+        )
+    return tuple(reports) if stacked else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +756,7 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
     )
 
 
-def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000) -> ErmReport:
+def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000):
     """Fit the compressed class of ``loss`` on (U, y) with the named solver.
 
     The zero-one loss takes ``"exact"`` (``erm_exact_classification``, the
@@ -688,13 +764,26 @@ def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000) -> E
     the logistic surrogate); the regression losses take ``"surrogate"`` only,
     meaning descent on the clipped empirical risk.  Any other pairing raises
     ValueError.
+
+    A g x n x k stack of designs that share the labels y gives a tuple of g
+    reports, each equal bit for bit to the report of its design fit alone.
+    The Newton solver takes the whole stack in one call and runs its members
+    in lockstep; the exact sweep and the regression descent fit one design
+    after another.
     """
     if loss.kind == "zero_one":
-        if solver == "exact":
-            return erm_exact_classification(U, y)
         if solver == "surrogate":
             return erm_surrogate_classification(U, y, iters=iters)
-        raise ValueError(f"unknown classification solver {solver!r}")
-    if solver != "surrogate":
-        raise ValueError(f"the {loss.kind} loss takes solver 'surrogate' only, got {solver!r}")
-    return erm_regression(U, y, loss, iters=iters)
+        if solver != "exact":
+            raise ValueError(f"unknown classification solver {solver!r}")
+        solve = erm_exact_classification
+    else:
+        if solver != "surrogate":
+            raise ValueError(f"the {loss.kind} loss takes solver 'surrogate' only, got {solver!r}")
+
+        def solve(design, y):
+            return erm_regression(design, y, loss, iters=iters)
+
+    if np.ndim(U) == 3:
+        return tuple(solve(design, y) for design in U)
+    return solve(U, y)

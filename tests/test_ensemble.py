@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cerm import ensemble
 from cerm.ensemble import (
     EnsembleModel,
     member_excess_risks,
@@ -366,3 +367,66 @@ def test_assouad_training_memory_is_linear_in_q():
         tracemalloc.stop()
     assert model.m == 25
     assert peak < 12 * 2**20, f"training peaked at {peak / 2**20:.1f} MiB"
+
+
+def _grouping_cases():
+    """(name, X, y, loss, solver, k): training sets whose members group."""
+    q = 3000
+    sigma = np.where(np.arange(q) % 3 == 0, 1.0, -1.0)
+    assouad = AssouadDist(q=q, r=q**0.25, v=q**-0.25, epsilon=0.3, sigma=sigma)
+    X, y = assouad.sample(200, seed=21)
+    _, Xg, yg = classification_data(n=150, seed=22)
+    reg = RegressionDist(d=6, spectral_constant=1.0, spectral_decay=0.5, w=np.ones(6))
+    Xr, yr = reg.sample(150, seed=23)
+    zero_one = make_loss("zero_one")
+    return [
+        ("axis points, surrogate", X, y, zero_one, "surrogate", 2),
+        ("dense assouad, surrogate", X.toarray(), y, zero_one, "surrogate", 2),
+        ("axis points, exact", X, y, zero_one, "exact", 2),
+        ("gauss margin, surrogate", Xg, yg, zero_one, "surrogate", 4),
+        ("regression", Xr, yr, reg.loss_spec, "surrogate", 3),
+    ]
+
+
+@pytest.mark.parametrize("case", _grouping_cases(), ids=lambda case: case[0])
+def test_members_do_not_depend_on_their_grouping(case, monkeypatch):
+    """The default budget puts all 25 members in one group at these sizes;
+    a budget of one byte fits each member alone, and changes no result."""
+    _, X, y, loss, solver, k = case
+    groups = []
+    original = ensemble.fit
+
+    def recorded(U, *args):
+        groups.append(len(U))
+        return original(U, *args)
+
+    monkeypatch.setattr(ensemble, "fit", recorded)
+    models = [train_ensemble(X, y, loss, "gaussian", k=k, m=25, solver=solver,
+                             master_seed=24, iters=200)]
+    assert groups == [25]
+    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 1)
+    models.append(train_ensemble(X, y, loss, "gaussian", k=k, m=25, solver=solver,
+                                 master_seed=24, iters=200))
+    assert groups == [25] + [1] * 25
+    grouped, alone = models
+    for (pa, ha), (pb, hb) in zip(grouped.members, alone.members):
+        assert pa.seed == pb.seed and np.array_equal(ha.w, hb.w) and ha.t == hb.t
+    for ra, rb in zip(grouped.member_reports, alone.member_reports):
+        assert ra.empirical_risk == rb.empirical_risk
+        assert ra.objective_checkpoints == rb.objective_checkpoints
+
+
+def test_large_members_are_fit_one_at_a_time(monkeypatch):
+    """At n = 4096 and k = 23 one member's design takes 0.75 MiB, so no two
+    members share a group."""
+    _, X, y = classification_data(n=4096, d=50, seed=25)
+    groups = []
+    original = ensemble.fit
+
+    def recorded(U, *args):
+        groups.append(len(U))
+        return original(U, *args)
+
+    monkeypatch.setattr(ensemble, "fit", recorded)
+    train_ensemble(X, y, make_loss("zero_one"), "gaussian", k=23, m=3, master_seed=26, iters=20)
+    assert groups == [1, 1, 1]

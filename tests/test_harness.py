@@ -384,6 +384,22 @@ def test_config_owns_its_data(tmp_path):
     assert config_hash(config.raw) == written
 
 
+def test_config_owns_the_lists_of_its_raw_form(tmp_path):
+    sigma = [1, -1, 1, 1, -1, -1, 1, -1, 1, 1]
+    assouad = {"type": "assouad", "q": 10, "r": 2.0, "v": 0.5, "epsilon": 0.25, "sigma": sigma}
+    cfg = classification_config(tmp_path, distribution=assouad, n_list=[20, 40],
+                                k_rule={"rule": "fixed", "k": 2}, solver="exact")
+    config = ExperimentConfig.from_dict(cfg)
+    raw, written = json.loads(json.dumps(config.raw)), config_hash(config.raw)
+    assert raw == cfg
+    cfg["distribution"]["sigma"][0] = -1
+    cfg["n_list"].append(80)
+    cfg["k_rule"]["k"] = 3
+    assert json.loads(json.dumps(config.raw)) == raw
+    assert config_hash(config.raw) == written
+    assert config.make_dist().sigma[0] == 1.0
+
+
 def test_config_hash_is_order_insensitive(tmp_path):
     cfg = regression_config(tmp_path)
     reordered = dict(reversed(list(cfg.items())))

@@ -699,6 +699,34 @@ def test_sweep_matches_the_per_row_reference_bit_for_bit():
         assert errors == ref_errors and np.array_equal(v, ref_v), (U.tolist(), y.tolist())
 
 
+def unique_rows_reference(U):
+    """The distinct rows by np.unique, renumbered by first occurrence."""
+    _, first, inverse = np.unique(U + 0.0, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+def test_distinct_rows_match_numpy_unique():
+    rng = np.random.default_rng(84)
+    for k in (1, 2, 3):
+        for n in (1, 2, 7, 50, 200):
+            signed_zeros = np.where(rng.random((n, k)) < 0.5, -0.0, 0.0)
+            for U in (
+                rng.standard_normal((n, k)),
+                rng.integers(-1, 2, size=(n, k)).astype(float),
+                rng.integers(0, 2, size=(n, k)) + signed_zeros,
+                signed_zeros,
+                projected_assouad_sample(k, n, n + k)[0],
+            ):
+                first, inverse = hypotheses._distinct_rows(U)
+                ref_first, ref_inverse = unique_rows_reference(U)
+                assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
+                assert np.array_equal(U[first][inverse], U)
+    # Rows that differ only in the sign of a zero are one point.
+    first, inverse = hypotheses._distinct_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0]]))
+    assert first.tolist() == [0, 2] and inverse.tolist() == [0, 0, 1]
+
+
 def test_the_sweep_works_on_distinct_points_only(monkeypatch):
     """At n = 200 the k = 2 sweep makes one (u, u) pass over the u distinct
     rows, and every k = 3 pass has u columns and at most u - 1 pivot lines."""
@@ -1106,6 +1134,191 @@ def test_newton_on_a_gauss_margin_member_takes_at_most_ten_steps():
         U = apply(sample_projection("gaussian", k, 50, member), X)
         report = erm_surrogate_classification(U, y, iters=500)
         assert newton_steps(report) <= 10
+
+
+# ---------------------------------------------------------------------------
+# Newton on a stack of member designs against solo solves
+# ---------------------------------------------------------------------------
+
+
+def solo_newton(U, y, iters):
+    """The damped Newton solve of one design as a loop of its own: the
+    reference each member of a lockstep batch must equal bit for bit.
+
+    Returns (x, checkpoints, stop, work), where ``stop`` names the rule
+    that ended the solve and ``work`` counts its Hessian solves and its
+    trial points.
+    """
+    n, k = U.shape
+    Z = np.empty((n, k + 1))
+    Z[:, :k] = U
+    Z[:, k] = -1.0
+    grad_floor = hypotheses._GRAD_RTOL * float(np.max(np.abs(Z.T @ y))) / (2 * n)
+    x, margins = np.zeros(k + 1), np.zeros(n)
+    obj = float(np.mean(np.logaddexp(0.0, -margins)))
+    checkpoints, stop, solves, trials = [obj], "cap", 0, 0
+    for _ in range(iters):
+        q = hypotheses._expit(-margins)
+        grad = Z.T @ (-y * q) / n
+        if np.max(np.abs(grad)) < grad_floor:
+            stop = "grad floor"
+            break
+        W = Z * np.sqrt(q * (1.0 - q))[:, None]
+        H = W.T @ W / n
+        curvature = np.diag(H).copy()
+        H[np.diag_indices(k + 1)] += hypotheses._NEWTON_RIDGE * np.where(curvature > 0.0, curvature, 1.0)
+        dx = np.linalg.solve(H, grad)
+        solves += 1
+        if float(grad @ dx) / 2.0 < hypotheses._NEWTON_TOL:
+            stop = "decrement"
+            break
+        step = 1.0
+        for _ in range(hypotheses._MAX_HALVINGS):
+            trial = x - step * dx
+            trial_margins = y * (Z @ trial)
+            trial_obj = float(np.mean(np.logaddexp(0.0, -trial_margins)))
+            trials += 1
+            if trial_obj <= obj:
+                break
+            step *= 0.5
+        else:
+            stop = "no halving"
+            break
+        decrease = obj - trial_obj
+        x, margins, obj = trial, trial_margins, trial_obj
+        checkpoints.append(obj)
+        if decrease < hypotheses._NEWTON_TOL:
+            stop = "decrease"
+            break
+        if np.all(margins > 0.0):
+            stop = "separated"
+            break
+    return x, tuple(checkpoints), stop, (solves, trials)
+
+
+def mixed_member_designs(rng, n, k, m):
+    """m designs of n rows that share one label vector, cycling through
+    members that Newton separates at once, noisy ones, ones with
+    opposite-labelled duplicate rows, duplicate columns and large scale."""
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    designs = []
+    for j in range(m):
+        U = rng.standard_normal((n, k))
+        kind = j % 5
+        if kind == 0:  # every coordinate carries the label's sign
+            U = y[:, None] * (1.0 + np.abs(U))
+        elif kind == 1:
+            U += 0.7 * y[:, None]
+        elif kind == 2:  # rows 0 and 1 are one point with opposite labels
+            U = y[:, None] * (1.0 + np.abs(U))
+            U[1] = U[0]
+        elif kind == 3 and k > 1:
+            U[:, 1] = U[:, 0]
+        elif kind == 4:
+            U *= 1e3
+        designs.append(U)
+    return np.stack(designs), y
+
+
+def newton_batch_cases():
+    """(name, stack, y) cases: handmade stacks, and members projected from
+    dense and axis-point training sets."""
+    rng = np.random.default_rng(97)
+    cases = [(f"mixed n={n} k={k}", *mixed_member_designs(rng, n, k, 25))
+             for n, k in ((40, 3), (200, 2), (3, 5), (2, 4))]
+    q = 3000
+    dist = AssouadDist(q, q**0.25, q**-0.25, q**-0.25, sigma=rng.choice([-1.0, 1.0], size=q))
+    X, y = dist.sample(200, 98)
+    maps = [sample_projection("gaussian", 2, q + 1, seed) for seed in range(25)]
+    for name, points in (("axis points", X), ("dense assouad", X.toarray())):
+        cases.append((name, np.stack([apply(pmap, points) for pmap in maps]), y))
+    X, y = GaussMarginDist(8, gamma=2.0, rho=2.0, alpha=0.0).sample(150, 99)
+    X, y = np.concatenate([X, X[:3]]), np.concatenate([y, -y[:3]])
+    maps = [sample_projection("rademacher", 4, 8, seed) for seed in range(25)]
+    cases.append(("dense, opposite duplicates", np.stack([apply(pmap, X) for pmap in maps]), y))
+    return cases
+
+
+def test_newton_batch_equals_solo_solves_bit_for_bit():
+    stops = set()
+    for name, stack, y in newton_batch_cases():
+        m, _, k = stack.shape
+        for iters in (1, 2, 500):
+            solo = [solo_newton(U, y, iters) for U in stack]
+            stops.update((stop, len(cps) - 1 if stop == "separated" else None) for _, cps, stop, _ in solo)
+            for size in (1, 2, 5, m):
+                for start in range(0, m, size):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        batch = erm_surrogate_classification(stack[start : start + size], y, iters=iters)
+                    assert len(batch) == min(size, m - start)
+                    for j, report in enumerate(batch, start):
+                        x, checkpoints, _, _ = solo[j]
+                        h = report.hypothesis
+                        where = (name, iters, size, j)
+                        assert np.array_equal(h.w, x[:k]) and h.t == x[k], where
+                        assert report.objective_checkpoints == checkpoints, where
+                        risk = float(np.mean(np.where(stack[j] @ x[:k] - x[k] >= 0.0, 1.0, -1.0) != y))
+                        assert report.empirical_risk == risk, where
+    reasons = {stop for stop, _ in stops}
+    assert {"grad floor", "decrement", "separated", "cap"} <= reasons, reasons
+    assert ("separated", 1) in stops
+
+
+def test_a_stopped_member_is_never_solved_or_stepped_again(monkeypatch):
+    """The batch solves the Hessians and scores the trial points of the
+    running members only: its work equals the solo solves' work."""
+    solve, logaddexp = np.linalg.solve, np.logaddexp
+    for name, stack, y in newton_batch_cases():
+        solo = [solo_newton(U, y, 500)[3] for U in stack]
+        solved, scored = [], []
+
+        def solve_recorded(H, g):
+            solved.append(len(H))
+            return solve(H, g)
+
+        def logaddexp_recorded(a, b):
+            scored.append(np.size(b) // len(y))
+            return logaddexp(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hypotheses.np.linalg, "solve", solve_recorded)
+            patch.setattr(hypotheses.np, "logaddexp", logaddexp_recorded)
+            erm_surrogate_classification(stack, y, iters=500)
+        assert sum(solved) == sum(solves for solves, _ in solo), name
+        assert solved == sorted(solved, reverse=True), name
+        # The first call scores the starting point of every member.
+        assert sum(scored[1:]) == sum(trials for _, trials in solo), name
+
+
+def test_a_stack_validates_its_labels_against_its_rows():
+    stack = np.zeros((3, 10, 2))
+    with pytest.raises(ValueError, match="one label per row"):
+        erm_surrogate_classification(stack, np.ones(3))
+    with pytest.raises(ValueError, match="g x n x k stack"):
+        erm_surrogate_classification(np.zeros((2, 3, 10, 2)), np.ones(10))
+    with pytest.raises(ValueError, match="n x k array"):
+        erm_exact_classification(stack, np.ones(10))
+
+
+def test_fit_takes_a_stack_through_every_solver():
+    rng = np.random.default_rng(96)
+    stack, y = mixed_member_designs(rng, 60, 2, 4)
+    labels = np.clip(0.4 * stack[:, :, 0].mean(axis=0) + 0.1 * rng.standard_normal(60), -1.0, 1.0)
+    for loss, solver, targets in (
+        (make_loss("zero_one"), "exact", y),
+        (make_loss("zero_one"), "surrogate", y),
+        (make_loss("squared"), "surrogate", labels),
+    ):
+        reports = fit(stack, targets, loss, solver, iters=40)
+        assert isinstance(reports, tuple) and len(reports) == 4
+        for U, report in zip(stack, reports):
+            alone = fit(U, targets, loss, solver, iters=40)
+            assert np.array_equal(report.hypothesis.w, alone.hypothesis.w), solver
+            assert report.hypothesis.t == alone.hypothesis.t, solver
+            assert report.empirical_risk == alone.empirical_risk, solver
+            assert report.objective_checkpoints == alone.objective_checkpoints, solver
 
 
 # ---------------------------------------------------------------------------
