@@ -34,6 +34,13 @@ Three solvers:
   subgradient is the identity inside [-beta, beta] and 0 outside.  Like the
   Newton solver, it forms its scores as Z x over the design Z = [U, -1],
   here held column-major, so its result does not depend on U's layout.
+  The kl loss scores every row at every trial point, in O(nk) a step.  The
+  squared loss is quadratic on every row whose score stays on one side of
+  the clip's kink, so it scores its trial points on a Gram model of those
+  rows about an anchor point plus the rows near the kink: O(k^2 + |near| k)
+  a step between anchors, and one pass over the rows per anchor, at most
+  O(nk^2), made only when a step leaves the ball in which the clip set
+  cannot change.
 
 ``fit`` is the one dispatch from a (loss, solver) pair to these solvers.
 Its ``iters`` caps the Newton steps of the surrogate classifier and the
@@ -48,12 +55,13 @@ on the training pairs, never taken from solver internals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import LossSpec, eval_loss
-from .projections import AxisPoints, _rows_dot
+from .projections import AxisPoints, _row_blocks, _rows_dot
 
 __all__ = [
     "LinearHypothesis",
@@ -597,17 +605,32 @@ def erm_surrogate_classification(U, y, iters: int = 2000):
 # ---------------------------------------------------------------------------
 #
 # The regression solver minimizes a mean loss of the scores s = Z x over the
-# design Z = [U, -1] and x = (w, t), as the Newton solver does.  It supplies
-# value(s, r, work), which fills r with the per-row values its slope reads
-# and returns the mean objective, and slope(s, r, out), which writes the
-# objective's pointwise derivative in s to out.  ``_descend`` owns the
-# scores and every length-n buffer: it forms the scores by one product Z x
-# per trial point, written in place, and the gradient Z^T slope(s, r) / n by
-# one product per accepted point, reusing the r its value computed, so a
-# trial allocates no length-n array.  Z is column-major: numpy's product
-# with a C-ordered n x (k + 1) matrix runs one short dot product per row, and
-# at n = 8192 and k = 10 it takes about 1.6x as long, on one BLAS thread, as
-# the column sweep.
+# design Z = [U, -1] and x = (w, t), as the Newton solver does.  ``_descend``
+# runs the one backtracking loop; the loss supplies its value and gradient
+# oracle: ``value(x)`` returns the mean objective at a trial point,
+# ``accept()`` makes the last trial the current point, and ``gradient()``
+# returns the gradient there.
+#
+# * The kl loss (``_KlRows``) scores every row at every trial point: one
+#   O(nk) product Z x per trial, written in place, and one product
+#   Z^T slope per accepted point, which reuses the clipped scores the value
+#   computed, so a trial allocates no length-n array.
+# * The squared loss (``_AnchoredSquares``) scores only the rows near the
+#   clip's kink.  A row whose score stays inside [-beta, beta] adds a
+#   quadratic in x, and one whose score stays outside adds a constant, so one
+#   pass over the rows at an anchor point sums the rows far from the kink
+#   into a Gram model, in O(nk) plus O(k^2) for each row it leaves out of
+#   the Gram of every row, taken once per fit: at most O(nk^2).  A trial
+#   point within the anchor's radius then costs O(k^2 + |near| k), and the
+#   objective and gradient it gives are exact in exact arithmetic.  The
+#   descent passes over all the rows again only when a trial leaves the
+#   ball, where the clip set can change.
+#
+# Z is column-major, so the results do not depend on U's memory layout.
+# numpy's product with a C-ordered n x (k + 1) matrix runs one short dot
+# product per row, and at n = 8192 and k = 10 it takes about 1.6x as long,
+# on one BLAS thread, as the column sweep; for the squared loss this
+# concerns the anchor passes only.
 
 _CHECKPOINT_EVERY = 50
 _PLATEAU_FACTOR = 1e-10
@@ -617,41 +640,182 @@ _LR_INIT = 1.0
 _LR_GROW = 1.3
 _LR_SHRINK = 0.5
 _MAX_BACKTRACKS = 40
+# The least share of the rows an anchor of the squared loss keeps near the
+# kink: its radius is at least the distance to the kink of the row of that
+# rank, so the ball holds many descent steps.  In a 300-step fit at
+# n = 8192 and k = 10 this floor gave 4 anchors; a radius set by the pending
+# step alone gave 144, and the fit ran slower than one scoring every row at
+# every trial point.
+_NEAR_FLOOR = 0.02
 
 
-def _descend(U: np.ndarray, value, slope, x0: np.ndarray, iters: int, plateau_tol: float):
-    """Monotone first-order descent on x = (w, t) with backtracking.
-
-    Copies U once into the column-major design Z = [U, -1], so the result
-    does not depend on U's memory layout.  Accepts a step only when the
-    objective does not increase; on rejection the step size shrinks (up to
-    _MAX_BACKTRACKS times per iteration), on success it grows.  Stops early
-    when the decrease over a 50-step window falls below plateau_tol.  Returns
-    (x, checkpoints) with the objective recorded every 50 accepted steps plus
-    at entry and exit.
-    """
+def _design(U: np.ndarray) -> np.ndarray:
+    """The column-major design Z = [U, -1], whatever U's layout."""
     n, k = U.shape
     Z = np.empty((n, k + 1), order="F")
     Z[:, :k] = U
     Z[:, k] = -1.0
+    return Z
+
+
+class _KlRows:
+    """The kl loss of the clipped scores, averaged over every row of Z at
+    every trial point."""
+
+    def __init__(self, Z: np.ndarray, y: np.ndarray, beta: float):
+        self.Z, self.y, self.beta = Z, y, beta
+        self.label_sign = -(2.0 * y - 1.0)
+        # The scores and clipped scores of the current point and of the
+        # trial, and a scratch row; ``accept`` swaps the two pairs.
+        self.s, self.v, self.trial_s, self.trial_v, self.work = np.empty((5, len(y)))
+        self.clipped = np.empty(len(y), dtype=bool)
+
+    def value(self, x: np.ndarray) -> float:
+        s, v, work = np.matmul(self.Z, x, out=self.trial_s), self.trial_v, self.work
+        np.clip(s, -self.beta, self.beta, out=v)
+        return float(np.mean(np.logaddexp(0.0, np.multiply(self.label_sign, v, out=work), out=work)))
+
+    def accept(self) -> None:
+        self.s, self.trial_s = self.trial_s, self.s
+        self.v, self.trial_v = self.trial_v, self.v
+
+    def gradient(self) -> np.ndarray:
+        # np.where(|s| < beta, expit(v) - y, 0), without its temporaries
+        out, clipped = self.work, self.clipped
+        np.logical_not(np.less(np.abs(self.s, out=out), self.beta, out=clipped), out=clipped)
+        np.copyto(np.subtract(_expit(self.v), self.y, out=out), 0.0, where=clipped)
+        return self.Z.T @ out / len(out)
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v @ v)
+
+
+def _clip(s: np.ndarray, beta: float) -> np.ndarray:
+    """np.clip(s, -beta, beta), without np.clip's per-call overhead."""
+    return np.minimum(np.maximum(s, -beta), beta)
+
+
+class _AnchoredSquares:
+    """The squared loss of the clipped scores, averaged over the rows of Z,
+    as a Gram model about an anchor point x_a.
+
+    Row z, with anchor score s_a = z.x_a, lies at distance
+    |beta - |s_a|| / |z| in x from the clip's kink.  Within the ball
+    |x - x_a| <= rho, a row farther than rho keeps its side of the kink:
+    inside the clip its loss is the quadratic (s_a - y + z.delta)^2 of
+    delta = x - x_a, and outside it the constant (clip(s_a) - y)^2.
+    ``_anchor`` sums the far rows into const = sum (clip(s_a) - y)^2 and, over
+    the far rows inside, h = sum z (s_a - y) and G = sum z z^T (the Gram of
+    every row, summed once per fit, less the rows left out), and copies the
+    near rows out.  Then, anywhere in the ball,
+
+        n value    = const + 2 h.delta + delta.G delta + sum_near (clip(z.x) - y)^2
+        n gradient = 2 (h + G delta + sum_near, |z.x| < beta z (z.x - y)).
+
+    A trial outside the ball re-anchors at the current point, with a radius
+    that covers the trial and keeps at least ``_NEAR_FLOOR`` of the rows
+    near.
+    """
+
+    def __init__(self, Z: np.ndarray, y: np.ndarray, beta: float):
+        self.Z, self.y, self.beta = Z, y, beta
+        self.blocks = _row_blocks(*Z.shape)
+        self.row_norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
+        # The Gram of every row; an anchor subtracts the rows it leaves out.
+        self.gram_all = np.zeros((Z.shape[1], Z.shape[1]))
+        for rows in self.blocks:
+            self.gram_all += Z[rows].T @ Z[rows]
+        self.floor = max(1, math.ceil(_NEAR_FLOOR * len(y)))
+        # (x, objective terms) of the current point and of the last trial
+        self.current = self.trial = None
+
+    def _anchor(self, x: np.ndarray, pending: float) -> None:
+        """Pass over every row at the anchor x, one ``_row_blocks`` block at
+        a time, with a radius of at least ``pending`` and the floor's."""
+        Z, y, beta = self.Z, self.y, self.beta
+        s = np.empty(len(y))
+        for rows in self.blocks:
+            np.matmul(Z[rows], x, out=s[rows])
+        slack = np.abs(beta - np.abs(s)) / self.row_norms
+        radius = max(pending, float(np.partition(slack, self.floor - 1)[self.floor - 1]))
+        near = slack <= radius
+        left_out = np.abs(s) >= beta
+        left_out |= near
+        r = _clip(s, beta)
+        r -= y
+        r[near] = 0.0
+        gram = self.gram_all.copy()
+        h = np.zeros(len(x))
+        const = 0.0
+        for rows in self.blocks:
+            r_far = r[rows]
+            const += r_far @ r_far
+            r_far[left_out[rows]] = 0.0
+            h += Z[rows].T @ r_far
+            Z_out = Z[rows][left_out[rows]]
+            gram -= Z_out.T @ Z_out
+        self.anchor, self.radius = x.copy(), radius
+        self.gram, self.h, self.const = gram, h, const
+        self.near_Z, self.near_y = Z[near], y[near]
+
+    def _terms(self, x: np.ndarray, delta: np.ndarray):
+        # h + G delta, the near rows' scores and their residuals at x
+        hg = self.gram @ delta
+        hg += self.h
+        s = self.near_Z @ x
+        r = _clip(s, self.beta)
+        r -= self.near_y
+        obj = (self.const + delta @ (hg + self.h) + r @ r) / len(self.y)
+        return x, obj, hg, s, r
+
+    def value(self, x: np.ndarray) -> float:
+        if self.current is None:
+            self._anchor(x, 0.0)
+        delta = x - self.anchor
+        if _norm(delta) > self.radius:
+            here = self.current[0]
+            self._anchor(here, _norm(x - here))
+            self.current = self._terms(here, here - self.anchor)
+            delta = x - self.anchor
+        self.trial = self._terms(x, delta)
+        return self.trial[1]
+
+    def accept(self) -> None:
+        self.current = self.trial
+
+    def gradient(self) -> np.ndarray:
+        _, _, hg, s, r = self.current
+        r_inside = np.where(np.abs(s) < self.beta, r, 0.0)
+        return (hg + self.near_Z.T @ r_inside) * (2.0 / len(self.y))
+
+
+def _descend(oracle, x0: np.ndarray, iters: int, plateau_tol: float):
+    """Monotone first-order descent on x = (w, t) with backtracking.
+
+    ``oracle`` gives the objective at each trial point and the gradient at
+    each accepted one.  Accepts a step only when the objective does not
+    increase; on rejection the step size shrinks (up to _MAX_BACKTRACKS
+    times per iteration), on success it grows.  Stops early when the
+    decrease over a 50-step window falls below plateau_tol.  Returns
+    (x, checkpoints) with the objective recorded every 50 accepted steps plus
+    at entry and exit.
+    """
     x = x0.astype(float).copy()
-    # The scores and value rows of the current point and of the trial, and
-    # a scratch row; an accepted trial swaps the two pairs.
-    s, r, trial_s, trial_r, work = np.empty((5, n))
-    obj = value(np.matmul(Z, x, out=s), r, work)
+    obj = oracle.value(x)
+    oracle.accept()
     checkpoints = [obj]
     lr = _LR_INIT
     window_start = obj
     for it in range(iters):
-        g = Z.T @ slope(s, r, work) / n
+        g = oracle.gradient()
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             trial = x - lr * g
-            trial_obj = value(np.matmul(Z, trial, out=trial_s), trial_r, work)
+            trial_obj = oracle.value(trial)
             if np.isfinite(trial_obj) and trial_obj <= obj:
                 x, obj = trial, trial_obj
-                s, trial_s = trial_s, s
-                r, trial_r = trial_r, r
+                oracle.accept()
                 lr *= _LR_GROW
                 accepted = True
                 break
@@ -687,10 +851,13 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
     The predictor is u -> clip(w.u - t, -beta, beta); the optimized objective
     is the actual empirical risk, with the clip contributing subgradient 0
     outside the range and the identity inside.  Squared loss starts from the
-    OLS solution; kl starts from zero.  Terminates after ``iters`` steps or
-    when the objective decrease over 50 steps drops below 1e-10 * bound.
-    The labels are checked against the loss once, up front; the descent then
-    evaluates the unchecked loss formula on predictions clipped into range.
+    OLS solution and scores its trial points on an anchored Gram model, in
+    O(k^2 + |near| k) each between anchors and at most O(nk^2) per anchor; kl
+    starts from zero and scores every row at every trial point, in O(nk).
+    Terminates after ``iters`` steps or when the objective decrease over 50
+    steps drops below 1e-10 * bound.  The labels are checked against the
+    loss once, up front; the descent then evaluates the unchecked loss
+    formula on predictions clipped into range.
     """
     if loss.kind not in ("squared", "kl"):
         raise ValueError("erm_regression handles the squared and kl losses only")
@@ -702,47 +869,18 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
         raise ValueError("y must have one label per row of U")
     # Validate the label domain up front against the loss.
     eval_loss(loss, np.zeros_like(y), y)
-    n, k = U.shape
+    k = U.shape[1]
     beta = loss.beta
 
-    # The loss formulas of ``_loss_values`` on the clipped predictions v,
-    # evaluated in place: r holds v - y for the squared loss, whose slope
-    # reuses that residual, and v itself for kl.
     if loss.kind == "squared":
-
-        def loss_values(r, out):
-            np.subtract(r, y, out=r)
-            return np.square(r, out=out)
-
-        def pointwise_slope(r, out):
-            return np.multiply(r, 2.0, out=out)
-
         w0, t0 = ols_init(U, y)
         x0 = np.concatenate([w0, [t0]])
+        oracle = _AnchoredSquares
     else:
-        label_sign = -(2.0 * y - 1.0)
-
-        def loss_values(r, out):
-            return np.logaddexp(0.0, np.multiply(label_sign, r, out=out), out=out)
-
-        def pointwise_slope(r, out):
-            return np.subtract(_expit(r), y, out=out)
-
         x0 = np.zeros(k + 1)
-
-    def value(s, r, work):
-        np.clip(s, -beta, beta, out=r)
-        return float(np.mean(loss_values(r, work)))
-
-    clipped = np.empty(n, dtype=bool)
-
-    def slope(s, r, out):
-        # np.where(|s| < beta, pointwise_slope, 0), without its temporaries
-        np.logical_not(np.less(np.abs(s, out=out), beta, out=clipped), out=clipped)
-        np.copyto(pointwise_slope(r, out), 0.0, where=clipped)
-        return out
-
-    x, checkpoints = _descend(U, value, slope, x0, iters, _PLATEAU_FACTOR * loss.bound)
+        oracle = _KlRows
+    # The oracle and its design live only as long as the descent.
+    x, checkpoints = _descend(oracle(_design(U), y, beta), x0, iters, _PLATEAU_FACTOR * loss.bound)
 
     hypothesis = LinearHypothesis(w=x[:k], t=float(x[k]), mode="clip", beta=beta)
     # Scored on the column-major layout the descent used, so that the risk,

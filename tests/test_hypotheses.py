@@ -846,7 +846,19 @@ def reference_regression(U, y, loss, iters):
     return reference_descend(objective, gradient, x0, iters, 1e-10 * loss.bound)
 
 
+def assert_same_descent(report, w, t, checkpoints):
+    """The squared loss's descent scores its trial points on an anchored Gram
+    model, whose sums round apart from a direct mean over the rows: the same
+    checkpoints to 1e-12 relative, and (w, t) to 1e-6."""
+    assert len(report.objective_checkpoints) == len(checkpoints)
+    np.testing.assert_allclose(report.objective_checkpoints, checkpoints, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(report.hypothesis.w - w)) <= 1e-6
+    assert abs(report.hypothesis.t - t) <= 1e-6
+
+
 def test_fused_descent_matches_the_separate_formulation_bit_for_bit():
+    """Bit for bit on the kl loss, whose descent scores every row at every
+    trial point; within ``assert_same_descent`` on the squared loss."""
     rng = np.random.default_rng(90)
     cases = []
     for n, k, iters in ((300, 5, 400), (64, 2, 2000), (500, 10, 150)):
@@ -859,19 +871,22 @@ def test_fused_descent_matches_the_separate_formulation_bit_for_bit():
         squared = make_loss("squared", beta=0.8)
         target = np.clip(0.6 * np.tanh(U @ w) + 0.3 * rng.standard_normal(n), -0.8, 0.8)
         report = erm_regression(U, target, squared, iters=iters)
-        cases.append((report, reference_regression(U, target, squared, iters)))
+        cases.append((squared, report, reference_regression(U, target, squared, iters)))
 
         kl = make_loss("kl", beta=1.5)
         binary = (labels + 1.0) / 2.0
         report = erm_regression(U, binary, kl, iters=iters)
-        cases.append((report, reference_regression(U, binary, kl, iters)))
+        cases.append((kl, report, reference_regression(U, binary, kl, iters)))
 
-    for report, (x, checkpoints) in cases:
+    for loss, report, (x, checkpoints) in cases:
         k = report.hypothesis.w.shape[0]
+        assert len(checkpoints) > 2
+        if loss.kind == "squared":
+            assert_same_descent(report, x[:k], x[k], checkpoints)
+            continue
         assert np.array_equal(report.hypothesis.w, x[:k])
         assert report.hypothesis.t == x[k]
         assert report.objective_checkpoints == checkpoints
-        assert len(checkpoints) > 2
 
 
 def test_regression_results_do_not_depend_on_the_layout_of_u():
@@ -965,6 +980,8 @@ def allocating_regression(U, y, loss, iters):
 
 
 def test_in_place_descent_matches_the_allocating_descent_bit_for_bit():
+    """Bit for bit on the kl loss, which keeps the in-place full pass;
+    within ``assert_same_descent`` on the squared loss."""
     rng = np.random.default_rng(94)
     for n, k, iters in ((2000, 10, 300), (300, 3, 400), (64, 1, 2000)):
         U = rng.standard_normal((n, k))
@@ -976,6 +993,10 @@ def test_in_place_descent_matches_the_allocating_descent_bit_for_bit():
             report = erm_regression(U, y, loss, iters=iters)
             w_ref, t_ref, checkpoints, risk = allocating_regression(U, y, loss, iters)
             assert len(checkpoints) > 2
+            if loss.kind == "squared":
+                assert_same_descent(report, w_ref, t_ref, checkpoints)
+                assert report.empirical_risk == pytest.approx(risk, rel=1e-12, abs=0.0)
+                continue
             assert np.array_equal(report.hypothesis.w, w_ref)
             assert report.hypothesis.t == t_ref
             assert report.objective_checkpoints == checkpoints
@@ -1001,6 +1022,73 @@ def test_regression_descent_calls_the_checked_loss_a_fixed_number_of_times(monke
             assert report.objective_checkpoints[-1] < report.objective_checkpoints[0]
             counts.append(len(calls))
         assert counts == [counts[0]] * 3, counts
+
+
+def counted_anchors(monkeypatch):
+    """Record the near-row count of every anchor pass the squared loss's
+    descent makes, its only passes over all the rows."""
+    near_rows = []
+    original = hypotheses._AnchoredSquares._anchor
+
+    def counted(self, x, pending):
+        original(self, x, pending)
+        near_rows.append(len(self.near_y))
+
+    monkeypatch.setattr(hypotheses._AnchoredSquares, "_anchor", counted)
+    return near_rows
+
+
+def test_the_anchored_model_is_the_direct_objective_inside_its_ball(monkeypatch):
+    """At 50 points inside an anchor's ball, the Gram model's objective and
+    gradient equal the direct clipped mean and Z^T slope / n, with near,
+    far-inside and far-outside rows all present."""
+    near_rows = counted_anchors(monkeypatch)
+    rng = np.random.default_rng(95)
+    n, k, beta = 600, 4, 0.8
+    U = rng.standard_normal((n, k))
+    y = np.clip(0.5 * U[:, 0] + 0.3 * rng.standard_normal(n), -beta, beta)
+    Z = hypotheses._design(U)
+    model = hypotheses._AnchoredSquares(Z, y, beta)
+    x_a = np.array([0.6, -0.3, 0.2, 0.1, 0.05])
+    model.value(x_a)
+    model.accept()
+    # A trial 0.3 away leaves the first ball and re-anchors at x_a.
+    model.value(x_a + 0.3 * np.eye(k + 1)[0])
+    assert len(near_rows) == 2 and np.array_equal(model.anchor, x_a) and model.radius >= 0.299
+
+    s_a = Z @ x_a
+    near = np.abs(beta - np.abs(s_a)) / np.linalg.norm(Z, axis=1) <= model.radius
+    inside = np.abs(s_a) < beta
+    assert near.any() and (inside & ~near).any() and (~inside & ~near).any()
+    assert near.sum() == near_rows[-1]
+
+    for _ in range(50):
+        direction = rng.standard_normal(k + 1)
+        x = x_a + model.radius * rng.random() * direction / np.linalg.norm(direction)
+        obj = model.value(x)
+        model.accept()
+        g = model.gradient()
+        s = Z @ x
+        v = np.clip(s, -beta, beta)
+        assert obj == pytest.approx(np.mean(np.square(v - y)), rel=1e-12, abs=0.0)
+        direct = Z.T @ np.where(np.abs(s) < beta, 2.0 * (v - y), 0.0) / n
+        assert np.linalg.norm(g - direct) <= 1e-12 * np.linalg.norm(direct)
+    assert len(near_rows) == 2
+
+
+def test_a_squared_loss_fit_passes_over_the_rows_far_fewer_times_than_it_steps(monkeypatch):
+    """One 300-step fit at the reg_spectral shape, n = 8192 and k = 10:
+    the descent passes over all the rows only at its anchors, a handful of
+    times, and scores a small share of the rows at each trial point."""
+    near_rows = counted_anchors(monkeypatch)
+    dist = RegressionDist(d=32, spectral_constant=1.0, spectral_decay=0.2, w=np.ones(32))
+    n = 8192
+    X, y = dist.sample(n, 3)
+    U = apply(sample_projection("gaussian", 10, 32, 0), X)
+    report = erm_regression(U, y, dist.loss_spec, iters=300)
+    assert len(report.objective_checkpoints) == 7  # every one of the 300 steps taken
+    assert 1 <= len(near_rows) <= 20, near_rows
+    assert max(near_rows) <= n // 4, near_rows
 
 
 def noisy_labels(rng, U, noise=0.7):
