@@ -849,11 +849,13 @@ def reference_regression(U, y, loss, iters):
 def assert_same_descent(report, w, t, checkpoints):
     """The squared loss's descent scores its trial points on an anchored Gram
     model, whose sums round apart from a direct mean over the rows: the same
-    checkpoints to 1e-12 relative, and (w, t) to 1e-6."""
+    checkpoints to 1e-12 relative, and (w, t) to 1e-8.  The largest gap on
+    these cases is 3.7e-9, in t on the flat n = 64, k = 1 fit, on each
+    OpenBLAS kernel from Prescott to Haswell."""
     assert len(report.objective_checkpoints) == len(checkpoints)
     np.testing.assert_allclose(report.objective_checkpoints, checkpoints, rtol=1e-12, atol=0.0)
-    assert np.max(np.abs(report.hypothesis.w - w)) <= 1e-6
-    assert abs(report.hypothesis.t - t) <= 1e-6
+    assert np.max(np.abs(report.hypothesis.w - w)) <= 1e-8
+    assert abs(report.hypothesis.t - t) <= 1e-8
 
 
 def test_fused_descent_matches_the_separate_formulation_bit_for_bit():
