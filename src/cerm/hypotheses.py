@@ -29,11 +29,11 @@ Three solvers:
   lockstep, one numpy call per step for the stack, each member exactly as
   its solo solve runs.
 * ``erm_regression`` — subgradient descent with a backtracking step size on
-  the clipped-linear empirical risk (squared or kl), initialized at the
-  ordinary least squares solution for the squared loss.  The clip's
+  the clipped-linear empirical risk (squared or kl).  The clip's
   subgradient is the identity inside [-beta, beta] and 0 outside.  Like the
   Newton solver, it forms its scores as Z x over the design Z = [U, -1],
-  here held column-major, so its result does not depend on U's layout.
+  here held column-major, so its result does not depend on U's layout.  The
+  squared loss starts at the least-squares fit of Z x to y, and kl at 0.
   The kl loss scores every row at every trial point, in O(nk) a step.  The
   squared loss is quadratic on every row whose score stays on one side of
   the clip's kink, so it scores its trial points on a Gram model of those
@@ -72,7 +72,6 @@ __all__ = [
     "erm_surrogate_classification",
     "erm_regression",
     "fit",
-    "ols_init",
 ]
 
 EXACT_MAX_K = 3
@@ -624,7 +623,9 @@ def erm_surrogate_classification(U, y, iters: int = 2000):
 #   point within the anchor's radius then costs O(k^2 + |near| k), and the
 #   objective and gradient it gives are exact in exact arithmetic.  The
 #   descent passes over all the rows again only when a trial leaves the
-#   ball, where the clip set can change.
+#   ball, where the clip set can change.  The fit starts at the min-norm
+#   solution of the normal equations (Z^T Z) x = Z^T y, which exists for a
+#   singular design too; both sides are summed block by block, in order.
 #
 # Z is column-major, so the results do not depend on U's memory layout.
 # numpy's product with a C-ordered n x (k + 1) matrix runs one short dot
@@ -713,10 +714,14 @@ class _AnchoredSquares:
         self.Z, self.y, self.beta = Z, y, beta
         self.blocks = _row_blocks(*Z.shape)
         self.row_norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
-        # The Gram of every row; an anchor subtracts the rows it leaves out.
+        # The Gram of every row, which an anchor copies less the rows it
+        # leaves out; with Z^T y it gives the start's normal equations.
         self.gram_all = np.zeros((Z.shape[1], Z.shape[1]))
+        zy = np.zeros(Z.shape[1])
         for rows in self.blocks:
             self.gram_all += Z[rows].T @ Z[rows]
+            zy += Z[rows].T @ y[rows]
+        self.start = np.linalg.lstsq(self.gram_all, zy, rcond=None)[0]
         self.floor = max(1, math.ceil(_NEAR_FLOOR * len(y)))
         # (x, objective terms) of the current point and of the last trial
         self.current = self.trial = None
@@ -826,26 +831,14 @@ def _descend(oracle, x0: np.ndarray, iters: int, plateau_tol: float):
     return x, tuple(checkpoints)
 
 
-def ols_init(U, y) -> tuple[np.ndarray, float]:
-    """Least-squares fit of w.u - t to y, ignoring the clip.
-
-    Returns (w, t) solving the normal equations of the design [U, 1] via a
-    pseudo-inverse least squares, so singular designs are fine.
-    """
-    U = np.asarray(U, dtype=float)
-    y = np.asarray(y, dtype=float)
-    design = np.concatenate([U, np.ones((U.shape[0], 1))], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coef[:-1], -float(coef[-1])
-
-
 def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
     """Subgradient descent on the clipped-linear empirical risk.
 
     The predictor is u -> clip(w.u - t, -beta, beta); the optimized objective
     is the actual empirical risk, with the clip contributing subgradient 0
     outside the range and the identity inside.  Squared loss starts from the
-    OLS solution and scores its trial points on an anchored Gram model, in
+    least-squares fit of w.u - t to y, ignoring the clip, solved on the Gram
+    its anchored model sums, and scores its trial points on that model, in
     O(k^2 + |near| k) each between anchors and at most O(nk^2) per anchor; kl
     starts from zero and scores every row at every trial point, in O(nk).
     Terminates after ``iters`` steps or when the objective decrease over 50
@@ -862,24 +855,23 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
     if y.shape != (U.shape[0],):
         raise ValueError("y must have one label per row of U")
     # Validate the label domain up front against the loss.
-    eval_loss(loss, np.zeros_like(y), y)
+    eval_loss(loss, 0.0, y)
     k = U.shape[1]
     beta = loss.beta
 
+    Z = _design(U)
     if loss.kind == "squared":
-        w0, t0 = ols_init(U, y)
-        x0 = np.concatenate([w0, [t0]])
-        oracle = _AnchoredSquares
+        oracle = _AnchoredSquares(Z, y, beta)
+        x0 = oracle.start
     else:
-        x0 = np.zeros(k + 1)
-        oracle = _KlRows
-    # The oracle and its design live only as long as the descent.
-    x, checkpoints = _descend(oracle(_design(U), y, beta), x0, iters, _PLATEAU_FACTOR * loss.bound)
+        oracle, x0 = _KlRows(Z, y, beta), np.zeros(k + 1)
+    x, checkpoints = _descend(oracle, x0, iters, _PLATEAU_FACTOR * loss.bound)
+    del oracle  # its buffers live only as long as the descent
 
     hypothesis = LinearHypothesis(w=x[:k], t=float(x[k]), mode="clip", beta=beta)
-    # Scored on the column-major layout the descent used, so that the risk,
+    # Scored on the column-major design the descent used, so that the risk,
     # like w and t, does not depend on U's layout.
-    risk = float(np.mean(eval_loss(loss, hypothesis.predict(np.asfortranarray(U)), y)))
+    risk = float(np.mean(eval_loss(loss, hypothesis.predict(Z[:, :k]), y)))
     return ErmReport(
         hypothesis=hypothesis,
         empirical_risk=risk,

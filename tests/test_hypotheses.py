@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations, islice
 
@@ -16,7 +19,6 @@ from cerm.hypotheses import (
     erm_regression,
     erm_surrogate_classification,
     fit,
-    ols_init,
 )
 from cerm.losses import _loss_values, eval_loss, make_loss
 from cerm.projections import apply, sample_projection
@@ -168,14 +170,83 @@ def test_surrogate_objective_checkpoints_decrease():
     assert all(b <= a + 1e-12 for a, b in zip(cps, cps[1:]))
 
 
-def test_ols_init_recovers_linear_map():
+def reference_ols_start(U, y):
+    """The least-squares fit (w, t) of w.u - t to y, ignoring the clip, by a
+    pseudo-inverse least squares on the design [U, 1]: the squared loss's
+    start, solved apart from the solver's normal equations."""
+    U = np.asarray(U, dtype=float)
+    y = np.asarray(y, dtype=float)
+    design = np.concatenate([U, np.ones((U.shape[0], 1))], axis=1)
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return coef[:-1], -float(coef[-1])
+
+
+def test_squared_loss_start_recovers_a_linear_map():
+    """With no steps the descent returns its start, the least-squares fit."""
     rng = np.random.default_rng(16)
     U = rng.standard_normal((50, 3))
     w_true = np.array([0.5, -1.0, 2.0])
     y = U @ w_true - 0.7
-    w, t = ols_init(U, y)
-    assert np.allclose(w, w_true, atol=1e-10)
-    assert t == pytest.approx(0.7, abs=1e-10)
+    loss = make_loss("squared", beta=2.0 * np.max(np.abs(y)))  # no label clips
+    h = erm_regression(U, y, loss, iters=0).hypothesis
+    assert np.allclose(h.w, w_true, atol=1e-10)
+    assert h.t == pytest.approx(0.7, abs=1e-10)
+
+
+def test_squared_loss_start_is_the_design_least_squares_on_singular_designs():
+    """The min-norm solution of the normal equations equals the design's own
+    least squares on full-rank and rank-deficient designs, with no warning."""
+    rng = np.random.default_rng(18)
+    U = rng.standard_normal((50, 3))
+    designs = {
+        "plain": U,
+        "duplicate column": np.column_stack([U, U[:, 1]]),
+        "constant column": np.column_stack([U, np.full(50, 0.3)]),
+        "n < k + 1": U[:3],
+        "n = 1": U[:1],
+        "U = 0": np.zeros((50, 3)),
+    }
+    loss = make_loss("squared", beta=1.0)
+    for name, D in designs.items():
+        y = np.clip(0.4 * D.sum(axis=1) + 0.2 + 0.3 * rng.standard_normal(len(D)), -1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = erm_regression(D, y, loss, iters=0).hypothesis
+        w, t = reference_ols_start(D, y)
+        assert np.max(np.abs(h.w - w)) <= 1e-12, name
+        assert abs(h.t - t) <= 1e-12, name
+
+
+def test_squared_loss_fit_does_not_depend_on_the_blas_thread_count():
+    """Criterion 9's law at n = 50 002, k = 11: (w, t) and the empirical risk
+    are equal at one and two BLAS threads.  The start's normal equations are
+    summed one row block at a time, in block order; a least squares on the
+    whole design split its sums among the threads and moved w by up to 6e-12."""
+    script = """if True:
+        import numpy as np
+        from cerm.hypotheses import erm_regression
+        from cerm.projections import apply, sample_projection
+        from cerm.synthdist import RegressionDist
+        dist = RegressionDist(d=32, spectral_constant=1.0, spectral_decay=0.2, w=np.ones(32))
+        X, y = dist.sample(50_002, 5)
+        for seed in range(3):
+            U = apply(sample_projection("gaussian", 11, 32, seed), X)
+            report = erm_regression(U, y, dist.loss_spec, iters=300)
+            h = report.hypothesis
+            print(h.w.tobytes().hex(), h.t.hex(), report.empirical_risk.hex())
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypotheses.__file__)))
+    runs = []
+    for blas_threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout.splitlines())
+    assert len(runs[0]) == 3
+    assert runs[0] == runs[1]
 
 
 def test_erm_regression_squared_fits_noiseless_linear_data():
@@ -839,7 +910,7 @@ def reference_regression(U, y, loss, iters):
         return Z.T @ g_s / n
 
     if loss.kind == "squared":
-        w0, t0 = ols_init(U, y)
+        w0, t0 = reference_ols_start(U, y)
         x0 = np.concatenate([w0, [t0]])
     else:
         x0 = np.zeros(k + 1)
@@ -959,7 +1030,7 @@ def allocating_regression(U, y, loss, iters):
         def pointwise_slope(v):
             return 2.0 * (v - y)
 
-        w0, t0 = ols_init(U, y)
+        w0, t0 = reference_ols_start(U, y)
         x0 = np.concatenate([w0, [t0]])
     else:
 
@@ -1426,7 +1497,7 @@ def reference_gauss_newton(U, y, beta, iters=200):
     """
     n = U.shape[0]
     Z = np.concatenate([U, -np.ones((n, 1))], axis=1)
-    w0, t0 = ols_init(U, y)
+    w0, t0 = reference_ols_start(U, y)
     x = np.concatenate([w0, [t0]])
 
     def objective(x):
