@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from itertools import combinations, islice
 
@@ -222,7 +223,8 @@ def test_squared_loss_fit_does_not_depend_on_the_blas_thread_count():
     are equal at one and two BLAS threads.  The start's normal equations are
     summed one row block at a time, in block order; a least squares on the
     whole design split its sums among the threads and moved w by up to 6e-12."""
-    script = """if True:
+    script = textwrap.dedent(
+        """
         import numpy as np
         from cerm.hypotheses import erm_regression
         from cerm.projections import apply, sample_projection
@@ -234,7 +236,8 @@ def test_squared_loss_fit_does_not_depend_on_the_blas_thread_count():
             report = erm_regression(U, y, dist.loss_spec, iters=300)
             h = report.hypothesis
             print(h.w.tobytes().hex(), h.t.hex(), report.empirical_risk.hex())
-    """
+        """
+    )
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypotheses.__file__)))
     runs = []
     for blas_threads in (1, 2):
