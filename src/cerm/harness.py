@@ -2,15 +2,19 @@
 
 A JSON config names a distribution, a loss, a projection family, sweep lists
 for the sample size n and ensemble size m, a rule for picking the compressed
-dimension k, and seeding/output choices.  ``run_experiment`` executes every
-(n, m) cell for the configured number of trials, writes one CSV row per
-trial, and records a JSONL manifest with the config hash, library version,
-and every seed used.  ``fit_rate`` turns a results file into a fitted
-power-law exponent with a confidence interval.
+dimension k, and seeding/output choices.  ``ExperimentConfig.from_dict``
+parses it once: it builds the law and hashes the config as written, so a
+config that is not plain JSON is refused before any trial runs.
+``run_experiment`` maps one job function over the ordered (cell, trial)
+jobs, on a thread pool above a budget of one, writes one CSV row per trial,
+and records a JSONL manifest with the config hash, library version, and
+every seed used.  ``fit_rate`` turns a results file into a fitted power-law
+exponent with a confidence interval.
 
 Determinism contract: all randomness flows from ``master_seed`` through
 ``derive_seed``; rows are emitted in sorted (n, k, m, trial) order; thread
-budgets change scheduling only, never values.  The wall-time column is the
+budgets change scheduling only, never values.  Every job samples from the
+one parsed law, which no method writes to.  The wall-time column is the
 single exception and is excluded from the reproducibility guarantee.
 
 The risk-bound bracket needs a confidence level even though none is
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -107,22 +112,6 @@ def config_hash(config_dict: dict) -> str:
     """sha256 over the canonical JSON form of the config as written, without the defaults."""
     canon = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-#: The types of JSON's immutable values.
-_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
-
-
-def _copy_json(value):
-    """A copy of a JSON value that shares its immutable leaves: every dict
-    and list is new, and a list of leaves alone is copied in one step."""
-    if isinstance(value, dict):
-        return {key: _copy_json(item) for key, item in value.items()}
-    if isinstance(value, list):
-        if _JSON_LEAVES.issuperset(map(type, value)):
-            return value.copy()
-        return [_copy_json(item) for item in value]
-    return value
 
 
 def _int_list(value, path: str) -> tuple[int, ...]:
@@ -258,8 +247,9 @@ _CROSS_FIELD_CHECKS = (_loss_matches_law, _k_rule_matches_law, _exact_solver_lim
 class ExperimentConfig:
     """Validated experiment description.  Build with ``from_dict``.
 
-    Each field but ``raw`` holds its key's parsed value, defaults filled in;
-    ``distribution`` holds the law.  ``raw`` is a copy of the config as written.
+    Each field but ``config_hash`` holds its key's parsed value, defaults
+    filled in; ``distribution`` holds the law, which every trial shares.
+    ``config_hash`` is the hash of the config as written, taken at parse.
     """
 
     distribution: object
@@ -278,19 +268,23 @@ class ExperimentConfig:
     bracket_alpha: float
     delta: float
     threads: int
-    raw: dict
+    config_hash: str
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "", "config must be a JSON object")
-        raw = _copy_json(raw)  # later edits to the caller's dict change nothing here
         values = _read_fields(raw, "", _FIELDS)
         for check in _CROSS_FIELD_CHECKS:
             check(values)
-        return cls(**values, raw=raw)
+        try:
+            written = config_hash(raw)
+        except (TypeError, ValueError) as exc:  # a value JSON cannot hold
+            raise ConfigError(f": config must hold JSON values only: {exc}") from exc
+        return cls(**values, config_hash=written)
 
     def make_dist(self):
-        """A fresh copy of the parsed law, for one job to sample from."""
+        """A deep copy of the parsed law, for a caller that wants its own;
+        the harness samples from ``distribution`` itself."""
         return copy.deepcopy(self.distribution)
 
 
@@ -344,7 +338,7 @@ def _psi_cache(config: ExperimentConfig, cells: list[Cell]) -> dict[int, float]:
     cache = {}
     for k_index, k in enumerate(sorted({cell.k for cell in cells})):
         est = estimate_compressibility(
-            config.make_dist(),
+            config.distribution,
             config.family,
             k,
             reps=reps,
@@ -357,25 +351,15 @@ def _psi_cache(config: ExperimentConfig, cells: list[Cell]) -> dict[int, float]:
     return cache
 
 
-def _run_trial(config: ExperimentConfig, dist, cell: Cell, trial: int, psi_hat: float | None) -> dict:
+def _run_trial(config: ExperimentConfig, psi_by_k: dict[int, float], job: tuple[Cell, int]) -> dict:
     start = time.perf_counter()
+    cell, trial = job
     trial_seed = cell.trial_seeds[trial]
-    row = {
-        "n": cell.n,
-        "k": cell.k,
-        "m": cell.m,
-        "trial": trial,
-        "seed": trial_seed,
-        "member_mean_excess": None,
-        "ensemble_excess": None,
-        "ensemble_excess_se": None,
-        "psi_hat": psi_hat,
-        "bracket_total": None,
-        "error": "",
-        "wall_time_ms": None,
-    }
+    psi_hat = psi_by_k.get(cell.k)
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(n=cell.n, k=cell.k, m=cell.m, trial=trial, seed=trial_seed, psi_hat=psi_hat)
     try:
-        X, y = dist.sample(cell.n, derive_seed(trial_seed, 0))
+        X, y = config.distribution.sample(cell.n, derive_seed(trial_seed, 0))
         model = train_ensemble(
             X,
             y,
@@ -388,7 +372,7 @@ def _run_trial(config: ExperimentConfig, dist, cell: Cell, trial: int, psi_hat: 
             iters=config.solver_iters,
         )
         member_ests, ens_est = member_excess_risks(
-            model, dist, n_test=config.n_test, seed=derive_seed(trial_seed, 2)
+            model, config.distribution, n_test=config.n_test, seed=derive_seed(trial_seed, 2)
         )
         row["member_mean_excess"] = float(np.mean([e.value for e in member_ests]))
         row["ensemble_excess"] = ens_est.value
@@ -440,12 +424,15 @@ def _thread_budget(config: ExperimentConfig) -> int:
 def run_experiment(config) -> str:
     """Run every configured cell and trial; return the results CSV path.
 
-    Writes ``<output>.csv`` and ``<output>.manifest.jsonl``.  A trial that
-    fails numerically (ScaleGuardError, SweepUncertifiedError,
-    LossDomainError or LinAlgError) is recorded as a row with the error
-    column set and empty metrics, and the run continues; any other exception
-    propagates and no results are written.  Identical configs produce
-    identical CSVs (wall-time column aside) at any thread budget.
+    One job function runs each (cell, trial) job in order, through the
+    thread pool's ``map`` above a budget of one and the builtin ``map`` at
+    one, and every job samples from ``config.distribution``.  Writes
+    ``<output>.csv`` and ``<output>.manifest.jsonl``.  A trial that fails
+    numerically (ScaleGuardError, SweepUncertifiedError, LossDomainError or
+    LinAlgError) is recorded as a row with the error column set and empty
+    metrics, and the run continues; any other exception propagates and no
+    results are written.  Identical configs produce identical CSVs
+    (wall-time column aside) at any thread budget.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
@@ -454,20 +441,12 @@ def run_experiment(config) -> str:
     psi_by_k = _psi_cache(config, cells)
 
     jobs = [(cell, trial) for cell in cells for trial in range(config.trials)]
-    rows: list[dict | None] = [None] * len(jobs)
-
-    def execute(job_index: int):
-        cell, trial = jobs[job_index]
-        # Each job gets its own distribution object: sampling is stateless
-        # given the seed, and separate objects keep trials thread-safe.
-        rows[job_index] = _run_trial(config, config.make_dist(), cell, trial, psi_by_k.get(cell.k))
-
-    if budget <= 1:
-        for j in range(len(jobs)):
-            execute(j)
-    else:
+    run_job = functools.partial(_run_trial, config, psi_by_k)
+    if budget > 1:
         with ThreadPoolExecutor(max_workers=budget) as pool:
-            list(pool.map(execute, range(len(jobs))))
+            rows = list(pool.map(run_job, jobs))
+    else:
+        rows = list(map(run_job, jobs))
 
     out_dir = os.path.dirname(os.path.abspath(config.output))
     os.makedirs(out_dir, exist_ok=True)
@@ -481,7 +460,7 @@ def run_experiment(config) -> str:
             writer.writerow([_format_cell_value(row[col]) for col in CSV_COLUMNS])
 
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        head = {"config_hash": config_hash(config.raw), "version": __version__}
+        head = {"config_hash": config.config_hash, "version": __version__}
         fh.write(json.dumps(head, sort_keys=True) + "\n")
         for cell in cells:
             fh.write(

@@ -746,7 +746,7 @@ class _AnchoredSquares:
         const = 0.0
         for rows in self.blocks:
             r_far = r[rows]
-            const += r_far @ r_far
+            const += np.einsum("i,i->", r_far, r_far)  # one fixed order at any BLAS thread count
             r_far[left_out[rows]] = 0.0
             h += Z[rows].T @ r_far
             Z_out = Z[rows][left_out[rows]]

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cerm.harness import (
     run_experiment,
 )
 from cerm.hypotheses import EXACT_MAX_K, EXACT_MAX_N
+from cerm.projections import AxisPoints
 from cerm.seeds import derive_seed
 
 
@@ -298,8 +300,7 @@ def test_solver_iters_defaults_at_parse_time_only(tmp_path):
     del cfg["solver_iters"]
     config = ExperimentConfig.from_dict(cfg)
     assert config.solver_iters == 2000
-    assert "solver_iters" not in config.raw
-    assert config_hash(config.raw) == config_hash(cfg)
+    assert config.config_hash == config_hash(cfg)
 
 
 def assouad_distribution(q):
@@ -377,11 +378,12 @@ def test_config_lets_a_programming_error_in_a_law_out(tmp_path, monkeypatch):
 def test_config_owns_its_data(tmp_path):
     cfg = classification_config(tmp_path)
     config = ExperimentConfig.from_dict(cfg)
-    written = config_hash(config.raw)
+    written = config_hash(cfg)
     cfg["distribution"]["d"] = 9
     cfg["trials"] = 5
-    assert config.make_dist().d == 5
-    assert config_hash(config.raw) == written
+    assert config.distribution.d == 5
+    assert config.trials == 2
+    assert config.config_hash == written
 
 
 def test_config_owns_the_lists_of_its_raw_form(tmp_path):
@@ -390,14 +392,26 @@ def test_config_owns_the_lists_of_its_raw_form(tmp_path):
     cfg = classification_config(tmp_path, distribution=assouad, n_list=[20, 40],
                                 k_rule={"rule": "fixed", "k": 2}, solver="exact")
     config = ExperimentConfig.from_dict(cfg)
-    raw, written = json.loads(json.dumps(config.raw)), config_hash(config.raw)
-    assert raw == cfg
+    written = config_hash(cfg)
+    assert config.config_hash == written
     cfg["distribution"]["sigma"][0] = -1
     cfg["n_list"].append(80)
     cfg["k_rule"]["k"] = 3
-    assert json.loads(json.dumps(config.raw)) == raw
-    assert config_hash(config.raw) == written
-    assert config.make_dist().sigma[0] == 1.0
+    assert config.config_hash == written != config_hash(cfg)
+    assert config.distribution.sigma[0] == 1.0
+    assert config.n_list == (20, 40)
+    assert config.k_rule["k"] == 2
+
+
+def test_config_that_json_cannot_hold_is_refused_at_parse(tmp_path):
+    cfg = regression_config(tmp_path)
+    cfg["distribution"]["w"] = np.ones(4)
+    with pytest.raises(ConfigError, match="^: config must hold JSON values only: .*ndarray"):
+        ExperimentConfig.from_dict(cfg)
+    with pytest.raises(ConfigError, match="JSON values only"):
+        run_experiment(cfg)
+    assert not (tmp_path / "run.csv").exists()
+    assert not (tmp_path / "run.manifest.jsonl").exists()
 
 
 def test_config_hash_is_order_insensitive(tmp_path):
@@ -610,6 +624,57 @@ def test_programming_errors_in_a_trial_end_the_run(tmp_path, monkeypatch):
         with pytest.raises(NameError, match="undefined_helper"):
             run_experiment(cfg)
     assert not (tmp_path / "run.csv").exists()
+
+
+def law_arrays(dist) -> dict:
+    """Every array the law holds, an ``AxisPoints`` set's axes and scales included."""
+    arrays = {}
+    for name, value in vars(dist).items():
+        if isinstance(value, AxisPoints):
+            arrays[f"{name}.axes"], arrays[f"{name}.scales"] = value.axes, value.scales
+        elif isinstance(value, np.ndarray):
+            arrays[name] = value
+    return arrays
+
+
+@pytest.mark.parametrize("law", ["assouad", "gauss_margin"])
+def test_trials_on_two_threads_leave_the_shared_law_unchanged(tmp_path, monkeypatch, law):
+    """Every trial samples from and scores against ``config.distribution``
+    itself, so no law method may write to the law."""
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    if law == "assouad":
+        cfg = classification_config(
+            tmp_path, distribution=assouad_distribution(50), n_list=[40, 80], m_list=[3],
+            k_rule={"rule": "fixed", "k": 2}, solver="exact", threads=2,
+        )
+        expected = {"points.axes", "points.scales", "probs", "label_values", "label_probs", "sigma"}
+    else:
+        cfg = classification_config(
+            tmp_path, n_list=[20, 40], trials=3, threads=2,
+            compressibility={"reps": 2, "pop_factor": 2},
+        )
+        expected = {"w"}
+    config = ExperimentConfig.from_dict(cfg)
+    before = {name: array.copy() for name, array in law_arrays(config.distribution).items()}
+    assert expected <= set(before)
+    rows = read_rows(run_experiment(config))
+    assert len(rows) == 2 * cfg["trials"]
+    assert all(row["error"] == "" for row in rows)
+    after = law_arrays(config.distribution)
+    assert set(after) == set(before)
+    for name, array in before.items():
+        assert np.array_equal(after[name], array), name
+
+
+def test_a_budget_of_one_runs_no_thread_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a job was submitted to a thread pool")
+
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", no_pool)
+    assert len(read_rows(run_experiment(regression_config(tmp_path, threads=1)))) == 4
+    with pytest.raises(AssertionError, match="submitted to a thread pool"):
+        run_experiment(regression_config(tmp_path, threads=2))
 
 
 def test_an_uncertified_sweep_is_a_recorded_trial_failure(tmp_path, monkeypatch):

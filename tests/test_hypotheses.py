@@ -219,10 +219,13 @@ def test_squared_loss_start_is_the_design_least_squares_on_singular_designs():
 
 
 def test_squared_loss_fit_does_not_depend_on_the_blas_thread_count():
-    """Criterion 9's law at n = 50 002, k = 11: (w, t) and the empirical risk
-    are equal at one and two BLAS threads.  The start's normal equations are
-    summed one row block at a time, in block order; a least squares on the
-    whole design split its sums among the threads and moved w by up to 6e-12."""
+    """Criterion 9's law at n = 50 002, k = 11: (w, t), the empirical risk and
+    the objective checkpoints are equal at one and two BLAS threads.  The
+    start's normal equations are summed one row block at a time, in block
+    order; a least squares on the whole design split its sums among the
+    threads and moved w by up to 6e-12.  The anchor's constant is an einsum
+    sum: a BLAS dot over a block split it among the threads and moved the
+    checkpoints of projections 1 and 2 by up to 3 ulp."""
     script = textwrap.dedent(
         """
         import numpy as np
@@ -235,7 +238,8 @@ def test_squared_loss_fit_does_not_depend_on_the_blas_thread_count():
             U = apply(sample_projection("gaussian", 11, 32, seed), X)
             report = erm_regression(U, y, dist.loss_spec, iters=300)
             h = report.hypothesis
-            print(h.w.tobytes().hex(), h.t.hex(), report.empirical_risk.hex())
+            checkpoints = [c.hex() for c in report.objective_checkpoints]
+            print(h.w.tobytes().hex(), h.t.hex(), report.empirical_risk.hex(), *checkpoints)
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypotheses.__file__)))
