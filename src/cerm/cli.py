@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .harness import ExperimentConfig, fit_rate, run_experiment
+from .harness import CSV_COLUMNS, ExperimentConfig, fit_rate, run_experiment
 from .hypotheses import EXACT_MAX_K, EXACT_MAX_N
 from .projections import FAMILIES, empirical_jl_check, jl_target_dim, sample_projection
 from .riskbounds import estimate_compressibility, sketched_ols_ratio
@@ -53,15 +53,24 @@ def _jsonable(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
-def _parse(args, path: str, parse):
-    """``parse`` of the JSON at ``path``; a refusal or an unreadable path exits 2 naming it."""
+def _naming(args, path: str, call):
+    """``call()``; an unreadable path or a refusal exits 2 naming ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(json.load(fh))
+        return call()
     except OSError as exc:
         args.parser.error(f"{path}: {exc.strerror or exc}")
-    except ValueError as exc:  # ConfigError, a law's own refusal, or malformed JSON
+    except ValueError as exc:  # ConfigError, a law's own refusal, malformed JSON or CSV, too few points
         args.parser.error(f"{path}: {exc}")
+
+
+def _parse(args, path: str, parse):
+    """``parse`` of the JSON at ``path``, refused as ``_naming`` refuses."""
+
+    def load():
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+
+    return _naming(args, path, load)
 
 
 def _cmd_run(args) -> int:
@@ -72,7 +81,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _emit(fit_rate(args.results, x_field=args.x, y_field=args.y))
+    _emit(_naming(args, args.results, lambda: fit_rate(args.results, x_field=args.x, y_field=args.y)))
     return 0
 
 
@@ -135,6 +144,11 @@ def _cmd_compressibility(args) -> int:
                 f"--k-list has k = {max(args.k_list)}: the exact solver takes k <= {EXACT_MAX_K}"
             )
     dist = _parse(args, args.dist_spec, dist_from_config)
+    if args.solver == "exact" and dist.loss_spec.kind != "zero_one":
+        args.parser.error(
+            f"--solver exact: the exact solver is only defined for the zero-one loss,"
+            f" not the law's {dist.loss_spec.kind!r}"
+        )
     out = []
     for i, k in enumerate(sorted(set(args.k_list))):
         est = estimate_compressibility(
@@ -257,8 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a power law to results")
     p_fit.add_argument("results", help="path to a results CSV")
     p_fit.add_argument("--x", default="n", choices=("n", "k", "m"))
-    p_fit.add_argument("--y", default="ensemble_excess")
-    p_fit.set_defaults(func=_cmd_fit)
+    p_fit.add_argument("--y", default="ensemble_excess", choices=CSV_COLUMNS, metavar="COLUMN")
+    p_fit.set_defaults(func=_cmd_fit, parser=p_fit)
 
     p_psi = sub.add_parser("compressibility", help="estimate the compressed-class gap per k")
     p_psi.add_argument("dist_spec", help="path to a distribution spec JSON")

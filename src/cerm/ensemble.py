@@ -37,33 +37,36 @@ __all__ = ["EnsembleModel", "train_ensemble", "predict", "member_excess_risks"]
 class EnsembleModel:
     """A trained compression ensemble.
 
-    ``members`` pairs each projection map with the hypothesis fit on its
-    compressed data; ``member_reports`` keeps the per-member fit reports in
-    the same order.
+    ``maps`` holds each member's projection map and ``member_reports`` its
+    fit report, in the same order; ``members`` pairs each map with its
+    report's hypothesis, and ``m`` counts them.
     """
 
-    members: tuple[tuple[ProjectionMap, LinearHypothesis], ...]
-    loss: LossSpec
-    family: str
-    k: int
-    d: int
-    m: int
+    maps: tuple[ProjectionMap, ...]
     member_reports: tuple[ErmReport, ...]
+    loss: LossSpec
 
     def __post_init__(self):
-        if self.m != len(self.members) or self.m < 1:
-            raise ValueError("m must equal the number of members and be >= 1")
-        if len(self.member_reports) != self.m:
-            raise ValueError("one fit report per member required")
-        seeds = set()
+        if len(self.member_reports) != len(self.maps):
+            raise ValueError("one fit report per projection map required")
+        if not self.maps:
+            raise ValueError("an ensemble needs at least one member")
+        shape = (self.maps[0].family, self.maps[0].k, self.maps[0].d)
         for pmap, hyp in self.members:
-            if pmap.family != self.family or pmap.k != self.k or pmap.d != self.d:
-                raise ValueError("all members must share the ensemble's family, k, and d")
-            if hyp.w.shape != (self.k,):
+            if (pmap.family, pmap.k, pmap.d) != shape:
+                raise ValueError("all members must share one family, k, and d")
+            if hyp.w.shape != (pmap.k,):
                 raise ValueError("member hypothesis dimension must match k")
-            seeds.add(pmap.seed)
-        if len(seeds) != self.m:
+        if len({pmap.seed for pmap in self.maps}) != self.m:
             raise ValueError("member projection seeds must be distinct")
+
+    @property
+    def members(self) -> tuple[tuple[ProjectionMap, LinearHypothesis], ...]:
+        return tuple((pmap, report.hypothesis) for pmap, report in zip(self.maps, self.member_reports))
+
+    @property
+    def m(self) -> int:
+        return len(self.maps)
 
 
 def train_ensemble(
@@ -98,23 +101,14 @@ def train_ensemble(
         raise ValueError("m must be >= 1")
     n, d = X.shape
     group = max(1, _BLOCK_BYTES // max(1, 8 * n * (k + 1)))
-    members = []
+    maps = []
     reports = []
     for start in range(0, m, group):
-        maps = [sample_projection(family, k, d, derive_seed(master_seed, i))
-                for i in range(start, min(m, start + group))]
-        group_reports = fit(_stack([apply(pmap, X) for pmap in maps]), y, loss, solver, iters)
-        members.extend((pmap, report.hypothesis) for pmap, report in zip(maps, group_reports))
-        reports.extend(group_reports)
-    return EnsembleModel(
-        members=tuple(members),
-        loss=loss,
-        family=family,
-        k=k,
-        d=d,
-        m=m,
-        member_reports=tuple(reports),
-    )
+        group_maps = [sample_projection(family, k, d, derive_seed(master_seed, i))
+                      for i in range(start, min(m, start + group))]
+        reports.extend(fit(_stack([apply(pmap, X) for pmap in group_maps]), y, loss, solver, iters))
+        maps.extend(group_maps)
+    return EnsembleModel(maps=tuple(maps), member_reports=tuple(reports), loss=loss)
 
 
 def _stack(designs: list[np.ndarray]) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Declarative experiment runner.
 
-A JSON config names a distribution, a loss, a projection family, sweep lists
-for the sample size n and ensemble size m, a rule for picking the compressed
-dimension k, and seeding/output choices.  ``ExperimentConfig.from_dict``
+A JSON config names a distribution, whose own loss every fit and score
+uses, a projection family, sweep lists for the sample size n and ensemble
+size m, a rule for picking the compressed dimension k, and seeding/output
+choices.  ``ExperimentConfig.from_dict``
 parses it once: it builds the law and hashes the config as written, so a
 config that is not plain JSON is refused before any trial runs.
 ``run_experiment`` maps one job function over the ordered (cell, trial)
@@ -42,7 +43,7 @@ import numpy as np
 from ._version import __version__
 from .ensemble import member_excess_risks, train_ensemble
 from .hypotheses import EXACT_MAX_K, EXACT_MAX_N, ScaleGuardError, SweepUncertifiedError
-from .losses import LossDomainError, LossSpec
+from .losses import LossDomainError
 from .projections import FAMILIES
 from .riskbounds import (
     estimate_compressibility,
@@ -55,7 +56,6 @@ from .synthdist import (
     _REQUIRED,
     ConfigError,
     _int_field,
-    _loss,
     _number_field,
     _number_in,
     _one_of,
@@ -162,11 +162,10 @@ def _compressibility(value, path: str) -> dict:
 
 
 #: The top-level config keys, as field -> (reader, default).  A field whose
-#: default is None may be null; the checks below fill ``loss`` and
-#: ``bracket_alpha`` when they are.
+#: default is None may be null; the checks below fill ``bracket_alpha`` when
+#: it is.
 _FIELDS = {
     "distribution": (_distribution, _REQUIRED),
-    "loss": (_loss, None),
     "family": (_one_of(FAMILIES), "gaussian"),
     "n_list": (_int_list, _REQUIRED),
     "m_list": (_int_list, _REQUIRED),
@@ -182,15 +181,6 @@ _FIELDS = {
     "delta": (_number_in("must lie in (0, 1)", lambda v: 0 < v < 1), 0.05),
     "threads": (_int_field, 1),
 }
-
-
-def _loss_matches_law(values: dict):
-    """``loss`` defaults to the law's own; a loss written out must agree with it."""
-    law = values["distribution"].loss_spec
-    loss = values["loss"] = law if values["loss"] is None else values["loss"]
-    _require(loss.kind == law.kind, "loss.kind", f"distribution expects {law.kind!r}")
-    beta_agrees = loss.kind == "zero_one" or loss.beta == law.beta
-    _require(beta_agrees, "loss.beta", f"distribution expects beta = {law.beta}")
 
 
 def _k_rule_matches_law(values: dict):
@@ -211,7 +201,8 @@ def _exact_solver_limits(values: dict):
     after sampling, or end the run in the compressibility fits."""
     if values["solver"] != "exact":
         return
-    _require(values["loss"].kind == "zero_one", "solver", "'exact' is only defined for the zero-one loss")
+    zero_one = values["distribution"].loss_spec.kind == "zero_one"
+    _require(zero_one, "solver", "'exact' is only defined for the zero-one loss")
     for n in values["n_list"]:
         _require(n <= EXACT_MAX_N, "n_list", f"the exact solver takes n <= {EXACT_MAX_N}, got {n}")
         k = _k_for(values["k_rule"], n)
@@ -234,13 +225,14 @@ def _bracket_alpha_default(values: dict):
     rule's alpha, 0 for the zero-one loss at a fixed k, and 1 otherwise."""
     if values["bracket_alpha"] is None:
         k_rule = values["k_rule"]
-        fixed_zero_one = k_rule["rule"] == "fixed" and values["loss"].kind == "zero_one"
+        zero_one = values["distribution"].loss_spec.kind == "zero_one"
+        fixed_zero_one = k_rule["rule"] == "fixed" and zero_one
         values["bracket_alpha"] = k_rule.get("alpha", 0.0 if fixed_zero_one else 1.0)
 
 
 #: The checks that involve more than one field, run in this order after the
-#: readers; the later ones read the loss the first one fills in.
-_CROSS_FIELD_CHECKS = (_loss_matches_law, _k_rule_matches_law, _exact_solver_limits, _bracket_alpha_default)
+#: readers.
+_CROSS_FIELD_CHECKS = (_k_rule_matches_law, _exact_solver_limits, _bracket_alpha_default)
 
 
 @dataclass(frozen=True)
@@ -248,12 +240,12 @@ class ExperimentConfig:
     """Validated experiment description.  Build with ``from_dict``.
 
     Each field but ``config_hash`` holds its key's parsed value, defaults
-    filled in; ``distribution`` holds the law, which every trial shares.
+    filled in; ``distribution`` holds the law, which every trial shares, and
+    its ``loss_spec`` is the loss the trials fit and score.
     ``config_hash`` is the hash of the config as written, taken at parse.
     """
 
     distribution: object
-    loss: LossSpec
     family: str
     n_list: tuple[int, ...]
     m_list: tuple[int, ...]
@@ -279,7 +271,7 @@ class ExperimentConfig:
         try:
             written = config_hash(raw)
         except (TypeError, ValueError) as exc:  # a value JSON cannot hold
-            raise ConfigError(f": config must hold JSON values only: {exc}") from exc
+            raise ConfigError(f"config must hold JSON values only: {exc}") from exc
         return cls(**values, config_hash=written)
 
     def make_dist(self):
@@ -363,7 +355,7 @@ def _run_trial(config: ExperimentConfig, psi_by_k: dict[int, float], job: tuple[
         model = train_ensemble(
             X,
             y,
-            config.loss,
+            config.distribution.loss_spec,
             config.family,
             cell.k,
             cell.m,

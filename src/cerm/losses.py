@@ -1,7 +1,8 @@
 """Bounded loss functions and their certified constants.
 
-Three losses are supported, each with the constants the rest of the library
-relies on:
+Three losses are supported.  A ``LossSpec`` holds a loss's kind and range
+radius beta only; each constant the rest of the library relies on is a
+property computed from the two:
 
 ============  =========  ==========  ===================  =============  ========
 kind          bound      lipschitz   curvature            quasi_convex   combiner
@@ -60,17 +61,51 @@ class UndefinedBernsteinError(ValueError):
 
 @dataclass(frozen=True)
 class LossSpec:
+    """A loss: its kind and range radius beta.  The constants in the module
+    table are properties derived from the two.  Build with ``make_loss``."""
+
     kind: str
     beta: float
-    bound: float
-    lipschitz: float
-    curvature: float
-    quasi_convexity: float
-    combiner: str
+
+    @property
+    def bound(self) -> float:
+        if self.kind == "zero_one":
+            return 1.0
+        if self.kind == "squared":
+            return 4.0 * self.beta**2
+        return self.beta + np.log(2.0)
+
+    @property
+    def lipschitz(self) -> float:
+        if self.kind == "zero_one":
+            return 0.5
+        if self.kind == "squared":
+            return 4.0 * self.beta
+        return 1.0
+
+    @property
+    def curvature(self) -> float:
+        if self.kind == "zero_one":
+            return 0.0
+        if self.kind == "squared":
+            return 2.0
+        # kl: the minimum of e^v/(1+e^v)^2 over the logits [-beta, beta],
+        # attained at |v|=beta.  (1+e^beta)^2 overflows near beta ~ 354, so
+        # above 300 the algebraically equal e^-beta form is used.
+        b = self.beta if self.beta <= 300.0 else -self.beta
+        return float(np.exp(b) / (1.0 + np.exp(b)) ** 2)
+
+    @property
+    def quasi_convexity(self) -> float:
+        return 2.0 if self.kind == "zero_one" else 1.0
+
+    @property
+    def combiner(self) -> str:
+        return "mode" if self.kind == "zero_one" else "mean"
 
 
 def make_loss(kind: str, beta: float = 1.0) -> LossSpec:
-    """Build the LossSpec for ``kind``, populating every constant.
+    """Build the LossSpec for ``kind``.
 
     ``beta`` is the prediction-range radius for squared and kl; it is ignored
     for zero_one (whose prediction space is {-1,+1}).
@@ -78,45 +113,11 @@ def make_loss(kind: str, beta: float = 1.0) -> LossSpec:
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     if kind == "zero_one":
-        return LossSpec(
-            kind="zero_one",
-            beta=1.0,
-            bound=1.0,
-            lipschitz=0.5,
-            curvature=0.0,
-            quasi_convexity=2.0,
-            combiner="mode",
-        )
+        return LossSpec(kind="zero_one", beta=1.0)
     beta = float(beta)
     if not np.isfinite(beta) or beta <= 0:
         raise InvalidBetaError(f"beta must be a positive finite real, got {beta!r}")
-    if kind == "squared":
-        return LossSpec(
-            kind="squared",
-            beta=beta,
-            bound=4.0 * beta**2,
-            lipschitz=4.0 * beta,
-            curvature=2.0,
-            quasi_convexity=1.0,
-            combiner="mean",
-        )
-    # kl: prediction is a logit in [-beta, beta]; curvature is the minimum of
-    # the second derivative e^v/(1+e^v)^2 over the interval, attained at |v|=beta.
-    # (1+e^beta)^2 overflows near beta ~ 354; switch to the algebraically equal
-    # e^-beta form there, where it is the numerically safe one.
-    if beta <= 300.0:
-        curvature = float(np.exp(beta) / (1.0 + np.exp(beta)) ** 2)
-    else:
-        curvature = float(np.exp(-beta) / (1.0 + np.exp(-beta)) ** 2)
-    return LossSpec(
-        kind="kl",
-        beta=beta,
-        bound=beta + np.log(2.0),
-        lipschitz=1.0,
-        curvature=curvature,
-        quasi_convexity=1.0,
-        combiner="mean",
-    )
+    return LossSpec(kind=kind, beta=beta)
 
 
 def _check_range(name: str, arr: np.ndarray, beta: float) -> None:

@@ -9,7 +9,7 @@ Three i.i.d.-entry families are provided, all scaled so that
                          probabilities {1/6, 2/3, 1/6}
 
 Maps are identified by (family, k, d, seed); the matrix is a pure function
-of those four values.
+of those four values, and a map holds k and d as its matrix's shape.
 
 ``apply`` compresses either a dense n x d array or an ``AxisPoints`` set,
 whose rows are scaled coordinate vectors and are never stored densely.
@@ -60,29 +60,32 @@ class ProjectionMap:
     Attributes
     ----------
     matrix : ndarray of shape (k, d)
+        Its shape gives the target and ambient dimensions ``k`` and ``d``.
     family : str
         One of :data:`FAMILIES`.
-    k, d : int
-        Target and ambient dimension.
     seed : int
         The 64-bit seed the matrix was drawn from.
     """
 
     matrix: np.ndarray
     family: str
-    k: int
-    d: int
     seed: int
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.k < 1 or self.d < 1:
-            raise InvalidDimensionError(f"need k >= 1 and d >= 1, got k={self.k}, d={self.d}")
-        if self.matrix.shape != (self.k, self.d):
-            raise ValueError(f"matrix shape {self.matrix.shape} != ({self.k}, {self.d})")
+        if self.matrix.ndim != 2 or self.matrix.size == 0:
+            raise InvalidDimensionError(f"need a k x d matrix with k, d >= 1, got shape {self.matrix.shape}")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("projection matrix has non-finite entries")
+
+    @property
+    def k(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +180,7 @@ def sample_projection(family: str, k: int, d: int, seed: int) -> ProjectionMap:
         matrix = scale * ((u >= 5.0 / 6.0).astype(float) - (u < 1.0 / 6.0).astype(float))
     else:
         raise ValueError(f"unknown family {family!r}")
-    return ProjectionMap(matrix=matrix, family=family, k=k, d=d, seed=seed)
+    return ProjectionMap(matrix=matrix, family=family, seed=seed)
 
 
 def apply(pmap: ProjectionMap, X: np.ndarray) -> np.ndarray:

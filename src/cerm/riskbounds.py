@@ -87,11 +87,6 @@ class RiskBracket:
     statistical_term: float
     ensemble_term: float
     total: float
-    n: int
-    k: int
-    m: int
-    delta: float
-    alpha: float
 
 
 def log_plus(x):
@@ -257,11 +252,6 @@ def risk_bound_bracket(
         statistical_term=float(statistical),
         ensemble_term=float(ensemble),
         total=float(psi_hat + statistical + ensemble),
-        n=n,
-        k=k,
-        m=m,
-        delta=delta,
-        alpha=alpha,
     )
 
 

@@ -176,8 +176,8 @@ class FiniteSupportDist:
 
 @dataclass(frozen=True)
 class AssouadParams:
-    """Parameters of one hypercube family member, echoing the exponents and
-    sample size they were built for."""
+    """Parameters of one hypercube family member, echoing the exponents they
+    were built for."""
 
     q: int
     r: float
@@ -186,7 +186,6 @@ class AssouadParams:
     gamma: float
     rho: float
     alpha: float
-    n: int
 
 
 class AssouadDist(FiniteSupportDist):
@@ -287,7 +286,7 @@ def build_assouad_family(n: int, gamma: float, rho: float, alpha: float) -> Asso
         raise SmallSampleError(
             f"construction degenerate at n={n}: q={q}, r={r:.4g}, v={v:.4g}, epsilon={epsilon:.4g}"
         )
-    return AssouadParams(q=q, r=r, v=v, epsilon=epsilon, gamma=gamma, rho=rho, alpha=alpha, n=n)
+    return AssouadParams(q=q, r=r, v=v, epsilon=epsilon, gamma=gamma, rho=rho, alpha=alpha)
 
 
 def check_membership(params: AssouadParams) -> dict:
@@ -734,8 +733,10 @@ class ConfigError(ValueError):
 
 
 def _require(cond: bool, path: str, message: str):
+    """Refuse unless ``cond``, naming the field at ``path``; an empty path,
+    the whole config, gives the message alone."""
     if not cond:
-        raise ConfigError(f"{path}: {message}")
+        raise ConfigError(f"{path}: {message}" if path else message)
 
 
 # JSON true/false arrive as bool, which subclasses int: both field helpers

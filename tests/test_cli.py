@@ -113,6 +113,25 @@ def test_cli_compressibility_refuses_exact_sizes_before_sampling(tmp_path, monke
         assert err.splitlines()[-1].startswith(f"cerm compressibility: error: {named}: ")
 
 
+def test_cli_compressibility_refuses_exact_on_a_law_without_zero_one_loss(
+    regression_spec, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before refusing the flags")
+
+    monkeypatch.setattr("cerm.synthdist.RegressionDist.sample", refuse)
+    argv = ["compressibility", regression_spec, "--solver", "exact", "--k-list", "2", "--pop-n", "50"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cerm compressibility")
+    assert err.splitlines()[-1] == (
+        "cerm compressibility: error: --solver exact: the exact solver is only defined"
+        " for the zero-one loss, not the law's 'squared'"
+    )
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--k-list", "0"), ("--k-list", "x"), ("--k-list", ","), ("--reps", "0"), ("--pop-n", "0")],
@@ -299,3 +318,52 @@ def test_cli_refuses_an_unreadable_config_path_naming_it(tmp_path, capsys, comma
         err = capsys.readouterr().err
         assert err.startswith(f"usage: cerm {argv[0]}")
         assert err.splitlines()[-1] == f"cerm {argv[0]}: error: {path}: {reason}"
+
+
+def test_cli_refuses_a_config_that_is_not_an_object_without_an_empty_field_path(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"cerm run: error: {path}: config must be a JSON object"
+    assert "list.json: config must be a JSON object" in err
+
+
+def _fit_refusal(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", *argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cerm fit")
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
+def _results_csv(tmp_path, ns) -> str:
+    path = tmp_path / "results.csv"
+    rows = [",".join(CSV_COLUMNS)]
+    for trial, n in enumerate(ns):
+        row = dict.fromkeys(CSV_COLUMNS, "")
+        row.update(n=str(n), k="2", m="2", trial=str(trial), seed="1", ensemble_excess=str(1.0 / n))
+        rows.append(",".join(row[col] for col in CSV_COLUMNS))
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_cli_fit_refuses_a_missing_results_file_naming_it(tmp_path, capsys):
+    path = tmp_path / "nosuch.csv"
+    assert _fit_refusal(capsys, [str(path)]) == f"cerm fit: error: {path}: No such file or directory"
+
+
+def test_cli_fit_refuses_an_unknown_y_column_naming_the_flag(tmp_path, capsys):
+    last = _fit_refusal(capsys, [_results_csv(tmp_path, [10, 20, 40]), "--y", "excess"])
+    assert last.startswith("cerm fit: error: argument --y: invalid choice: 'excess'")
+
+
+def test_cli_fit_refuses_too_few_x_values_naming_the_file(tmp_path, capsys):
+    path = _results_csv(tmp_path, [10, 20, 20])
+    assert _fit_refusal(capsys, [path]) == (
+        f"cerm fit: error: {path}: need >= 3 distinct n values with positive mean ensemble_excess, got 2"
+    )

@@ -98,26 +98,22 @@ def test_ensemble_validation_errors():
         train_ensemble(X, y, make_loss("squared"), "gaussian", k=2, m=2, solver="exact")
 
     model = train_ensemble(X, y, loss, "gaussian", k=2, m=2, iters=10)
-    with pytest.raises(ValueError):
-        EnsembleModel(
-            members=(model.members[0], model.members[0]),  # duplicate seed
-            loss=loss,
-            family="gaussian",
-            k=2,
-            d=X.shape[1],
-            m=2,
-            member_reports=model.member_reports,
-        )
-    with pytest.raises(ValueError):
-        EnsembleModel(
-            members=model.members,
-            loss=loss,
-            family="rademacher",  # family mismatch with the stored maps
-            k=2,
-            d=X.shape[1],
-            m=2,
-            member_reports=model.member_reports,
-        )
+    assert model.m == 2
+    for i, (pmap, hyp) in enumerate(model.members):
+        assert pmap is model.maps[i]
+        assert hyp is model.member_reports[i].hypothesis
+    d = X.shape[1]
+    reports = model.member_reports
+    for maps, member_reports, message in (
+        (model.maps, reports[:1], "one fit report per projection map"),
+        ((), (), "at least one member"),
+        ((model.maps[0], model.maps[0]), reports, "seeds must be distinct"),
+        ((model.maps[0], sample_projection("rademacher", 2, d, 5)), reports, "share one family, k, and d"),
+        ((model.maps[0], sample_projection("gaussian", 3, d, 5)), reports, "share one family, k, and d"),
+        (tuple(sample_projection("gaussian", 3, d, s) for s in (5, 6)), reports, "dimension must match k"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            EnsembleModel(maps=maps, member_reports=member_reports, loss=loss)
 
 
 def test_exact_solver_inside_ensemble():

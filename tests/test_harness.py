@@ -26,6 +26,7 @@ from cerm.harness import (
     run_experiment,
 )
 from cerm.hypotheses import EXACT_MAX_K, EXACT_MAX_N
+from cerm.losses import make_loss
 from cerm.projections import AxisPoints
 from cerm.seeds import derive_seed
 
@@ -104,7 +105,8 @@ def test_config_rejects_unknown_key(tmp_path):
         ("distribution: noise.amplitud", {"distribution": {**distribution, "noise": misspelt}}),
         ("k_rule.gamma", {"k_rule": {"rule": "fixed", "k": 2, "gamma": 2.0}}),
         ("k_rule.k", {"k_rule": {"rule": "regression", "k": 2}}),
-        ("loss.bta", {"loss": {"kind": "squared", "bta": 1.0}}),
+        ("distribution: loss.bta", {"distribution": {**_LAWS["finite"], "type": "finite",
+                                                     "loss": {"kind": "squared", "bta": 1.0}}}),
         ("compressibility.rep", {"compressibility": {"reps": 2, "pop_factor": 2, "rep": 2}}),
     ):
         with pytest.raises(ConfigError, match=f"^{path}: unknown"):
@@ -118,18 +120,17 @@ def test_config_requires_distribution(tmp_path):
         ExperimentConfig.from_dict(cfg)
 
 
-def test_config_loss_must_match_distribution(tmp_path):
-    cfg = regression_config(tmp_path, loss={"kind": "zero_one"})
-    with pytest.raises(ConfigError, match="loss.kind"):
-        ExperimentConfig.from_dict(cfg)
-    cfg = regression_config(tmp_path, loss={"kind": "squared", "beta": 3.0})
-    with pytest.raises(ConfigError, match="loss.beta"):
-        ExperimentConfig.from_dict(cfg)
+def test_config_refuses_a_top_level_loss_key(tmp_path):
+    # The loss is the law's own; a config cannot name it, even to agree.
+    for loss in ({"kind": "squared"}, {"kind": "zero_one"}, None):
+        with pytest.raises(ConfigError, match="^loss: unknown config key$"):
+            ExperimentConfig.from_dict(regression_config(tmp_path, loss=loss))
 
 
 def test_config_defaults_loss_from_distribution(tmp_path):
     config = ExperimentConfig.from_dict(regression_config(tmp_path))
-    assert config.loss.kind == "squared"
+    assert config.distribution.loss_spec == make_loss("squared", 1.0)
+    assert not hasattr(config, "loss")
     assert config.delta == 0.05
     assert config.threads == 1
 
@@ -171,10 +172,9 @@ def test_config_list_and_scalar_validation(tmp_path):
         compressibility = {"reps": 2, "pop_factor": 2, name: True}
         with pytest.raises(ConfigError, match=f"compressibility.{name}"):
             ExperimentConfig.from_dict(regression_config(tmp_path, compressibility=compressibility))
-    with pytest.raises(ConfigError, match="loss.beta"):
-        ExperimentConfig.from_dict(
-            regression_config(tmp_path, loss={"kind": "squared", "beta": True})
-        )
+    finite = {**_LAWS["finite"], "type": "finite", "loss": {"kind": "squared", "beta": True}}
+    with pytest.raises(ConfigError, match="^distribution: loss.beta: must be positive$"):
+        ExperimentConfig.from_dict(regression_config(tmp_path, distribution=finite))
     for field in ("master_seed", "delta"):
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_dict(regression_config(tmp_path, **{field: False}))
@@ -227,7 +227,9 @@ ABSENT = object()
         ({"delta": 0}, "delta: must lie in (0, 1)"),
         ({"output": 5}, "output: must be a non-empty path stem"),
         ({"trials": ABSENT}, "trials: must be an integer >= 1"),
-        (None, ": config must be a JSON object"),
+        # The id predates the message without the empty field path; it is
+        # pinned so the case keeps its name.
+        pytest.param(None, "config must be a JSON object", id="None-: config must be a JSON object"),
     ],
 )
 def test_config_refusal_names_its_field(tmp_path, override, message):
@@ -406,7 +408,7 @@ def test_config_owns_the_lists_of_its_raw_form(tmp_path):
 def test_config_that_json_cannot_hold_is_refused_at_parse(tmp_path):
     cfg = regression_config(tmp_path)
     cfg["distribution"]["w"] = np.ones(4)
-    with pytest.raises(ConfigError, match="^: config must hold JSON values only: .*ndarray"):
+    with pytest.raises(ConfigError, match="^config must hold JSON values only: .*ndarray"):
         ExperimentConfig.from_dict(cfg)
     with pytest.raises(ConfigError, match="JSON values only"):
         run_experiment(cfg)

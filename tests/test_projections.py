@@ -9,6 +9,7 @@ from cerm.projections import (
     FAMILIES,
     AxisPoints,
     InvalidDimensionError,
+    ProjectionMap,
     _squared_distances,
     apply,
     empirical_jl_check,
@@ -120,6 +121,14 @@ def test_invalid_construction():
         sample_projection("gaussian", 3, 0, 0)
     with pytest.raises(ValueError):
         sample_projection("no_such_family", 3, 8, 0)
+
+
+def test_projection_map_dimensions_are_its_matrix_shape():
+    pmap = sample_projection("rademacher", 3, 8, 0)
+    assert (pmap.k, pmap.d) == pmap.matrix.shape == (3, 8)
+    for matrix in (np.zeros((0, 8)), np.zeros((3, 0)), np.zeros(8), np.zeros((1, 2, 3))):
+        with pytest.raises(InvalidDimensionError):
+            ProjectionMap(matrix=matrix, family="gaussian", seed=0)
 
 
 def test_jl_target_dim_frozen_value():
