@@ -3,9 +3,9 @@
 A JSON config names a distribution, whose own loss every fit and score
 uses, a projection family, sweep lists for the sample size n and ensemble
 size m, a rule for picking the compressed dimension k, and seeding/output
-choices.  ``ExperimentConfig.from_dict``
-parses it once: it builds the law and hashes the config as written, so a
-config that is not plain JSON is refused before any trial runs.
+choices.  ``ExperimentConfig.from_dict`` parses it once: it builds the law
+and hashes the config as written, so a config that is not plain JSON is
+refused before any trial runs.
 ``run_experiment`` maps one job function over the ordered (cell, trial)
 jobs, on a thread pool above a budget of one, writes one CSV row per trial,
 and records a JSONL manifest with the config hash, library version, and
@@ -479,7 +479,8 @@ def fit_rate(results_path: str, x_field: str = "n", y_field: str = "ensemble_exc
     delta-method inverse variance of ln(mean), with a plain unweighted fit
     (and residual-based standard error) when any scatter estimate is zero or
     unusable.  Nonpositive means are dropped with a warning; fewer than three
-    surviving x values raises InsufficientPointsError.
+    surviving x values raises InsufficientPointsError, and a file without the
+    x column ValueError.
     """
     if x_field not in ("n", "k", "m"):
         raise ValueError("x_field must be one of 'n', 'k', 'm'")
@@ -490,6 +491,8 @@ def fit_rate(results_path: str, x_field: str = "n", y_field: str = "ensemble_exc
     skipped_rows = 0
     with open(results_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        if x_field not in (reader.fieldnames or ()):
+            raise ValueError(f"no {x_field!r} column")
         for row in reader:
             if row.get("error"):
                 skipped_rows += 1

@@ -362,6 +362,12 @@ def test_cli_fit_refuses_an_unknown_y_column_naming_the_flag(tmp_path, capsys):
     assert last.startswith("cerm fit: error: argument --y: invalid choice: 'excess'")
 
 
+def test_cli_fit_refuses_a_file_without_the_x_column_naming_it(tmp_path, capsys):
+    path = tmp_path / "no_n.csv"
+    path.write_text("k,ensemble_excess\n2,0.1\n")
+    assert _fit_refusal(capsys, [str(path)]) == f"cerm fit: error: {path}: no 'n' column"
+
+
 def test_cli_fit_refuses_too_few_x_values_naming_the_file(tmp_path, capsys):
     path = _results_csv(tmp_path, [10, 20, 20])
     assert _fit_refusal(capsys, [path]) == (
