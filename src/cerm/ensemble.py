@@ -15,12 +15,14 @@ Only training data is projected.  A member fit as u -> w.u - t on the
 compression A x predicts x -> (A^T w).x - t, so members are scored through
 these pulled-back rules on the evaluation points themselves.  A dense
 evaluation set is scored one row block at a time, every member on each
-block, so the pass reads the set from memory once.
+block, so the pass reads the set from memory once; a Monte-Carlo test set
+is drawn block by block too, and no block outlives its scoring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +41,8 @@ class EnsembleModel:
 
     ``maps`` holds each member's projection map and ``member_reports`` its
     fit report, in the same order; ``members`` pairs each map with its
-    report's hypothesis, and ``m`` counts them.
+    report's hypothesis, ``rules`` holds their pulled-back rules, and ``m``
+    counts them.
     """
 
     maps: tuple[ProjectionMap, ...]
@@ -67,6 +70,12 @@ class EnsembleModel:
     @property
     def m(self) -> int:
         return len(self.maps)
+
+    @cached_property
+    def rules(self) -> tuple[LinearHypothesis, ...]:
+        """Each member's pulled-back rule on R^d, formed on first use and
+        kept, so the row blocks of one evaluation share them."""
+        return tuple(hyp.pull_back(pmap.matrix) for pmap, hyp in self.members)
 
 
 def train_ensemble(
@@ -118,26 +127,26 @@ def _stack(designs: list[np.ndarray]) -> np.ndarray:
     return designs[0][None] if len(designs) == 1 else np.stack(designs)
 
 
-def _member_outputs(model: EnsembleModel, X: np.ndarray, spare_rows: int = 0) -> np.ndarray:
-    """The m x N member outputs on X, followed by ``spare_rows`` unfilled rows.
+def _member_outputs(model: EnsembleModel, X, out: np.ndarray | None = None) -> np.ndarray:
+    """The m x N member outputs on X, written to the first m rows of ``out``
+    (an r x N array with r >= m, possibly a view) or to a new m x N array.
 
     X is an N x d array or an ``AxisPoints`` set.  Row i is member i's
     pulled-back rule on X.  A dense X is read once, one row block at a time:
     every member scores a block while it is in cache.  Axis points are
     scored by a gather from the pulled-back weights.  X is never projected.
     """
-    outputs = np.empty((model.m + spare_rows, len(X)))
+    outputs = np.empty((model.m, len(X))) if out is None else out
     if isinstance(X, AxisPoints):
         # One length-d rule at a time: at large d, the m rules together
         # would outweigh the gather.
         for i, (pmap, hyp) in enumerate(model.members):
             outputs[i] = hyp.pull_back(pmap.matrix).predict(X)
         return outputs
-    rules = [hyp.pull_back(pmap.matrix) for pmap, hyp in model.members]
     X = np.asarray(X, dtype=float)
     for rows in _row_blocks(len(X), X.shape[-1]):
         block = X[rows]
-        for i, rule in enumerate(rules):
+        for i, rule in enumerate(model.rules):
             outputs[i, rows] = rule.predict(block)
     return outputs
 
@@ -163,11 +172,14 @@ def member_excess_risks(
     once from ``seed`` (or, for a finite-support law, the atoms are built
     once), each member scores it through its pulled-back rule without
     projecting it, and the combined prediction is formed from those same
-    member outputs.  A dense test set is scored per row block, every member
-    on one block of rows before the next, not as one whole-set product per
-    member.  An Assouad law's atoms are an ``AxisPoints`` set, which
-    each member scores by gathering q + 1 of its pulled-back weights, so the
-    pass takes O(m q) memory and no (q+1)^2 coordinate array is built.
+    member outputs.  A dense test set is drawn, scored and dropped one row
+    block at a time, every member on one block before the next block is
+    drawn, so the pass holds one block of points and, past its outputs, the
+    N noise weights and (m + 1) x N disagreement bits on the zero-one path,
+    or (m + 1) x N outputs on the regression path.  An Assouad law's atoms
+    are an ``AxisPoints`` set, which each member scores by gathering q + 1
+    of its pulled-back weights, so the pass takes O(m q) memory and no
+    (q+1)^2 coordinate array is built.
     Member-vs-ensemble comparisons are therefore paired rather than
     independent, and each estimate equals what ``estimate_excess_risk``
     gives for that member's pulled-back rule, or for ``predict(model, .)``,
@@ -175,11 +187,9 @@ def member_excess_risks(
     """
     m = model.m
 
-    def all_rows(X):
-        rows = _member_outputs(model, X, spare_rows=1)
-        rows[m] = _combine(model.loss, rows[:m])
-        return rows
+    def all_rows(X, out):
+        _member_outputs(model, X, out)
+        out[m] = _combine(model.loss, out[:m])
 
-    estimates = _estimate_excess_risks(all_rows, dist, n_test=n_test, seed=seed)
+    estimates = _estimate_excess_risks(all_rows, m + 1, dist, n_test=n_test, seed=seed)
     return estimates[:m], estimates[m]
-

@@ -154,6 +154,11 @@ def _row_blocks(n: int, d: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _longest_block(n: int, d: int) -> int:
+    """Rows in the longest of ``_row_blocks(n, d)``, 0 when n is 0."""
+    return max((b.stop - b.start for b in _row_blocks(n, d)), default=0)
+
+
 def _rows_dot(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``X @ w`` for a dense n x d array, one product per ``_row_blocks``
     block: the whole-array product bit for bit on one BLAS thread, and the

@@ -19,6 +19,14 @@ Distributions are duck-typed.  An object usable here provides:
 
 and optionally:
 
+* ``draw_blocks(n, seed, visit) -> y`` — the draw ``sample(n, seed)``
+  makes, with X handed to ``visit(rows, block)`` one row block at a time
+  and dropped, and the n labels returned.  The Monte-Carlo estimators make
+  every test draw through it, so no evaluation holds an n x d array.  For
+  a law that has only ``sample`` it is adapted in one place
+  (``_block_draw``): the whole draw, visited block by block, with the
+  same values;
+
 * ``atoms() -> (points, probs, label_values, label_probs)`` for finite
   support, unlocking exact summation (std_error 0).  ``points`` is an
   s x d array or an ``AxisPoints`` set; either way it is handed to the
@@ -37,7 +45,7 @@ import numpy as np
 
 from .hypotheses import fit
 from .losses import bayes_action, eval_loss
-from .projections import ProjectionMap, apply, sample_projection
+from .projections import ProjectionMap, _longest_block, _row_blocks, apply, sample_projection
 from .seeds import derive_seed
 
 __all__ = [
@@ -118,17 +126,21 @@ def _atom_conditional_risks(loss, predictions, label_values, label_probs):
 
 
 def _estimate_excess_risks(
-    predict_rows, dist, n_test: int = 100_000, seed: int = 0
+    predict_rows, r: int, dist, n_test: int = 100_000, seed: int = 0
 ) -> list[RiskEstimate]:
     """Excess risk of r predictors under ``dist``, all scored on one evaluation set.
 
-    ``predict_rows`` maps an N x d input to an r x N matrix whose row i is
-    predictor i's output.  It is called once, on the single evaluation set:
-    the atoms of a finite-support law, or else one draw of ``n_test`` points
-    that is a pure function of (dist, n_test, seed).  The Bayes side (the
-    eta weights, the Bayes predictions and the Bayes losses) is computed once
-    on that set, and each row is then scored against it on its own, so every
-    estimate is exactly what a separate call with the same seed would give.
+    ``predict_rows(X, out)`` writes predictor i's outputs on the rows of X
+    to ``out[i]``, for an r x len(X) array ``out``.  The evaluation set is
+    the atoms of a finite-support law, scored in one call, or else one draw
+    of ``n_test`` points that is a pure function of (dist, n_test, seed),
+    scored one row block at a time as ``_block_draw`` hands it over.  Each
+    block's Bayes side (the eta weights and Bayes signs, or the Bayes
+    predictions) is formed once, and each row is scored against it on its
+    own, so every estimate is exactly what a separate call with the same
+    seed would give.  The zero-one path keeps only the N weights and an
+    r x N boolean disagreement matrix; the regression path keeps the r x N
+    outputs and the N Bayes predictions until the labels are drawn.
     """
     loss = dist.loss_spec
     if hasattr(dist, "atoms"):
@@ -136,8 +148,10 @@ def _estimate_excess_risks(
         bayes = bayes_action(loss, label_values, label_probs)
         bayes_risk = _atom_conditional_risks(loss, bayes, label_values, label_probs)
         probs = np.asarray(probs, float)
+        rows = np.empty((r, points.shape[0]))
+        predict_rows(points, rows)
         estimates = []
-        for row in _prediction_rows(predict_rows, points):
+        for row in rows:
             pred_risk = _atom_conditional_risks(loss, row, label_values, label_probs)
             value = float(np.sum(probs * (pred_risk - bayes_risk)))
             estimates.append(
@@ -145,37 +159,62 @@ def _estimate_excess_risks(
             )
         return estimates
 
+    draw = _block_draw(dist)
     if loss.kind == "zero_one" and hasattr(dist, "eta"):
-        X, _ = dist.sample(n_test, seed)
-        # Bayes predicts the sign of 2 eta - 1; bayes_predict differs only at weight 0.
-        signed = 2.0 * dist.eta(X) - 1.0
-        weight, bayes = np.abs(signed), np.where(signed >= 0.0, 1.0, -1.0)
-        rows = _prediction_rows(predict_rows, X)
-        return [_mc_estimate(weight * (row != bayes)) for row in rows]
+        weight = np.empty(n_test)
+        differs = np.empty((r, n_test), dtype=bool)
+        block_rows = np.empty((r, _longest_block(n_test, dist.d)))
 
-    X, y = dist.sample(n_test, seed)
-    bayes_loss = eval_loss(loss, dist.bayes_predict(X), y)
-    rows = _prediction_rows(predict_rows, X)
-    return [_mc_estimate(eval_loss(loss, row, y) - bayes_loss) for row in rows]
+        def score_signs(rows, X):
+            # Bayes predicts the sign of 2 eta - 1; bayes_predict differs only at weight 0.
+            signed = 2.0 * dist.eta(X) - 1.0
+            np.abs(signed, out=weight[rows])
+            out = block_rows[:, : len(X)]
+            predict_rows(X, out)
+            np.not_equal(out, np.where(signed >= 0.0, 1.0, -1.0), out=differs[:, rows])
+
+        draw(n_test, seed, score_signs)
+        return [_mc_estimate(weight * row) for row in differs]
+
+    outputs = np.empty((r, n_test))
+    bayes = np.empty(n_test)
+
+    def score_values(rows, X):
+        predict_rows(X, outputs[:, rows])
+        bayes[rows] = dist.bayes_predict(X)
+
+    y = draw(n_test, seed, score_values)
+    bayes_loss = eval_loss(loss, bayes, y)
+    return [_mc_estimate(eval_loss(loss, row, y) - bayes_loss) for row in outputs]
 
 
-def _prediction_rows(predict_rows, X) -> np.ndarray:
-    n = X.shape[0]
-    rows = np.asarray(predict_rows(X))
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"expected an r x {n} prediction matrix, got shape {rows.shape}")
-    return rows
+def _block_draw(dist):
+    """``dist.draw_blocks``, or for a law with only ``sample``, its whole
+    draw handed to the visitor block by block: one way to draw a test set."""
+    if hasattr(dist, "draw_blocks"):
+        return dist.draw_blocks
+
+    def draw(n, seed, visit):
+        X, y = dist.sample(n, seed)
+        for rows in _row_blocks(*X.shape):
+            visit(rows, X[rows])
+        return y
+
+    return draw
 
 
 def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) -> RiskEstimate:
     """Excess risk of ``predictor`` (a callable X -> predictions) under ``dist``.
 
     Finite-support distributions are summed exactly, and ``predictor`` is
-    called on their atom points as ``atoms()`` gives them: an Assouad law
-    passes an ``AxisPoints`` set, which a ``LinearHypothesis`` on R^d
+    called once, on their atom points as ``atoms()`` gives them: an Assouad
+    law passes an ``AxisPoints`` set, which a ``LinearHypothesis`` on R^d
     scores by a gather and whose ``shape`` and ``toarray()`` are available
-    to other predictors.  Continuous classification laws use the pointwise
-    form E[|2 eta(X) - 1| ; predictor disagrees with Bayes], whose terms are
+    to other predictors.  On a continuous law ``predictor`` is called once
+    per row block of the test draw, so it must act row by row: its output on
+    a row may not depend on the other rows passed with it.
+    Continuous classification laws use the pointwise form
+    E[|2 eta(X) - 1| ; predictor disagrees with Bayes], whose terms are
     nonnegative and low-variance.
     Continuous regression laws use paired loss differences on a shared draw.
     The draw is a pure function of (dist, n_test, seed), so two estimates with
@@ -183,9 +222,16 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
     of the evaluation pass that ``member_excess_risks`` makes for a whole
     ensemble, and it gives the same value for the same predictor and seed.
     """
-    return _estimate_excess_risks(
-        lambda X: np.asarray(predictor(X))[None], dist, n_test=n_test, seed=seed
-    )[0]
+
+    def one_row(X, out):
+        row = np.asarray(predictor(X))
+        if row.shape != (len(X),):
+            raise ValueError(
+                f"expected {len(X)} predictions, a 1 x {len(X)} prediction matrix, got shape {row.shape}"
+            )
+        out[0] = row
+
+    return _estimate_excess_risks(one_row, 1, dist, n_test=n_test, seed=seed)[0]
 
 
 def estimate_compressibility(

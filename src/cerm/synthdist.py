@@ -23,7 +23,10 @@ Four families:
 
 Duck-typed interface consumed by the risk estimators: attributes ``d`` and
 ``loss_spec``; methods ``sample``, ``bayes_predict``; finite-support laws add
-``atoms()``; continuous classification laws add ``eta``.  The assumption
+``atoms()``; continuous classification laws add ``eta``.  The two dense laws
+add ``draw_blocks(n, seed, visit)``, the draw ``sample`` makes, handed over
+one row block at a time, which the Monte-Carlo risk estimators score without
+holding the n x d array; ``sample`` is that draw written into one array.  The assumption
 checkers additionally use ``atom_profile()`` (exact per-atom masses, noise
 weights, margins, and norms) or ``margin_profile(n, seed)`` (a Monte-Carlo
 draw of the same quantities).  Margins and signals are formed by
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LOSS_KINDS, LossDomainError, LossSpec, bayes_action, eval_loss, make_loss
-from .projections import AxisPoints, _row_blocks, _rows_dot
+from .projections import AxisPoints, _longest_block, _row_blocks, _rows_dot
 from .riskbounds import RiskEstimate, _atom_conditional_risks, _mc_estimate
 
 __all__ = [
@@ -333,6 +336,21 @@ def chi_squared_adjacent(dist_a: AssouadDist, dist_b: AssouadDist) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _normal_blocks(rng, n: int, d: int, out=None):
+    """Yield (rows, block) for each of ``_row_blocks(n, d)``, the block filled
+    with those rows of ``rng.standard_normal((n, d))`` bit for bit: the
+    generator fills an array in C order, so drawing it block by block takes
+    the same stream.  A block is ``out[rows]`` when ``out`` is given, else
+    the front of one buffer reused for every block."""
+    if out is None:
+        buffer = np.empty((_longest_block(n, d), d))
+    for rows in _row_blocks(n, d):
+        block = buffer[: rows.stop - rows.start] if out is None else out[rows]
+        rng.standard_normal(out=block)
+        yield rows, block
+
+
+
 class GaussMarginDist:
     """Continuous classification law with prescribed margin, tail, and noise.
 
@@ -423,20 +441,20 @@ class GaussMarginDist:
         e -= (e @ self.w) * self.w
         return e / np.linalg.norm(e)
 
-    def sample(self, n: int, seed: int):
-        """n labeled draws (X, y), a pure function of (n, seed).
+    def draw_blocks(self, n: int, seed: int, visit=None, out=None) -> np.ndarray:
+        """The draw of ``sample(n, seed)``, one ``_row_blocks`` block of X at a
+        time; returns the n labels y.
 
-        X is built in place in the Gaussian draw, one cache-sized block of
-        rows at a time: each row is projected off w, scaled to unit length
-        and then to its radius, and shifted by (M + t) w.  Each step is
-        elementwise or per row, so X needs no n x d temporary.
+        Each block is built in place in its part of the Gaussian draw: each
+        row is projected off w, scaled to unit length and then to its
+        radius, and shifted by (M + t) w.  ``visit(rows, block)`` then sees
+        it, before the next block overwrites it; with ``out``, an n x d
+        array, the blocks are written into ``out[rows]`` and kept.
         """
         rng = np.random.default_rng(seed)
         m, radius = self._draw_margin_radius(n, rng)
-        X = rng.standard_normal((n, self.d))
         shift = m + self.t
-        for rows in _row_blocks(n, self.d):
-            g = X[rows]
+        for rows, g in _normal_blocks(rng, n, self.d, out):
             g -= _rows_dot(g, self.w)[:, None] * self.w[None, :]
             norms = np.linalg.norm(g, axis=1)
             bad = norms < 1e-30
@@ -446,8 +464,15 @@ class GaussMarginDist:
             g /= norms[:, None]
             g *= radius[rows, None]
             g += shift[rows, None] * self.w[None, :]
-        y = np.where(rng.random(n) < self._eta_at(m), 1.0, -1.0)
-        return X, y
+            if visit is not None:
+                visit(rows, g)
+        return np.where(rng.random(n) < self._eta_at(m), 1.0, -1.0)
+
+    def sample(self, n: int, seed: int):
+        """n labeled draws (X, y), a pure function of (n, seed): the block
+        draw written into one n x d array, with no n x d temporary."""
+        X = np.empty((n, self.d))
+        return X, self.draw_blocks(n, seed, out=X)
 
     def margin_profile(self, n: int, seed: int):
         """Monte-Carlo draw of (|margin|, |2 eta - 1|, ||x||) triples.
@@ -551,15 +576,32 @@ class RegressionDist:
                 moments[1, rows] = _rows_dot(np.square(clipped, out=clipped), weights)
         return moments
 
-    def sample(self, n: int, seed: int):
+    def draw_blocks(self, n: int, seed: int, visit=None, out=None) -> np.ndarray:
+        """The draw of ``sample(n, seed)``, one ``_row_blocks`` block of X at a
+        time; returns the n labels y.
+
+        Each block is its part of the Gaussian draw scaled in place, and
+        ``visit(rows, block)`` sees it before the next block overwrites it;
+        with ``out``, an n x d array, the blocks are written into
+        ``out[rows]`` and kept.  The signals are kept as the blocks pass;
+        the noise is drawn after the last one.
+        """
         rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, self.d))
-        X *= self._scales[None, :]
-        s = self._signal(X)
+        s = np.empty(n)
+        for rows, block in _normal_blocks(rng, n, self.d, out):
+            block *= self._scales[None, :]
+            s[rows] = self._signal(block)
+            if visit is not None:
+                visit(rows, block)
         if self.noise is not None and self.noise[1] > 0:
-            s = s + rng.uniform(-self.noise[1], self.noise[1], size=n)
-        y = np.clip(s, -self.beta, self.beta)
-        return X, y
+            s += rng.uniform(-self.noise[1], self.noise[1], size=n)
+        return np.clip(s, -self.beta, self.beta, out=s)
+
+    def sample(self, n: int, seed: int):
+        """n labeled draws (X, y), a pure function of (n, seed): the block
+        draw written into one n x d array."""
+        X = np.empty((n, self.d))
+        return X, self.draw_blocks(n, seed, out=X)
 
     def bayes_predict(self, X) -> np.ndarray:
         s = self._signal(X)
@@ -570,8 +612,13 @@ class RegressionDist:
     def bayes_risk(self, mc_n: int = 100_000, seed: int = 0) -> RiskEstimate:
         if self.noise is None or self.noise[1] == 0:
             return RiskEstimate(value=0.0, std_error=0.0, n_samples=0, exact=True)
-        X, _ = self.sample(mc_n, seed)
-        mean, second = self._label_moments(self._signal(X), second=True)
+        s = np.empty(mc_n)
+
+        def keep_signal(rows, block):
+            s[rows] = self._signal(block)
+
+        self.draw_blocks(mc_n, seed, keep_signal)
+        mean, second = self._label_moments(s, second=True)
         return _mc_estimate(second - mean**2)  # the conditional variance of Y given X
 
 

@@ -262,21 +262,23 @@ def test_compressibility_projects_only_its_fitting_draws(monkeypatch):
 
 @pytest.mark.parametrize("case", ["atoms", "eta", "regression"])
 def test_member_excess_risks_draws_the_test_set_at_most_once(case):
+    """One evaluation makes one draw: the atoms, or one block draw of the
+    test set, and no whole-array ``sample`` beside it."""
     dist, model, n_test = _trained_case(case)
-    calls = {"sample": 0, "atoms": 0}
+    calls = {"sample": 0, "draw_blocks": 0, "atoms": 0}
     for name in calls:
         original = getattr(dist, name, None)
         if original is None:
             continue
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         setattr(dist, name, counted)
     member_excess_risks(model, dist, n_test=n_test, seed=13)
-    assert calls["sample"] <= 1
-    assert calls["sample"] + calls["atoms"] == 1
+    assert calls["sample"] == 0
+    assert calls["draw_blocks"] + calls["atoms"] == 1
 
 
 class _DenseAssouadAtoms:
@@ -325,6 +327,35 @@ def test_assouad_evaluation_memory_is_linear_in_q():
         tracemalloc.stop()
     assert len(members) == 25
     assert peak < 10 * 2**20, f"evaluation peaked at {peak / 2**20:.1f} MiB"
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_evaluation_holds_no_test_set():
+    """At N = 50 000 and d = 50 the test set alone takes N d 8 bytes (19 MiB).
+    Drawn, scored and dropped block by block, an evaluation peaks below half
+    of that: 25 members and their vote on a zero-one law, one predictor and
+    the Bayes risk on a noisy regression law."""
+    n, d = 50_000, 50
+    limit = n * d * 8 / 2
+    dist, X, y = classification_data(n=200, d=d, seed=3)
+    model = train_ensemble(X, y, dist.loss_spec, "gaussian", k=5, m=25, master_seed=4, iters=50)
+    peak = _traced_peak(lambda: member_excess_risks(model, dist, n_test=n, seed=5))
+    assert peak < limit, f"member_excess_risks peaked at {peak / 2**20:.1f} MiB"
+    reg = RegressionDist(d=d, spectral_constant=1.0, spectral_decay=0.9, w=np.full(d, 0.1),
+                         noise=("bounded_uniform", 0.3))
+    rule = LinearHypothesis(w=np.full(d, 0.05), t=0.0, mode="clip").predict
+    peak = _traced_peak(lambda: estimate_excess_risk(rule, reg, n_test=n, seed=5))
+    assert peak < limit, f"estimate_excess_risk peaked at {peak / 2**20:.1f} MiB"
+    peak = _traced_peak(lambda: reg.bayes_risk(mc_n=n, seed=5))
+    assert peak < limit, f"bayes_risk peaked at {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("solver", ["exact", "surrogate"])

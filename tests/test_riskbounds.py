@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cerm.losses import make_loss
-from cerm.projections import sample_projection
+from cerm.projections import _row_blocks, sample_projection
 from cerm.riskbounds import (
     RiskEstimate,
     estimate_compressibility,
@@ -127,6 +127,35 @@ def test_excess_risk_paired_regression_path():
     zero = estimate_excess_risk(lambda X: np.zeros(X.shape[0]), dist, n_test=20_000, seed=1)
     assert zero.value > 0.0
     assert zero.value > 4.0 * zero.std_error
+
+
+class _SampleOnly:
+    """A law that gives its test draws only through ``sample``."""
+
+    def __init__(self, dist):
+        self.d, self.loss_spec, self._dist = dist.d, dist.loss_spec, dist
+        self.bayes_predict = dist.bayes_predict
+        if hasattr(dist, "eta"):
+            self.eta = dist.eta
+
+    def sample(self, n, seed):
+        return self._dist.sample(n, seed)
+
+
+@pytest.mark.parametrize("law", ["eta", "regression"])
+def test_a_law_with_only_sample_is_scored_as_its_block_draw(law):
+    """``sample`` alone is adapted to the block draw and gives the same
+    estimate, over several row blocks with a ragged last one."""
+    if law == "eta":
+        dist = GaussMarginDist(4, gamma=2.0, rho=3.0, alpha=0.5)
+        predictor = lambda X: np.where(X[:, 0] >= 0.1, 1.0, -1.0)  # noqa: E731
+    else:
+        dist = RegressionDist(d=3, spectral_constant=1.0, spectral_decay=0.5, w=np.full(3, 0.2),
+                              noise=("bounded_uniform", 0.3))
+        predictor = lambda X: np.clip(X[:, 0] - 0.1, -1.0, 1.0)  # noqa: E731
+    n_test = 2 * _row_blocks(1 << 18, dist.d)[0].stop + 17
+    reference = estimate_excess_risk(predictor, dist, n_test=n_test, seed=5)
+    assert estimate_excess_risk(predictor, _SampleOnly(dist), n_test=n_test, seed=5) == reference
 
 
 def test_excess_risk_rejects_a_misshapen_prediction():

@@ -403,6 +403,37 @@ def test_regression_draw_scales_the_gaussian_draw_in_place():
     assert np.array_equal(y, np.clip(s, -dist.beta, dist.beta))
 
 
+@pytest.mark.parametrize("law", ["gauss_margin", "regression", "noisy_regression"])
+def test_sample_is_the_block_draw_in_one_array(law):
+    """The blocks the draw hands over are ``_row_blocks``' and, joined, are
+    ``sample``'s X, with its y, bit for bit: below one block, with a ragged
+    last block, and at j blocks + 1 row, where the lone row joins the last
+    block.  Both equal the whole-array Gaussian draw."""
+    dist = {
+        "gauss_margin": oblique_gauss_margin(50),
+        "regression": RegressionDist(d=3, spectral_constant=1.0, spectral_decay=0.5,
+                                     w=np.full(3, 0.4)),
+        "noisy_regression": noisy_regression(),
+    }[law]
+    rows = _row_blocks(1 << 18, dist.d)[0].stop
+    for n in (5, 2 * rows + 17, 3 * rows + 1):
+        seen, blocks = [], []
+        y = dist.draw_blocks(n, n, lambda r, block: (seen.append(r), blocks.append(block.copy())))
+        X_ref, y_ref = dist.sample(n, n)
+        assert seen == _row_blocks(n, dist.d), n
+        assert np.array_equal(np.concatenate(blocks), X_ref) and np.array_equal(y, y_ref), n
+        if law == "gauss_margin":
+            X_whole, y_whole = whole_array_gauss_margin_sample(dist, n, seed=n)
+        else:
+            rng = np.random.default_rng(n)
+            X_whole = rng.standard_normal((n, dist.d)) * dist._scales[None, :]
+            s = dist._signal(X_whole)
+            if dist.noise is not None:
+                s = s + rng.uniform(-dist.noise[1], dist.noise[1], size=n)
+            y_whole = np.clip(s, -dist.beta, dist.beta)
+        assert np.array_equal(X_ref, X_whole) and np.array_equal(y_ref, y_whole), n
+
+
 def test_checker_geometric_margin_recovers_exponent():
     dist = GaussMarginDist(6, gamma=2.0, rho=3.0, alpha=0.5)
     out = check_geometric_margin(dist, np.geomspace(0.05, 0.8, 6), mc_n=200_000, seed=101)
