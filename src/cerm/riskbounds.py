@@ -26,7 +26,6 @@ and optionally:
   a law that has only ``sample`` it is adapted in one place
   (``_block_draw``): the whole draw, visited block by block, with the
   same values;
-
 * ``atoms() -> (points, probs, label_values, label_probs)`` for finite
   support, unlocking exact summation (std_error 0).  ``points`` is an
   s x d array or an ``AxisPoints`` set; either way it is handed to the
@@ -227,7 +226,7 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
         row = np.asarray(predictor(X))
         if row.shape != (len(X),):
             raise ValueError(
-                f"expected {len(X)} predictions, a 1 x {len(X)} prediction matrix, got shape {row.shape}"
+                f"expected one prediction per row, a 1 x {len(X)} prediction matrix, got shape {row.shape}"
             )
         out[0] = row
 

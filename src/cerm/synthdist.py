@@ -24,12 +24,12 @@ Four families:
 Duck-typed interface consumed by the risk estimators: attributes ``d`` and
 ``loss_spec``; methods ``sample``, ``bayes_predict``; finite-support laws add
 ``atoms()``; continuous classification laws add ``eta``.  The two dense laws
-add ``draw_blocks(n, seed, visit)``, the draw ``sample`` makes, handed over
+add ``draw_blocks(n, seed, visit)``: the draw ``sample`` makes, handed over
 one row block at a time, which the Monte-Carlo risk estimators score without
-holding the n x d array; ``sample`` is that draw written into one array.  The assumption
-checkers additionally use ``atom_profile()`` (exact per-atom masses, noise
-weights, margins, and norms) or ``margin_profile(n, seed)`` (a Monte-Carlo
-draw of the same quantities).  Margins and signals are formed by
+holding the n x d array; ``sample`` writes that draw into one array.  The
+assumption checkers additionally use ``atom_profile()`` (exact per-atom
+masses, noise weights, margins, and norms) or ``margin_profile(n, seed)`` (a
+Monte-Carlo draw of the same quantities).  Margins and signals are formed by
 ``projections._rows_dot``, and every row block is one of ``_row_blocks``.
 
 Floating-point note: several constructions place a family exactly on its
@@ -348,7 +348,6 @@ def _normal_blocks(rng, n: int, d: int, out=None):
         block = buffer[: rows.stop - rows.start] if out is None else out[rows]
         rng.standard_normal(out=block)
         yield rows, block
-
 
 
 class GaussMarginDist:
