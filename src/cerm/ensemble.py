@@ -16,7 +16,10 @@ compression A x predicts x -> (A^T w).x - t, so members are scored through
 these pulled-back rules on the evaluation points themselves.  A dense
 evaluation set is scored one row block at a time, every member on each
 block, so the pass reads the set from memory once; a Monte-Carlo test set
-is drawn block by block too, and no block outlives its scoring.
+is drawn block by block too, and no block outlives its scoring.  On a law
+with ``draw_scores`` the members are scored without any point: the test
+draws are made as the m scores x.(A_i^T w_i) and the margin, in the span
+of the members' weights, so evaluation costs nothing in d.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class EnsembleModel:
     ``maps`` holds each member's projection map and ``member_reports`` its
     fit report, in the same order; ``members`` pairs each map with its
     report's hypothesis, ``rules`` holds their pulled-back rules, and ``m``
-    counts them.
+    counts them.  The members share one output mode and beta, as rules fit
+    under one loss do.
     """
 
     maps: tuple[ProjectionMap, ...]
@@ -55,11 +59,14 @@ class EnsembleModel:
         if not self.maps:
             raise ValueError("an ensemble needs at least one member")
         shape = (self.maps[0].family, self.maps[0].k, self.maps[0].d)
+        first = self.member_reports[0].hypothesis
         for pmap, hyp in self.members:
             if (pmap.family, pmap.k, pmap.d) != shape:
                 raise ValueError("all members must share one family, k, and d")
             if hyp.w.shape != (pmap.k,):
                 raise ValueError("member hypothesis dimension must match k")
+            if (hyp.mode, hyp.beta) != (first.mode, first.beta):
+                raise ValueError("all members must share one output mode and beta")
         if len({pmap.seed for pmap in self.maps}) != self.m:
             raise ValueError("member projection seeds must be distinct")
 
@@ -172,18 +179,28 @@ def member_excess_risks(
     once from ``seed`` (or, for a finite-support law, the atoms are built
     once), each member scores it through its pulled-back rule without
     projecting it, and the combined prediction is formed from those same
-    member outputs.  A dense test set is drawn, scored and dropped one row
+    member outputs, so member-vs-ensemble comparisons are paired rather
+    than independent.
+
+    On a law with ``draw_scores`` (``gauss_margin``) no point is drawn: the
+    draw is of the m members' scores and the margin, in the span of the
+    members' weights, one row block at a time, and each block's
+    disagreements are folded into the m + 1 running estimates and dropped.
+    The pass then holds O(block) memory and O(m) numbers a draw, whatever
+    d is.  Because that draw depends on every member's weight, each
+    estimate equals what ``estimate_excess_risk`` gives for that member's
+    rule, or for ``predict(model, .)``, in law but not bit for bit.
+
+    On other laws a dense test set is drawn, scored and dropped one row
     block at a time, every member on one block before the next block is
     drawn, so the pass holds one block of points and, past its outputs, the
     N noise weights and (m + 1) x N disagreement bits on the zero-one path,
     or (m + 1) x N outputs on the regression path.  An Assouad law's atoms
     are an ``AxisPoints`` set, which each member scores by gathering q + 1
     of its pulled-back weights, so the pass takes O(m q) memory and no
-    (q+1)^2 coordinate array is built.
-    Member-vs-ensemble comparisons are therefore paired rather than
-    independent, and each estimate equals what ``estimate_excess_risk``
-    gives for that member's pulled-back rule, or for ``predict(model, .)``,
-    at the same ``n_test`` and ``seed``.
+    (q+1)^2 coordinate array is built.  There each estimate equals what
+    ``estimate_excess_risk`` gives for that member's pulled-back rule, or
+    for ``predict(model, .)``, at the same ``n_test`` and ``seed``.
     """
     m = model.m
 
@@ -191,5 +208,15 @@ def member_excess_risks(
         _member_outputs(model, X, out)
         out[m] = _combine(model.loss, out[:m])
 
-    estimates = _estimate_excess_risks(all_rows, m + 1, dist, n_test=n_test, seed=seed)
+    offsets = np.array([[rule.t] for rule in model.rules])
+
+    def all_scores(S, out):
+        # the members share one mode, so the first renders them all
+        out[:m] = model.rules[0].render(np.subtract(S.T, offsets, out=out[:m]))
+        out[m] = _combine(model.loss, out[:m])
+
+    weights = np.stack([rule.w for rule in model.rules], axis=1)
+    estimates = _estimate_excess_risks(
+        all_rows, m + 1, dist, n_test=n_test, seed=seed, span=(weights, all_scores)
+    )
     return estimates[:m], estimates[m]

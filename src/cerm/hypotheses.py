@@ -128,10 +128,18 @@ class LinearHypothesis:
         return np.subtract(scores, self.t, out=scores)
 
     def predict(self, U: np.ndarray) -> np.ndarray:
-        s = self.raw(U)
+        return self.render(self.raw(U))
+
+    def render(self, raw: np.ndarray) -> np.ndarray:
+        """The outputs at raw scores w.u - t, an array of any shape: their
+        signs, with 0 counted as +1, or their values clipped to [-beta, beta]."""
         if self.mode == "sign":
-            return np.where(s >= 0.0, 1.0, -1.0)
-        return np.clip(s, -self.beta, self.beta)
+            # 2 [raw >= 0] - 1, several times faster than np.where on this
+            signs = np.greater_equal(raw, 0.0).astype(float)
+            signs *= 2.0
+            signs -= 1.0
+            return signs
+        return np.clip(raw, -self.beta, self.beta)
 
     def pull_back(self, matrix: np.ndarray) -> LinearHypothesis:
         """The same rule ahead of a k x d map A: x -> (A^T w).x - t on R^d.

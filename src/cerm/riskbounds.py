@@ -22,10 +22,17 @@ and optionally:
 * ``draw_blocks(n, seed, visit) -> y`` — the draw ``sample(n, seed)``
   makes, with X handed to ``visit(rows, block)`` one row block at a time
   and dropped, and the n labels returned.  The Monte-Carlo estimators make
-  every test draw through it, so no evaluation holds an n x d array.  For
-  a law that has only ``sample`` it is adapted in one place
+  every dense test draw through it, so no evaluation holds an n x d array.
+  For a law that has only ``sample`` it is adapted in one place
   (``_block_draw``): the whole draw, visited block by block, with the
   same values;
+* ``draw_scores(V, n, seed, visit)`` with ``eta_at(M)``, for a zero-one
+  law whose points reach eta and the Bayes side only through a signed
+  margin M: the scores X @ V of n draws, for a d x r weight matrix V, and
+  their margins, handed to ``visit(S, M)`` one row block at a time with
+  no point formed; ``eta_at(M)`` is P(Y=+1) at those margins.  Linear
+  rules (``LinearHypothesis`` predictors, ensemble members and their
+  vote) are scored through it in O(r) numbers a draw, whatever d is;
 * ``atoms() -> (points, probs, label_values, label_probs)`` for finite
   support, unlocking exact summation (std_error 0).  ``points`` is an
   s x d array or an ``AxisPoints`` set; either way it is handed to the
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotheses import fit
+from .hypotheses import LinearHypothesis, fit
 from .losses import bayes_action, eval_loss
 from .projections import ProjectionMap, _longest_block, _row_blocks, apply, sample_projection
 from .seeds import derive_seed
@@ -125,7 +132,7 @@ def _atom_conditional_risks(loss, predictions, label_values, label_probs):
 
 
 def _estimate_excess_risks(
-    predict_rows, r: int, dist, n_test: int = 100_000, seed: int = 0
+    predict_rows, r: int, dist, n_test: int = 100_000, seed: int = 0, span=None
 ) -> list[RiskEstimate]:
     """Excess risk of r predictors under ``dist``, all scored on one evaluation set.
 
@@ -140,6 +147,17 @@ def _estimate_excess_risks(
     seed would give.  The zero-one path keeps only the N weights and an
     r x N boolean disagreement matrix; the regression path keeps the r x N
     outputs and the N Bayes predictions until the labels are drawn.
+
+    ``span``, for predictors that read a point x only through x @ V, is the
+    pair (V, predict_scores): V is d x q, and ``predict_scores(S, out)``
+    writes to ``out`` what ``predict_rows`` would write on points whose
+    scores X @ V are S.  On a law with ``draw_scores`` the test draws are
+    then made in the span of V and never in d: each block is scored
+    through ``predict_scores``, weighed against its Bayes side from the
+    margins, folded into the r estimates (``_Moments``) and dropped, so the
+    pass holds O(block) memory.  That draw depends on V, so an estimate
+    equals a separate one with the same seed in law, not bit for bit; the
+    r estimates of one pass still share their draws.
     """
     loss = dist.loss_spec
     if hasattr(dist, "atoms"):
@@ -157,6 +175,20 @@ def _estimate_excess_risks(
                 RiskEstimate(value=value, std_error=0.0, n_samples=len(probs), exact=True)
             )
         return estimates
+
+    if span is not None and hasattr(dist, "draw_scores"):
+        weights, predict_scores = span
+        moments = _Moments(r)
+
+        def score_margins(S, M):
+            signed = 2.0 * dist.eta_at(M) - 1.0
+            out = np.empty((r, len(M)))
+            predict_scores(S, out)
+            differs = np.not_equal(out, np.where(signed >= 0.0, 1.0, -1.0), out=out)
+            moments.add(np.multiply(differs, np.abs(signed), out=out))
+
+        dist.draw_scores(weights, n_test, seed, score_margins)
+        return moments.estimates()
 
     draw = _block_draw(dist)
     if loss.kind == "zero_one" and hasattr(dist, "eta"):
@@ -187,6 +219,38 @@ def _estimate_excess_risks(
     return [_mc_estimate(eval_loss(loss, row, y) - bayes_loss) for row in outputs]
 
 
+class _Moments:
+    """The running mean and sum of squared deviations of r value streams,
+    fed one r x b block at a time and merged by Chan, Golub and LeVeque's
+    update: ``_mc_estimate``'s mean and standard error without the values.
+    Each stream's figures depend on its own values alone."""
+
+    def __init__(self, r: int):
+        self.n = 0
+        self.mean = np.zeros(r)
+        self.m2 = np.zeros(r)
+
+    def add(self, values: np.ndarray) -> None:
+        """Fold in an r x b block; ``values`` is overwritten."""
+        b = values.shape[1]
+        block_mean = values.mean(axis=1)
+        values -= block_mean[:, None]
+        block_m2 = np.square(values, out=values).sum(axis=1)
+        total = self.n + b
+        delta = block_mean - self.mean
+        self.mean += delta * (b / total)
+        self.m2 += block_m2 + delta**2 * (self.n * b / total)
+        self.n = total
+
+    def estimates(self) -> list[RiskEstimate]:
+        n = self.n
+        se = np.sqrt(self.m2 / (n - 1) / n) if n > 1 else np.zeros_like(self.m2)
+        return [
+            RiskEstimate(value=float(mean), std_error=float(e), n_samples=n, exact=False)
+            for mean, e in zip(self.mean, se)
+        ]
+
+
 def _block_draw(dist):
     """``dist.draw_blocks``, or for a law with only ``sample``, its whole
     draw handed to the visitor block by block: one way to draw a test set."""
@@ -203,7 +267,8 @@ def _block_draw(dist):
 
 
 def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) -> RiskEstimate:
-    """Excess risk of ``predictor`` (a callable X -> predictions) under ``dist``.
+    """Excess risk of ``predictor`` (a callable X -> predictions, or a
+    ``LinearHypothesis`` on R^d) under ``dist``.
 
     Finite-support distributions are summed exactly, and ``predictor`` is
     called once, on their atom points as ``atoms()`` gives them: an Assouad
@@ -217,10 +282,23 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
     nonnegative and low-variance.
     Continuous regression laws use paired loss differences on a shared draw.
     The draw is a pure function of (dist, n_test, seed), so two estimates with
-    equal arguments share their test sample.  This is the one-predictor case
-    of the evaluation pass that ``member_excess_risks`` makes for a whole
-    ensemble, and it gives the same value for the same predictor and seed.
+    equal arguments share their test sample.  A ``LinearHypothesis`` reads a
+    point only through its weight, so on a law with ``draw_scores`` its test
+    draws are made in that one direction's span; elsewhere it is scored as
+    its ``predict``.  This is the one-predictor case of the evaluation pass
+    that ``member_excess_risks`` makes for a whole ensemble, and on a law
+    without ``draw_scores`` it gives the same value for the same predictor
+    and seed.
     """
+    span = None
+    if isinstance(predictor, LinearHypothesis):
+        rule = predictor
+        predictor = rule.predict
+
+        def one_score(S, out):
+            out[0] = rule.render(S[:, 0] - rule.t)
+
+        span = (rule.w[:, None], one_score)
 
     def one_row(X, out):
         row = np.asarray(predictor(X))
@@ -230,7 +308,7 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
             )
         out[0] = row
 
-    return _estimate_excess_risks(one_row, 1, dist, n_test=n_test, seed=seed)[0]
+    return _estimate_excess_risks(one_row, 1, dist, n_test=n_test, seed=seed, span=span)[0]
 
 
 def estimate_compressibility(
@@ -267,7 +345,7 @@ def estimate_compressibility(
         pmap = sample_projection(family, k, dist.d, a_seed)
         report = fit(apply(pmap, X), y, loss, solver, iters)
         values[rep] = estimate_excess_risk(
-            report.hypothesis.pull_back(pmap.matrix).predict, dist, n_test=pop_n, seed=eval_seed
+            report.hypothesis.pull_back(pmap.matrix), dist, n_test=pop_n, seed=eval_seed
         ).value
     return _mc_estimate(values)
 

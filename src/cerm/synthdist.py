@@ -26,7 +26,11 @@ Duck-typed interface consumed by the risk estimators: attributes ``d`` and
 ``atoms()``; continuous classification laws add ``eta``.  The two dense laws
 add ``draw_blocks(n, seed, visit)``: the draw ``sample`` makes, handed over
 one row block at a time, which the Monte-Carlo risk estimators score without
-holding the n x d array; ``sample`` writes that draw into one array.  The
+holding the n x d array; ``sample`` writes that draw into one array.
+``GaussMarginDist`` adds ``draw_scores(V, n, seed, visit)`` and ``eta_at``:
+the scores X @ V of n draws for a d x r weight matrix V, and their signed
+margins, drawn in the span of V and w without forming X, so that linear
+rules are scored in O(r) numbers a draw whatever d is.  The
 assumption checkers additionally use ``atom_profile()`` (exact per-atom
 masses, noise weights, margins, and norms) or ``margin_profile(n, seed)`` (a
 Monte-Carlo draw of the same quantities).  Margins and signals are formed by
@@ -411,7 +415,7 @@ class GaussMarginDist:
             return np.ones_like(margin_abs)
         return np.minimum(1.0, margin_abs**self.noise_exponent)
 
-    def _eta_at(self, m: np.ndarray) -> np.ndarray:
+    def eta_at(self, m: np.ndarray) -> np.ndarray:
         """eta at signed margins m; a margin of 0 counts as positive."""
         sign = np.where(m >= 0.0, 1.0, -1.0)
         return (1.0 + sign * self._confidence(np.abs(m))) / 2.0
@@ -420,7 +424,7 @@ class GaussMarginDist:
         return _rows_dot(X, self.w) - self.t
 
     def eta(self, X) -> np.ndarray:
-        return self._eta_at(self.margin_of(X))
+        return self.eta_at(self.margin_of(X))
 
     def bayes_predict(self, X) -> np.ndarray:
         return np.where(self.margin_of(X) >= 0.0, 1.0, -1.0)
@@ -465,13 +469,59 @@ class GaussMarginDist:
             g += shift[rows, None] * self.w[None, :]
             if visit is not None:
                 visit(rows, g)
-        return np.where(rng.random(n) < self._eta_at(m), 1.0, -1.0)
+        return np.where(rng.random(n) < self.eta_at(m), 1.0, -1.0)
 
     def sample(self, n: int, seed: int):
         """n labeled draws (X, y), a pure function of (n, seed): the block
         draw written into one n x d array, with no n x d temporary."""
         X = np.empty((n, self.d))
         return X, self.draw_blocks(n, seed, out=X)
+
+    def draw_scores(self, V, n: int, seed: int, visit) -> None:
+        """The scores X @ V of n draws of X and their signed margins M,
+        handed to ``visit(S, M)`` one row block at a time; no x is formed.
+
+        V is d x r.  With x = (M + t) w + R Theta, x.V = (M + t) w.V +
+        R Theta.V', where V' = (I - w w^T) V.  A Householder reflection H
+        takes w to a multiple of e_1 and w's complement to the last d - 1
+        coordinates, where V' reads P = (H V)[1:].  Write P = Q B with Q
+        orthonormal, (d - 1) x s, s = min(r, d - 1): B is P itself when
+        s = d - 1 and the R factor of P's QR otherwise.  Theta's coordinates
+        along Q are those of a uniform unit vector of R^(d - 1), that is
+        h / sqrt(|h|^2 + C) with h ~ N(0, I_s) and C ~ chi^2(d - 1 - s)
+        independent (C = 0 when s = d - 1).  So the scores cost O(r s) a
+        row whatever d is.  Each block draws its M and R as ``sample`` does,
+        then its C, then its h; the draw is a pure function of (V, n, seed).
+        """
+        V = np.asarray(V, dtype=float)
+        d, r = V.shape
+        w = self.w
+        along = np.einsum("i,ij->j", w, V)
+        # H = I - 2 u u^T / u.u with u = w + sign(w_1) e_1
+        u = w.copy()
+        u[0] += 1.0 if w[0] >= 0.0 else -1.0
+        coefficients = np.einsum("i,ij->j", u, V) * (2.0 / np.einsum("i,i->", u, u))
+        P = V[1:] - np.outer(u[1:], coefficients)
+        s = min(r, d - 1)
+        B = P if s == d - 1 else np.linalg.qr(P, mode="r")
+        dof = d - 1 - s
+        # S = [h R / sqrt(|h|^2 + C), M + t] @ [B; w.V], one product a block,
+        # summed over its s + 1 terms in order: a BLAS product's rounding
+        # depends on its thread count
+        lift = np.ascontiguousarray(np.vstack([B, along]).T)
+        rng = np.random.default_rng(seed)
+        # a block row holds r scores, s normals and a few per-row values
+        for rows in _row_blocks(n, r + s + 8):
+            b = rows.stop - rows.start
+            m, radius = self._draw_margin_radius(b, rng)
+            sq = rng.chisquare(dof, size=b) if dof else np.zeros(b)
+            G = np.empty((s + 1, b))
+            h = G[:s]
+            rng.standard_normal(out=h)
+            sq += np.einsum("ij,ij->j", h, h)
+            h *= radius / np.sqrt(sq)
+            np.add(m, self.t, out=G[s])
+            visit(np.einsum("ik,kj->ij", lift, G).T, m)
 
     def margin_profile(self, n: int, seed: int):
         """Monte-Carlo draw of (|margin|, |2 eta - 1|, ||x||) triples.

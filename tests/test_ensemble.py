@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,9 @@ from cerm.ensemble import (
     train_ensemble,
 )
 from cerm.losses import bayes_action, eval_loss, make_loss
-from cerm.hypotheses import LinearHypothesis
+from cerm.hypotheses import ErmReport, LinearHypothesis
 from cerm.projections import FAMILIES, AxisPoints, _row_blocks, apply, sample_projection
-from cerm.riskbounds import estimate_compressibility, estimate_excess_risk
+from cerm.riskbounds import _Moments, estimate_compressibility, estimate_excess_risk
 from cerm.seeds import derive_seed
 from cerm.synthdist import AssouadDist, GaussMarginDist, RegressionDist
 
@@ -111,9 +112,16 @@ def test_ensemble_validation_errors():
         ((model.maps[0], sample_projection("rademacher", 2, d, 5)), reports, "share one family, k, and d"),
         ((model.maps[0], sample_projection("gaussian", 3, d, 5)), reports, "share one family, k, and d"),
         (tuple(sample_projection("gaussian", 3, d, s) for s in (5, 6)), reports, "dimension must match k"),
+        (model.maps, (reports[0], _clipped(reports[1])), "share one output mode"),
     ):
         with pytest.raises(ValueError, match=message):
             EnsembleModel(maps=maps, member_reports=member_reports, loss=loss)
+
+
+def _clipped(report):
+    """The report with its rule rendered as a clipped value, not a sign."""
+    hyp = report.hypothesis
+    return ErmReport(LinearHypothesis(w=hyp.w, t=hyp.t, mode="clip"), report.empirical_risk, report.solver)
 
 
 def test_exact_solver_inside_ensemble():
@@ -181,10 +189,39 @@ def _trained_case(case):
     return dist, model, _blocked_n_test(dist.d)
 
 
+def _estimates_from_score_blocks(model, dist, n_test, seed):
+    """Each member's and the vote's estimate, each folded into its own
+    ``_Moments`` from its values on the blocks of one ``draw_scores`` call,
+    the members rendered one at a time: what the one pass must give."""
+    rules = model.rules
+    folds = [_Moments(1) for _ in range(model.m + 1)]
+
+    def visit(S, M):
+        signed = 2.0 * dist.eta_at(M) - 1.0
+        bayes = np.where(signed >= 0.0, 1.0, -1.0)
+        outputs = [np.where(S[:, i] - rule.t >= 0.0, 1.0, -1.0) for i, rule in enumerate(rules)]
+        outputs.append(np.where(np.sum(outputs, axis=0) >= 0.0, 1.0, -1.0))
+        for fold, out in zip(folds, outputs):
+            fold.add((np.abs(signed) * (out != bayes))[None, :])
+
+    dist.draw_scores(np.stack([rule.w for rule in rules], axis=1), n_test, seed, visit)
+    estimates = [fold.estimates()[0] for fold in folds]
+    return estimates[:-1], estimates[-1]
+
+
 @pytest.mark.parametrize("case", ["atoms", "eta", "regression"])
 def test_member_excess_risks_match_separate_estimates_exactly(case):
+    """On a law with ``draw_scores`` (eta) the draw is made in the span of
+    all the members' weights, so a separate estimate of one rule draws
+    other points; there the check is against estimates formed one by one
+    from the same blocks, and test_span_estimates_agree_in_law_with_dense_estimates
+    checks the law."""
     dist, model, n_test = _trained_case(case)
     members, ensemble = member_excess_risks(model, dist, n_test=n_test, seed=13)
+    if case == "eta":
+        assert (members, ensemble) == _estimates_from_score_blocks(model, dist, n_test, 13)
+        assert not any(e.exact for e in members + [ensemble])
+        return
 
     # the function the pass evaluates; test_pulled_back_rule_predicts_as_the_compressed_rule
     # covers the step from it to the rule on the projected points
@@ -200,6 +237,27 @@ def test_member_excess_risks_match_separate_estimates_exactly(case):
         lambda Xq: predict(model, Xq), dist, n_test, 13
     )
     assert all(e.exact == (case == "atoms") for e in members + [ensemble])
+
+
+def test_span_estimates_agree_in_law_with_dense_estimates():
+    """Over 16 seeds, the mean of each member's and the vote's estimate from
+    the span draw is within 4 combined standard errors of the mean from the
+    dense draw, ``estimate_excess_risk`` on the rule's ``predict``."""
+    dist, model, n_test = _trained_case("eta")
+    predictors = [rule.predict for rule in model.rules] + [lambda Xq: predict(model, Xq)]
+    span, dense = [], []
+    for seed in range(16):
+        members, ensemble = member_excess_risks(model, dist, n_test=n_test, seed=seed)
+        span.append(members + [ensemble])
+        dense.append([estimate_excess_risk(f, dist, n_test=n_test, seed=seed) for f in predictors])
+
+    def mean_and_se(estimates):
+        values = np.array([(e.value, e.std_error) for e in estimates])
+        return values[:, 0].mean(), np.sqrt(np.sum(values[:, 1] ** 2)) / len(values)
+
+    for j in range(model.m + 1):
+        (a, se_a), (b, se_b) = (mean_and_se([row[j] for row in side]) for side in (span, dense))
+        assert abs(a - b) <= 4.0 * math.hypot(se_a, se_b), (j, a, b, se_a, se_b)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -262,10 +320,11 @@ def test_compressibility_projects_only_its_fitting_draws(monkeypatch):
 
 @pytest.mark.parametrize("case", ["atoms", "eta", "regression"])
 def test_member_excess_risks_draws_the_test_set_at_most_once(case):
-    """One evaluation makes one draw: the atoms, or one block draw of the
-    test set, and no whole-array ``sample`` beside it."""
+    """One evaluation makes one draw: the atoms, one span draw of the
+    members' scores, or one block draw of the test set, and no
+    whole-array ``sample`` beside it."""
     dist, model, n_test = _trained_case(case)
-    calls = {"sample": 0, "draw_blocks": 0, "atoms": 0}
+    calls = {"sample": 0, "draw_blocks": 0, "draw_scores": 0, "atoms": 0}
     for name in calls:
         original = getattr(dist, name, None)
         if original is None:
@@ -278,7 +337,8 @@ def test_member_excess_risks_draws_the_test_set_at_most_once(case):
         setattr(dist, name, counted)
     member_excess_risks(model, dist, n_test=n_test, seed=13)
     assert calls["sample"] == 0
-    assert calls["draw_blocks"] + calls["atoms"] == 1
+    assert calls["draw_blocks"] + calls["draw_scores"] + calls["atoms"] == 1
+    assert calls["draw_scores"] == (case == "eta")
 
 
 class _DenseAssouadAtoms:

@@ -527,13 +527,22 @@ def _run_at_blas_threads(cfg, blas_threads):
     return strip_wall_time(done.stdout.strip())
 
 
-@pytest.mark.parametrize("law", ["regression", "gauss_margin"])
+@pytest.mark.parametrize("law", ["regression", "gauss_margin", "gauss_margin_m25"])
 def test_results_do_not_depend_on_the_blas_thread_count(tmp_path, law):
     """Byte-identical CSVs at one and two BLAS threads.  With 50 003 test
     points and the regression law's n = 8195, whole-array products X @ w
     round some rows differently on two threads; the row-blocked products
-    do not."""
-    if law == "regression":
+    do not.  The m = 25 case runs the benchmark's shape end to end through
+    the span draw; test_span_draw_does_not_depend_on_the_blas_thread_count
+    checks that draw alone where a BLAS product would round apart."""
+    if law == "gauss_margin_m25":
+        cfg = classification_config(
+            tmp_path,
+            distribution={"type": "gauss_margin", "d": 50, "gamma": 2.0, "rho": 2.0, "alpha": 0.0},
+            n_list=[1001], m_list=[25], k_rule={"rule": "fixed", "k": 8},
+            trials=2, n_test=50_003, master_seed=0, solver_iters=50,
+        )
+    elif law == "regression":
         cfg = regression_config(
             tmp_path,
             distribution={"type": "regression", "d": 32, "spectral_constant": 1.0,

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from cerm.hypotheses import LinearHypothesis, fit
 from cerm.losses import make_loss
-from cerm.projections import _row_blocks, sample_projection
+from cerm.projections import _row_blocks, apply, sample_projection
 from cerm.riskbounds import (
     RiskEstimate,
+    _mc_estimate,
+    _Moments,
     estimate_compressibility,
     estimate_excess_risk,
     log_plus,
@@ -17,6 +20,7 @@ from cerm.riskbounds import (
     risk_bound_bracket,
     sketched_ols_ratio,
 )
+from cerm.seeds import derive_seed
 from cerm.synthdist import (
     AssouadDist,
     FiniteSupportDist,
@@ -158,6 +162,70 @@ def test_a_law_with_only_sample_is_scored_as_its_block_draw(law):
     assert estimate_excess_risk(predictor, _SampleOnly(dist), n_test=n_test, seed=5) == reference
 
 
+def test_moments_fold_blocks_into_the_whole_array_estimate():
+    """Folded block by block, r streams give ``_mc_estimate``'s mean and
+    standard error of each stream to rounding, and each stream's figures
+    are those it gives folded alone, bit for bit."""
+    rng = np.random.default_rng(4)
+    values = np.where(rng.random((3, 10_007)) < 0.1, rng.random((3, 10_007)), 0.0)
+    cuts = [0, 5, 2048, 4096, 9000, 10_007]
+    together, alone = _Moments(3), [_Moments(1) for _ in range(3)]
+    for a, b in zip(cuts, cuts[1:]):
+        together.add(values[:, a:b].copy())
+        for i, fold in enumerate(alone):
+            fold.add(values[i : i + 1, a:b].copy())
+    estimates = together.estimates()
+    for i, est in enumerate(estimates):
+        whole = _mc_estimate(values[i])
+        assert est.n_samples == whole.n_samples and not est.exact
+        assert est.value == pytest.approx(whole.value, rel=1e-12)
+        assert est.std_error == pytest.approx(whole.std_error, rel=1e-12)
+        assert alone[i].estimates() == [est]
+
+
+def _sign_rule(d, seed):
+    rng = np.random.default_rng(seed)
+    return LinearHypothesis(w=rng.standard_normal(d), t=0.2, mode="sign")
+
+
+@pytest.mark.parametrize("law", ["atoms", "regression", "sample_only"])
+def test_a_linear_rule_off_span_laws_is_scored_as_its_predict(law):
+    """A ``LinearHypothesis`` on a law without ``draw_scores`` gives exactly
+    the estimate of its ``predict``."""
+    if law == "atoms":
+        dist = AssouadDist(q=9, r=2.0, v=0.6, epsilon=0.3, sigma=np.where(np.arange(9) % 2, 1.0, -1.0))
+        rule = _sign_rule(10, 1)
+    elif law == "regression":
+        dist = RegressionDist(d=5, spectral_constant=1.0, spectral_decay=0.5, w=np.full(5, 0.3),
+                              noise=("bounded_uniform", 0.2))
+        rule = LinearHypothesis(w=np.full(5, 0.25), t=0.1, mode="clip")
+    else:
+        dist = _SampleOnly(GaussMarginDist(4, gamma=2.0, rho=3.0, alpha=0.5))
+        rule = _sign_rule(4, 2)
+    n_test = 2 * _row_blocks(1 << 18, dist.d)[0].stop + 17
+    assert estimate_excess_risk(rule, dist, n_test=n_test, seed=6) == estimate_excess_risk(
+        rule.predict, dist, n_test=n_test, seed=6
+    )
+
+
+def test_a_linear_rule_on_a_span_law_draws_one_direction(monkeypatch):
+    """On a ``gauss_margin`` law a ``LinearHypothesis`` is scored from one
+    ``draw_scores`` call on its d x 1 weight, with no point drawn, and
+    agrees in law with its ``predict`` on the dense draw."""
+    dist = GaussMarginDist(40, gamma=2.0, rho=3.0, alpha=0.5, t=0.1)
+    rule = _sign_rule(40, 3)
+    shapes = []
+    draw_scores = GaussMarginDist.draw_scores
+    monkeypatch.setattr(GaussMarginDist, "draw_scores",
+                        lambda self, V, *rest: shapes.append(V.shape) or draw_scores(self, V, *rest))
+    monkeypatch.setattr(GaussMarginDist, "draw_blocks", None)
+    span = estimate_excess_risk(rule, dist, n_test=200_000, seed=7)
+    assert shapes == [(40, 1)]
+    monkeypatch.undo()
+    dense = estimate_excess_risk(rule.predict, dist, n_test=200_000, seed=8)
+    assert abs(span.value - dense.value) <= 4.0 * math.hypot(span.std_error, dense.std_error)
+
+
 def test_excess_risk_rejects_a_misshapen_prediction():
     dist = GaussMarginDist(4, gamma=2.0, rho=3.0, alpha=0.5)
     with pytest.raises(ValueError, match="prediction matrix"):
@@ -197,6 +265,45 @@ def test_compressibility_of_an_assouad_law_at_q_7000():
     assert est.n_samples == 3 and not est.exact
     # Each rep's excess is at most the heavy atom's mass plus epsilon per unit light mass.
     assert 0.0 <= est.value <= (1.0 - dist.v) + dist.v * dist.epsilon
+
+
+def _compressibility_by_predict(dist, family, k, reps, pop_n, seed, iters):
+    """``estimate_compressibility`` with each rep's rule scored through its
+    ``predict`` callable: the dense evaluation every law had before span
+    draws."""
+    values = []
+    for rep in range(reps):
+        X, y = dist.sample(pop_n, derive_seed(seed, 3 * rep + 1))
+        pmap = sample_projection(family, k, dist.d, derive_seed(seed, 3 * rep))
+        rule = fit(apply(pmap, X), y, dist.loss_spec, "surrogate", iters).hypothesis.pull_back(pmap.matrix)
+        values.append(estimate_excess_risk(rule.predict, dist, n_test=pop_n,
+                                           seed=derive_seed(seed, 3 * rep + 2)).value)
+    return _mc_estimate(np.array(values))
+
+
+@pytest.mark.parametrize("law", ["regression", "assouad"])
+def test_compressibility_off_span_laws_scores_each_rule_as_its_predict(law):
+    if law == "regression":
+        dist = RegressionDist(d=8, spectral_constant=1.0, spectral_decay=0.2, w=np.full(8, 1.0),
+                              noise=("bounded_uniform", 0.1))
+    else:
+        dist = AssouadDist(q=40, r=2.0, v=0.5, epsilon=0.2)
+    args = dict(family="gaussian", k=2, reps=3, pop_n=300, seed=5, iters=100)
+    assert estimate_compressibility(dist, **args) == _compressibility_by_predict(dist, **args)
+
+
+def test_compressibility_on_a_span_law_draws_no_test_point(monkeypatch):
+    """On a ``gauss_margin`` law each rep samples its fitting draw and
+    scores its rule from one span draw of its d x 1 weight."""
+    dist = GaussMarginDist(30, gamma=2.0, rho=3.0, alpha=0.5)
+    calls = []
+    for name in ("sample", "draw_scores"):
+        original = getattr(GaussMarginDist, name)
+        monkeypatch.setattr(GaussMarginDist, name,
+                            lambda self, *a, _n=name, _o=original: calls.append(_n) or _o(self, *a))
+    est = estimate_compressibility(dist, "gaussian", 2, reps=3, pop_n=400, iters=50, seed=1)
+    assert calls == ["sample", "draw_scores"] * 3
+    assert est.n_samples == 3 and 0.0 <= est.value <= 1.0
 
 
 def test_compressibility_rejects_bad_reps():

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cerm import synthdist
 from cerm.losses import make_loss
 from cerm.projections import AxisPoints, _row_blocks, _rows_dot
 from cerm.synthdist import (
@@ -432,6 +437,167 @@ def test_sample_is_the_block_draw_in_one_array(law):
                 s = s + rng.uniform(-dist.noise[1], dist.noise[1], size=n)
             y_whole = np.clip(s, -dist.beta, dist.beta)
         assert np.array_equal(X_ref, X_whole) and np.array_equal(y_ref, y_whole), n
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _span_case(case):
+    """(dist, V) for each edge case of the span draw."""
+    rng = np.random.default_rng(31)
+    if case == "r = d - 1":
+        return GaussMarginDist(4, gamma=2.0, rho=6.0, alpha=0.5), rng.standard_normal((4, 3))
+    if case == "r > d - 1":
+        return GaussMarginDist(3, gamma=1.5, rho=6.0, alpha=0.5), rng.standard_normal((3, 4))
+    if case == "parallel and zero weights":
+        dist = GaussMarginDist(6, gamma=2.0, rho=6.0, alpha=0.5, w=_unit(np.arange(1.0, 7.0)))
+        w = dist.w
+        return dist, np.column_stack([w, -2.0 * w, np.zeros(6), rng.standard_normal(6), w + rng.standard_normal(6)])
+    if case == "duplicate weights":
+        a, b = rng.standard_normal((2, 8))
+        return GaussMarginDist(8, gamma=2.0, rho=6.0, alpha=0.5), np.column_stack([a, b, a, a, 0.5 * b])
+    if case == "offset, oblique w":
+        w = _unit(np.linspace(1.0, -2.0, 10))
+        return GaussMarginDist(10, gamma=3.0, rho=6.0, alpha=0.4, w=w, t=0.3), rng.standard_normal((10, 4))
+    assert case == "hard labels"
+    return GaussMarginDist(5, gamma=2.0, rho=6.0, alpha=1.0, t=-0.2), rng.standard_normal((5, 3))
+
+
+def _exact_score_moments(dist, V):
+    """E[X @ V] and Cov(X @ V) in closed form.  E[M] = 0, E[M^2] =
+    gamma / (gamma + 2), Theta is uniform on w's unit complement, and the
+    truncated Pareto radius, R = (1 - u (1 - c))^(-1/rho) with
+    c = cap^(-rho), has E[R^2] = (1 - c^(1 - 2/rho)) / ((1 - c)(1 - 2/rho))."""
+    w, d = dist.w, dist.d
+    c = dist.radius_cap ** -dist.rho
+    second = (1.0 - c ** (1.0 - 2.0 / dist.rho)) / ((1.0 - c) * (1.0 - 2.0 / dist.rho))
+    along = np.outer(w, w)
+    cov_x = dist.gamma / (dist.gamma + 2.0) * along + second / (d - 1) * (np.eye(d) - along)
+    return dist.t * (w @ V), V.T @ cov_x @ V
+
+
+def _assert_moments(S, mean, cov, what):
+    """Each mean and covariance entry within 5 standard errors of its value."""
+    n = S.shape[0]
+    dev = S - mean
+    assert np.all(np.abs(dev.mean(axis=0)) <= 5.0 * S.std(axis=0) / math.sqrt(n) + 1e-12), what
+    prods = dev[:, :, None] * dev[:, None, :]
+    se = prods.std(axis=0) / math.sqrt(n)
+    assert np.all(np.abs(prods.mean(axis=0) - cov) <= 5.0 * se + 1e-12), what
+
+
+def _collect_scores(dist, V, n, seed):
+    blocks, margins = [], []
+    dist.draw_scores(V, n, seed, lambda S, M: (blocks.append(S.copy()), margins.append(M.copy())))
+    return np.concatenate(blocks), np.concatenate(margins), [len(M) for M in margins]
+
+
+SPAN_CASES = ["r = d - 1", "r > d - 1", "parallel and zero weights", "duplicate weights",
+              "offset, oblique w", "hard labels"]
+
+
+@pytest.mark.parametrize("case", SPAN_CASES)
+def test_span_draw_matches_the_dense_draw_in_law(case):
+    """The scores and margins ``draw_scores`` hands over have the law of
+    X @ V and w.X - t under ``sample``: the mean and covariance of the
+    scores match the closed form from V, as the dense draw's do, each score
+    passes a two-sample Kolmogorov-Smirnov test against the dense draw, and
+    the margin has its planted law."""
+    dist, V = _span_case(case)
+    n = 100_000
+    S, M, sizes = _collect_scores(dist, V, n, seed=7)
+    r, s = V.shape[1], min(V.shape[1], dist.d - 1)
+    assert S.shape == (n, r) and sizes == [len(b) for b in (range(n)[k] for k in _row_blocks(n, r + s + 8))]
+    again, again_m, _ = _collect_scores(dist, V, n, seed=7)
+    assert np.array_equal(S, again) and np.array_equal(M, again_m)
+
+    X, _ = dist.sample(n, seed=8)
+    dense = X @ V
+    mean, cov = _exact_score_moments(dist, V)
+    _assert_moments(S, mean, cov, "span")
+    _assert_moments(dense, mean, cov, "dense")
+    for j in range(r):
+        if np.ptp(dense[:, j]) == 0.0:
+            assert np.all(S[:, j] == dense[0, j])
+            continue
+        grid = np.sort(np.concatenate([S[:, j], dense[:, j]]))
+        gap = np.abs(np.searchsorted(np.sort(S[:, j]), grid, side="right")
+                     - np.searchsorted(np.sort(dense[:, j]), grid, side="right")) / n
+        assert gap.max() <= 1.95 * math.sqrt(2.0 / n), (j, gap.max())
+
+    for xi in (0.25, 0.5, 0.75):
+        p = xi**dist.gamma
+        assert abs(np.mean(np.abs(M) <= xi) - p) <= 5.0 * math.sqrt(p * (1 - p) / n), xi
+    assert abs(np.mean(M >= 0.0) - 0.5) <= 5.0 * math.sqrt(0.25 / n)
+    if case == "hard labels":
+        assert np.array_equal(dist.eta_at(M), np.where(M >= 0.0, 1.0, 0.0))
+
+
+def test_span_draw_edge_cases_hold_exactly():
+    """A weight parallel to w scores c (M + t) up to the rounding of its
+    part off w, a zero weight scores exactly 0, and equal weights score
+    equal columns up to the rounding of the QR."""
+    dist, V = _span_case("parallel and zero weights")
+    S, M, _ = _collect_scores(dist, V, 20_000, seed=3)
+    assert np.max(np.abs(S[:, 0] - (M + dist.t))) <= 1e-10
+    assert np.max(np.abs(S[:, 1] + 2.0 * (M + dist.t))) <= 1e-10
+    assert np.all(S[:, 2] == 0.0)
+    dist, V = _span_case("duplicate weights")
+    S, _, _ = _collect_scores(dist, V, 20_000, seed=3)
+    for j in (2, 3):
+        assert np.max(np.abs(S[:, j] - S[:, 0])) <= 1e-12 * np.max(np.abs(S[:, 0]))
+
+
+def test_span_draw_recovers_the_points_when_the_weights_span_r_d():
+    """With r > d - 1 weights spanning R^d the scores determine x, so the
+    whole law shows: x's margin is the M handed over, and its distance from
+    the line through w has the truncated Pareto tail P(R > s) =
+    (s^-rho - c) / (1 - c), c = cap^-rho."""
+    dist, V = _span_case("r > d - 1")
+    n = 100_000
+    S, M, _ = _collect_scores(dist, V, n, seed=9)
+    X = np.linalg.lstsq(V.T, S.T, rcond=None)[0].T
+    assert np.max(np.abs(X @ dist.w - dist.t - M)) <= 1e-9
+    radius = np.linalg.norm(X - np.outer(M + dist.t, dist.w), axis=1)
+    assert radius.min() >= 1.0 - 1e-9
+    c = dist.radius_cap ** -dist.rho
+    for level in (1.05, 1.2, 1.5):
+        p = (level ** -dist.rho - c) / (1.0 - c)
+        assert abs(np.mean(radius > level) - p) <= 5.0 * math.sqrt(p * (1 - p) / n), level
+
+
+def test_span_draw_does_not_depend_on_the_blas_thread_count():
+    """Every block of scores and margins is equal at one and two BLAS
+    threads, over 50 003 draws at d = 50 with 25 and 60 weights.  A BLAS
+    product of a block's normals and factor rounds some entries
+    differently on two threads at 60 weights; the fixed-order sum does not."""
+    script = textwrap.dedent(
+        """
+        import hashlib
+        import numpy as np
+        from cerm.synthdist import GaussMarginDist
+        for r in (25, 60):
+            dist = GaussMarginDist(50, gamma=2.0, rho=2.0, alpha=0.5, t=0.1)
+            V = np.random.default_rng(r).standard_normal((50, r))
+            digest = hashlib.sha256()
+            dist.draw_scores(V, 50_003, 7, lambda S, M: digest.update(S.tobytes("F") + M.tobytes()))
+            print(r, digest.hexdigest())
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(synthdist.__file__)))
+    runs = []
+    for blas_threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout.splitlines())
+    assert len(runs[0]) == 2
+    assert runs[0] == runs[1]
 
 
 def test_checker_geometric_margin_recovers_exponent():
