@@ -208,15 +208,16 @@ def member_excess_risks(
         _member_outputs(model, X, out)
         out[m] = _combine(model.loss, out[:m])
 
-    offsets = np.array([[rule.t] for rule in model.rules])
+    def span():
+        rules = model.rules
+        offsets = np.array([[rule.t] for rule in rules])
 
-    def all_scores(S, out):
-        # the members share one mode, so the first renders them all
-        out[:m] = model.rules[0].render(np.subtract(S.T, offsets, out=out[:m]))
-        out[m] = _combine(model.loss, out[:m])
+        def all_scores(S, out):
+            # the members share one mode, so the first renders them all
+            out[:m] = rules[0].render(np.subtract(S.T, offsets, out=out[:m]))
+            out[m] = _combine(model.loss, out[:m])
 
-    weights = np.stack([rule.w for rule in model.rules], axis=1)
-    estimates = _estimate_excess_risks(
-        all_rows, m + 1, dist, n_test=n_test, seed=seed, span=(weights, all_scores)
-    )
+        return np.stack([rule.w for rule in rules], axis=1), all_scores
+
+    estimates = _estimate_excess_risks(all_rows, m + 1, dist, n_test=n_test, seed=seed, span=span)
     return estimates[:m], estimates[m]

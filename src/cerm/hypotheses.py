@@ -134,7 +134,7 @@ class LinearHypothesis:
         """The outputs at raw scores w.u - t, an array of any shape: their
         signs, with 0 counted as +1, or their values clipped to [-beta, beta]."""
         if self.mode == "sign":
-            # 2 [raw >= 0] - 1, several times faster than np.where on this
+            # 2 [raw >= 0] - 1: np.where's +-1, several times faster on long arrays
             signs = np.greater_equal(raw, 0.0).astype(float)
             signs *= 2.0
             signs -= 1.0

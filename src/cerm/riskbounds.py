@@ -148,14 +148,15 @@ def _estimate_excess_risks(
     r x N boolean disagreement matrix; the regression path keeps the r x N
     outputs and the N Bayes predictions until the labels are drawn.
 
-    ``span``, for predictors that read a point x only through x @ V, is the
-    pair (V, predict_scores): V is d x q, and ``predict_scores(S, out)``
-    writes to ``out`` what ``predict_rows`` would write on points whose
-    scores X @ V are S.  On a law with ``draw_scores`` the test draws are
-    then made in the span of V and never in d: each block is scored
-    through ``predict_scores``, weighed against its Bayes side from the
-    margins, folded into the r estimates (``_Moments``) and dropped, so the
-    pass holds O(block) memory.  That draw depends on V, so an estimate
+    ``span``, for predictors that read a point x only through x @ V,
+    returns the pair (V, predict_scores) when called: V is d x q, and
+    ``predict_scores(S, out)`` writes to ``out`` what ``predict_rows``
+    would write on points whose scores X @ V are S.  It is called only on
+    a law with ``draw_scores``, so other laws never build V.  There the
+    test draws are made in the span of V and never in d: each block is
+    scored through ``predict_scores``, weighed against its Bayes side from
+    the margins, folded into the r estimates (``_Moments``) and dropped, so
+    the pass holds O(block) memory.  That draw depends on V, so an estimate
     equals a separate one with the same seed in law, not bit for bit; the
     r estimates of one pass still share their draws.
     """
@@ -177,7 +178,7 @@ def _estimate_excess_risks(
         return estimates
 
     if span is not None and hasattr(dist, "draw_scores"):
-        weights, predict_scores = span
+        weights, predict_scores = span()
         moments = _Moments(r)
 
         def score_margins(S, M):
@@ -298,7 +299,8 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
         def one_score(S, out):
             out[0] = rule.render(S[:, 0] - rule.t)
 
-        span = (rule.w[:, None], one_score)
+        def span():
+            return rule.w[:, None], one_score
 
     def one_row(X, out):
         row = np.asarray(predictor(X))

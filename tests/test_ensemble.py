@@ -387,6 +387,9 @@ def test_assouad_evaluation_memory_is_linear_in_q():
         tracemalloc.stop()
     assert len(members) == 25
     assert peak < 10 * 2**20, f"evaluation peaked at {peak / 2**20:.1f} MiB"
+    # the atoms are scored one member at a time: the m length-d rules, which
+    # a span draw would stack, are never formed together
+    assert "rules" not in vars(model)
 
 
 def _traced_peak(run):
