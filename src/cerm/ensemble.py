@@ -3,11 +3,16 @@
 Each member gets its own projection map, drawn from the shared family with a
 seed derived from the ensemble's master seed, and a predictor fit by empirical
 risk minimization on its compressed view of the same training sample.
-Members are fit in groups: consecutive members whose stacked designs, n x
-(k + 1) doubles each, fit in ``projections._BLOCK_BYTES`` go through one
-``fit`` call, so the Newton solver runs small members in lockstep while a
-large member is fit alone.  The grouping never changes a result.  The
-combination rule is the loss's combiner: majority vote with ties broken
+Members are fit in groups, one ``fit`` call each, and a group's solver runs
+its members in lockstep.  A group is as many consecutive members as keep
+what the solver holds per member within ``projections._BLOCK_BYTES``: an
+n x (k + 1) design, so the Newton solver batches small members while a
+large member is fit alone, or, for the squared loss's descent, which holds
+one design for the whole group, an anchored model of about 2 % of the
+rows, so all the members of an ensemble usually share one descent.  A
+group's designs reach ``fit`` as a lazy stack that projects a member into
+a given buffer when the solver asks.  The grouping never changes a result.
+The combination rule is the loss's combiner: majority vote with ties broken
 toward +1 for the zero-one loss, the clipped mean of member outputs
 otherwise.
 
@@ -29,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hypotheses import ErmReport, LinearHypothesis, fit
+from .hypotheses import ErmReport, LinearHypothesis, _batch_bytes, fit
 from .losses import LossSpec
 from .projections import _BLOCK_BYTES, AxisPoints, ProjectionMap, _row_blocks, apply, sample_projection
 from .riskbounds import RiskEstimate, _estimate_excess_risks
@@ -104,10 +109,14 @@ def train_ensemble(
     Assouad sample, is compressed by ``apply``'s gather, with no n x d array
     built; the members equal those fit on ``X.toarray()`` bit for bit.
 
-    Members are compressed in order and fit in groups of as many as keep
-    their stacked n x (k + 1) designs within ``_BLOCK_BYTES`` (at least
-    one), one ``fit`` call per group.  Each member's report equals the one
-    its design gives when fit alone, so the group size changes no result.
+    Members are fit in groups of as many as keep what the solver holds per
+    member (an n x (k + 1) design, or a squared-loss member's anchored
+    model) within ``_BLOCK_BYTES``, at least one, one ``fit`` call per
+    group.  The designs are projected on demand: whole for the
+    classification solvers and the kl loss, and one at a time into one
+    reused buffer for the squared loss.  Each member's report equals the
+    one its design gives when fit alone, so the group size changes no
+    result.
     """
     X = X if isinstance(X, AxisPoints) else np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -116,22 +125,31 @@ def train_ensemble(
     if m < 1:
         raise ValueError("m must be >= 1")
     n, d = X.shape
-    group = max(1, _BLOCK_BYTES // max(1, 8 * n * (k + 1)))
+    group = max(1, _BLOCK_BYTES // max(1, _batch_bytes(loss, n, k)))
     maps = []
     reports = []
     for start in range(0, m, group):
         group_maps = [sample_projection(family, k, d, derive_seed(master_seed, i))
                       for i in range(start, min(m, start + group))]
-        reports.extend(fit(_stack([apply(pmap, X) for pmap in group_maps]), y, loss, solver, iters))
+        reports.extend(fit(_Projections(group_maps, X), y, loss, solver, iters))
         maps.extend(group_maps)
     return EnsembleModel(maps=tuple(maps), member_reports=tuple(reports), loss=loss)
 
 
-def _stack(designs: list[np.ndarray]) -> np.ndarray:
-    """The designs as one g x n x k stack; a lone design as a view of it,
-    without a copy.  Passed straight to ``fit``, the designs are freed when
-    it returns, before the next group is compressed."""
-    return designs[0][None] if len(designs) == 1 else np.stack(designs)
+class _Projections:
+    """The designs ``apply(pmap, X)`` of a group of maps as a lazy
+    g x n x k stack for ``fit``: ``write(j, out)`` projects design j
+    straight into the n x k array ``out``."""
+
+    def __init__(self, maps: list[ProjectionMap], X):
+        self.maps, self.X = maps, X
+        self.shape = (len(maps), len(X), maps[0].k)
+
+    def __len__(self) -> int:
+        return len(self.maps)
+
+    def write(self, j: int, out: np.ndarray) -> None:
+        apply(self.maps[j], self.X, out=out)
 
 
 def _member_outputs(model: EnsembleModel, X, out: np.ndarray | None = None) -> np.ndarray:

@@ -40,14 +40,19 @@ Three solvers:
   rows about an anchor point plus the rows near the kink: O(k^2 + |near| k)
   a step between anchors, and one pass over the rows per anchor, at most
   O(nk^2), made only when a step leaves the ball in which the clip set
-  cannot change.
+  cannot change.  It runs a batch of member designs that share the labels
+  in lockstep, one numpy call per operation for the batch; a lone design is
+  a batch of one.  The squared loss holds one design at a time, written on
+  demand into one reused buffer, so a lazy stack that writes each design
+  when asked never has all of them formed.
 
 ``fit`` is the one dispatch from a (loss, solver) pair to these solvers.
 Its ``iters`` caps the Newton steps of the surrogate classifier and the
 descent steps of the regression solver; the exact solver takes no cap.  It
-takes one n x k design or a g x n x k stack of them: a stack goes to the
-Newton solver whole, and to the other two one design at a time.  Either way
-a member's report is the one its design gives alone, bit for bit.
+takes one n x k design, a g x n x k stack of them or a lazy stack: a stack
+goes to the Newton solver and to the regression descent whole, and to the
+exact sweep one design at a time.  Either way a member's report is the one
+its design gives alone, bit for bit.
 
 Every report's ``empirical_risk`` is recomputed from the returned hypothesis
 on the training pairs, never taken from solver internals.
@@ -612,16 +617,21 @@ def erm_surrogate_classification(U, y, iters: int = 2000):
 # ---------------------------------------------------------------------------
 #
 # The regression solver minimizes a mean loss of the scores s = Z x over the
-# design Z = [U, -1] and x = (w, t), as the Newton solver does.  ``_descend``
-# runs the one backtracking loop; the loss supplies its value and gradient
-# oracle: ``value(x)`` returns the mean objective at a trial point,
-# ``accept()`` makes the last trial the current point, and ``gradient()``
-# returns the gradient there.
+# design Z = [U, -1] and x = (w, t), as the Newton solver does, for each of
+# a batch of g member designs that share the labels.  ``_descend`` runs one
+# backtracking descent for the whole batch in lockstep: each round, every
+# running member scores one trial point, with one numpy call per operation
+# for the batch, and a member leaves the batch when its own rule stops it.
+# The loss supplies the oracle: ``values(X, here)`` returns the running
+# members' objectives at their trial points X (``here`` holds their current
+# points), ``gradients(rows)`` returns the gradient at the trial points of
+# the rows it flags, which become current, ``leave(keep)`` drops the
+# members that stopped, and ``design(j)`` returns member j's design.
 #
-# * The kl loss (``_KlRows``) scores every row at every trial point: one
-#   O(nk) product Z x per trial, written in place, and one product
-#   Z^T slope per accepted point, which reuses the clipped scores the value
-#   computed, so a trial allocates no length-n array.
+# * The kl loss (``_KlRows``) holds the g designs whole and scores every row
+#   at every trial point, one member at a time: one O(nk) product Z x per
+#   trial, written in place, and one product Z^T slope per accepted point,
+#   which reuses the clipped scores the value computed.
 # * The squared loss (``_AnchoredSquares``) scores only the rows near the
 #   clip's kink.  A row whose score stays inside [-beta, beta] adds a
 #   quadratic in x, and one whose score stays outside adds a constant, so one
@@ -629,11 +639,24 @@ def erm_surrogate_classification(U, y, iters: int = 2000):
 #   into a Gram model, in O(nk) plus O(k^2) for each row it leaves out of
 #   the Gram of every row, taken once per fit: at most O(nk^2).  A trial
 #   point within the anchor's radius then costs O(k^2 + |near| k), and the
-#   objective and gradient it gives are exact in exact arithmetic.  The
-#   descent passes over all the rows again only when a trial leaves the
-#   ball, where the clip set can change.  The fit starts at the min-norm
-#   solution of the normal equations (Z^T Z) x = Z^T y, which exists for a
-#   singular design too; both sides are summed block by block, in order.
+#   objective and gradient it gives are exact in exact arithmetic.  A member
+#   passes over all its rows again only when a trial leaves the ball, where
+#   the clip set can change.  Between anchors a member holds only its
+#   anchored model, so the batch holds one design, not g: a member's design
+#   is written into one reused buffer at its start, at each of its anchors
+#   and for its final risk.  The fit starts at the min-norm solution of the
+#   normal equations (Z^T Z) x = Z^T y, which exists for a singular design
+#   too; both sides are summed block by block, in order.
+#
+# The batch holds its members' numbers as r x p x 1 stacks of columns, one
+# slice per running member.  Each product of one member's numbers is one
+# np.matmul over the stacks, which makes for every slice the BLAS call (dot
+# or gemv, with the same strides) that member's own vectors or matrix would
+# make alone, and the rest is elementwise.  A member's report therefore
+# equals the one its design gives alone, bit for bit, whatever the batch.
+# Near sets of different lengths are never padded to one length, since a
+# BLAS dot over a zero-padded vector rounds apart from the unpadded one:
+# the members are stacked by near-set length.
 #
 # Z is column-major, so the results do not depend on U's memory layout.
 # numpy's product with a C-ordered n x (k + 1) matrix runs one short dot
@@ -658,47 +681,86 @@ _MAX_BACKTRACKS = 40
 _NEAR_FLOOR = 0.02
 
 
-def _design(U: np.ndarray) -> np.ndarray:
-    """The column-major design Z = [U, -1], whatever U's layout."""
-    n, k = U.shape
-    Z = np.empty((n, k + 1), order="F")
-    Z[:, :k] = U
-    Z[:, k] = -1.0
+def _batch_bytes(loss: LossSpec, n: int, k: int) -> int:
+    """About the bytes a regression batch holds per member at n rows and
+    width k: its n x (k + 1) design, or for the squared loss, which holds
+    one design for the whole batch, the near rows of its anchored model."""
+    rows = math.ceil(_NEAR_FLOOR * n) if loss.kind == "squared" else n
+    return 8 * rows * (k + 1)
+
+
+def _designs(g: int, n: int, k: int) -> np.ndarray:
+    """g column-major n x (k + 1) designs Z = [U, -1], their U unset."""
+    Z = np.empty((g, k + 1, n)).transpose(0, 2, 1)
+    Z[..., k] = -1.0
     return Z
 
 
 class _KlRows:
-    """The kl loss of the clipped scores, averaged over every row of Z at
-    every trial point."""
+    """The kl loss of the clipped scores, averaged over every row of each
+    member's design in the g x n x (k + 1) stack Z at every trial point."""
 
     def __init__(self, Z: np.ndarray, y: np.ndarray, beta: float):
         self.Z, self.y, self.beta = Z, y, beta
+        g, n, width = Z.shape
+        self.start = np.zeros((g, width, 1))
+        self.members = np.arange(g)
         self.label_sign = -(2.0 * y - 1.0)
-        # The scores and clipped scores of the current point and of the
-        # trial, and a scratch row; ``accept`` swaps the two pairs.
-        self.s, self.v, self.trial_s, self.trial_v, self.work = np.empty((5, len(y)))
-        self.clipped = np.empty(len(y), dtype=bool)
+        # Each member's scores and clipped scores at two points: bank[j]
+        # picks its current pair, and the other holds its trial.
+        self.s, self.v = np.empty((2, 2, g, n))
+        self.bank = np.zeros(g, dtype=np.intp)
+        self.work = np.empty(n)
+        self.clipped = np.empty(n, dtype=bool)
 
-    def value(self, x: np.ndarray) -> float:
-        s, v, work = np.matmul(self.Z, x, out=self.trial_s), self.trial_v, self.work
-        np.clip(s, -self.beta, self.beta, out=v)
-        return float(np.mean(np.logaddexp(0.0, np.multiply(self.label_sign, v, out=work), out=work)))
+    def values(self, X: np.ndarray, here: np.ndarray) -> np.ndarray:
+        out = np.empty((len(X), 1, 1))
+        for i, j in enumerate(self.members.tolist()):
+            trial = 1 - self.bank[j]
+            s, v, work = np.matmul(self.Z[j], X[i, :, 0], out=self.s[trial, j]), self.v[trial, j], self.work
+            np.clip(s, -self.beta, self.beta, out=v)
+            out[i] = np.mean(np.logaddexp(0.0, np.multiply(self.label_sign, v, out=work), out=work))
+        return out
 
-    def accept(self) -> None:
-        self.s, self.trial_s = self.trial_s, self.s
-        self.v, self.trial_v = self.trial_v, self.v
-
-    def gradient(self) -> np.ndarray:
-        # np.where(|s| < beta, expit(v) - y, 0), without its temporaries
+    def gradients(self, rows: np.ndarray) -> np.ndarray:
+        grads = np.empty((len(rows), self.Z.shape[2], 1))
         out, clipped = self.work, self.clipped
-        np.logical_not(np.less(np.abs(self.s, out=out), self.beta, out=clipped), out=clipped)
-        np.copyto(np.subtract(_expit(self.v), self.y, out=out), 0.0, where=clipped)
-        return self.Z.T @ out / len(out)
+        for i in np.flatnonzero(rows).tolist():
+            j = self.members[i]
+            self.bank[j] ^= 1
+            s, v = self.s[self.bank[j], j], self.v[self.bank[j], j]
+            # np.where(|s| < beta, expit(v) - y, 0), without its temporaries
+            np.logical_not(np.less(np.abs(s, out=out), self.beta, out=clipped), out=clipped)
+            np.copyto(np.subtract(_expit(v), self.y, out=out), 0.0, where=clipped)
+            grads[i, :, 0] = self.Z[j].T @ out / len(out)
+        return grads
+
+    def leave(self, keep: np.ndarray) -> None:
+        self.members = self.members[keep]
+
+    def design(self, j: int) -> np.ndarray:
+        return self.Z[j]
+
+
+class _Near:
+    """The near rows of the running members at ``places`` (all of them when
+    it is a slice), whose near sets share one length L: a c x L x (k + 1)
+    stack of rows, C-ordered as each member's own near rows are, their
+    c x L x 1 labels, and buffers for a round's scores and residuals."""
+
+    def __init__(self, places, rows: np.ndarray, labels: np.ndarray):
+        self.places, self.rows, self.labels = places, rows, labels
+        self.whole = isinstance(places, slice)
+        self.rows_t = rows.transpose(0, 2, 1)
+        self.s, self.r = np.empty((2, *labels.shape))
+        self.r_t = self.r.transpose(0, 2, 1)
+        self.rr = np.empty((len(labels), 1, 1))
+        self.outside = np.empty(labels.shape, dtype=bool)
 
 
 class _AnchoredSquares:
-    """The squared loss of the clipped scores, averaged over the rows of Z,
-    as a Gram model about an anchor point x_a.
+    """The squared loss of the clipped scores, averaged over the rows of each
+    member's design Z, as a Gram model about an anchor point x_a.
 
     Row z, with anchor score s_a = z.x_a, lies at distance
     |beta - |s_a|| / |z| in x from the clip's kink.  Within the ball
@@ -713,35 +775,60 @@ class _AnchoredSquares:
         n value    = const + 2 h.delta + delta.G delta + sum_near (clip(z.x) - y)^2
         n gradient = 2 (h + G delta + sum_near, |z.x| < beta z (z.x - y)).
 
-    A trial outside the ball re-anchors at the current point, with a radius
-    that covers the trial and keeps at least ``_NEAR_FLOOR`` of the rows
-    near.
+    A trial outside the ball re-anchors its member at its current point,
+    with a radius that covers the trial and keeps at least ``_NEAR_FLOOR``
+    of the rows near.
+
+    ``write(j, out)`` writes member j's n x k design into the n x k view
+    ``out`` of one reused buffer.  The running members' models are indexed
+    by their place in the batch; ``_stack`` stacks their near rows by
+    near-set length whenever a member leaves or its near set changes
+    length, and sizes the buffers a round writes.
     """
 
-    def __init__(self, Z: np.ndarray, y: np.ndarray, beta: float):
-        self.Z, self.y, self.beta = Z, y, beta
-        self.blocks = _row_blocks(*Z.shape)
-        self.row_norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
-        # The Gram of every row, which an anchor copies less the rows it
-        # leaves out; with Z^T y it gives the start's normal equations.
-        self.gram_all = np.zeros((Z.shape[1], Z.shape[1]))
-        zy = np.zeros(Z.shape[1])
-        for rows in self.blocks:
-            self.gram_all += Z[rows].T @ Z[rows]
-            zy += Z[rows].T @ y[rows]
-        self.start = np.linalg.lstsq(self.gram_all, zy, rcond=None)[0]
-        self.floor = max(1, math.ceil(_NEAR_FLOOR * len(y)))
-        # (x, objective terms) of the current point and of the last trial
-        self.current = self.trial = None
+    def __init__(self, write, g: int, n: int, k: int, y: np.ndarray, beta: float):
+        self.write, self.y, self.beta, self.low = write, y, beta, -beta
+        self.n, self.scale = float(n), 2.0 / n
+        self.Z = _designs(1, n, k)[0]
+        self.loaded = self.norms = None
+        self.blocks = _row_blocks(n, k + 1)
+        self.floor = max(1, math.ceil(_NEAR_FLOOR * n))
+        self.members = np.arange(g)
+        self.start, self.anchor, self.h = np.empty((3, g, k + 1, 1))
+        self.gram_all = np.zeros((g, k + 1, k + 1))
+        self.gram = np.empty((g, k + 1, k + 1))
+        self.reach, self.const = np.empty((2, g, 1, 1))
+        self.near = [None] * g
+        self.groups = None
+        for i in range(g):
+            # The Gram of every row, which an anchor copies less the rows it
+            # leaves out; with Z^T y it gives the start's normal equations.
+            Z = self.design(i)
+            zy = np.zeros(k + 1)
+            for rows in self.blocks:
+                self.gram_all[i] += Z[rows].T @ Z[rows]
+                zy += Z[rows].T @ y[rows]
+            self.start[i, :, 0] = np.linalg.lstsq(self.gram_all[i], zy, rcond=None)[0]
+            self._anchor(i, self.start[i, :, 0], 0.0)
+        self._stack()
 
-    def _anchor(self, x: np.ndarray, pending: float) -> None:
-        """Pass over every row at the anchor x, one ``_row_blocks`` block at
-        a time, with a radius of at least ``pending`` and the floor's."""
-        Z, y, beta = self.Z, self.y, self.beta
+    def design(self, j: int) -> np.ndarray:
+        if self.loaded != j:
+            self.write(j, self.Z[:, :-1])
+            self.loaded, self.norms = j, None
+        return self.Z
+
+    def _anchor(self, i: int, x: np.ndarray, pending: float) -> None:
+        """Pass over every row of the member in place i at the anchor x, one
+        ``_row_blocks`` block at a time, with a radius of at least
+        ``pending`` and the floor's."""
+        Z, y, beta = self.design(self.members[i]), self.y, self.beta
+        if self.norms is None:
+            self.norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
         s = np.empty(len(y))
         for rows in self.blocks:
             np.matmul(Z[rows], x, out=s[rows])
-        slack = np.abs(beta - np.abs(s)) / self.row_norms
+        slack = np.abs(beta - np.abs(s)) / self.norms
         radius = max(pending, float(np.partition(slack, self.floor - 1)[self.floor - 1]))
         near = slack <= radius
         left_out = np.abs(s) >= beta
@@ -749,8 +836,9 @@ class _AnchoredSquares:
         r = np.clip(s, -beta, beta)
         r -= y
         r[near] = 0.0
-        gram = self.gram_all.copy()
-        h = np.zeros(len(x))
+        gram, h = self.gram[i], self.h[i, :, 0]
+        gram[...] = self.gram_all[i]
+        h[...] = 0.0
         const = 0.0
         for rows in self.blocks:
             r_far = r[rows]
@@ -759,87 +847,190 @@ class _AnchoredSquares:
             h += Z[rows].T @ r_far
             Z_out = Z[rows][left_out[rows]]
             gram -= Z_out.T @ Z_out
-        self.anchor, self.radius = x.copy(), radius
-        self.gram, self.h, self.const = gram, h, const
-        self.near_Z, self.near_y = Z[near], y[near]
+        self.anchor[i, :, 0], self.reach[i], self.const[i] = x, _reach(radius), const
+        rows, labels = Z[near], y[near, None]
+        if self.groups and len(self.groups) == 1 and self.groups[0].labels.shape[1] == len(labels):
+            group = self.groups[0]
+            group.rows[i], group.labels[i] = rows, labels
+            rows, labels = group.rows[i], group.labels[i]
+        else:
+            self.groups = None
+        self.near[i] = rows, labels
 
-    def _terms(self, x: np.ndarray, delta: np.ndarray):
-        # h + G delta, the near rows' scores and their residuals at x
-        hg = self.gram @ delta
-        hg += self.h
-        s = self.near_Z @ x
-        # np.clip's Python wrapper costs about 1 us more a call than the two
-        # ufuncs, some 7 % of a 300-step fit at n = 128.
-        r = np.minimum(np.maximum(s, -self.beta), self.beta)
-        r -= self.near_y
-        obj = (self.const + delta @ (hg + self.h) + r @ r) / len(self.y)
-        return x, obj, hg, s, r
+    def _stack(self) -> None:
+        lengths = np.array([len(labels) for _, labels in self.near])
+        self.groups = []
+        for length in np.unique(lengths):
+            places = np.flatnonzero(lengths == length)
+            rows = np.stack([self.near[i][0] for i in places])
+            labels = np.stack([self.near[i][1] for i in places])
+            for slot, i in enumerate(places.tolist()):
+                self.near[i] = rows[slot], labels[slot]  # views, so no copy outlives the stacks
+            self.groups.append(_Near(slice(None) if len(places) == len(lengths) else places, rows, labels))
+        self.delta, self.hg, self.hg_h = np.empty((3, *self.anchor.shape))
+        self.delta_t = self.delta.transpose(0, 2, 1)
+        self.dd = np.empty(self.reach.shape)
+        self.far = np.empty(self.reach.shape, dtype=bool)
 
-    def value(self, x: np.ndarray) -> float:
-        if self.current is None:
-            self._anchor(x, 0.0)
-        delta = x - self.anchor
-        if math.sqrt(delta @ delta) > self.radius:
-            here = self.current[0]
-            step = x - here
-            self._anchor(here, math.sqrt(step @ step))
-            self.current = self._terms(here, here - self.anchor)
-            delta = x - self.anchor
-        self.trial = self._terms(x, delta)
-        return self.trial[1]
+    # A round is a fixed sequence of numpy calls on the batch, most of them
+    # writing into the buffers ``_stack`` sized: on a batch of one, each
+    # call costs about as much as the work, so their count sets the speed.
 
-    def accept(self) -> None:
-        self.current = self.trial
+    def values(self, X: np.ndarray, here: np.ndarray) -> np.ndarray:
+        delta = np.subtract(X, self.anchor, self.delta)
+        if np.count_nonzero(np.greater(np.matmul(self.delta_t, delta, self.dd), self.reach, self.far)):
+            for i in np.flatnonzero(self.far).tolist():
+                step = X[i, :, 0] - here[i, :, 0]
+                self._anchor(i, here[i, :, 0], math.sqrt(step @ step))
+            if self.groups is None:
+                self._stack()
+            delta = np.subtract(X, self.anchor, self.delta)
+        # h + G delta, then the far rows' part const + delta.(2h + G delta)
+        h, hg = self.h, self.hg
+        np.add(np.matmul(self.gram, delta, hg), h, hg)
+        obj = np.add(np.matmul(self.delta_t, np.add(hg, h, self.hg_h)), self.const)
+        for group in self.groups:
+            s, r = group.s, group.r
+            np.matmul(group.rows, X if group.whole else X[group.places], s)
+            # np.clip's Python wrapper costs about 1 us more a call than the
+            # two ufuncs, some 7 % of a 300-step fit at n = 128.
+            np.subtract(np.minimum(np.maximum(s, self.low, out=r), self.beta, out=r), group.labels, r)
+            if group.whole:
+                np.add(obj, np.matmul(group.r_t, r, group.rr), obj)
+            else:
+                obj[group.places] += np.matmul(group.r_t, r, group.rr)
+        return np.divide(obj, self.n, obj)
 
-    def gradient(self) -> np.ndarray:
-        _, _, hg, s, r = self.current
-        r_inside = np.where(np.abs(s) < self.beta, r, 0.0)
-        return (hg + self.near_Z.T @ r_inside) * (2.0 / len(self.y))
+    def gradients(self, rows: np.ndarray) -> np.ndarray:
+        near = None
+        for group in self.groups:
+            # np.where(|s| < beta, r, 0), in place.  |s| >= beta differs
+            # from not |s| < beta only at a NaN score, which makes the
+            # objective NaN, so no step is taken along this gradient.
+            np.copyto(group.r, 0.0, where=np.greater_equal(np.abs(group.s, group.s), self.beta, group.outside))
+            if group.whole:
+                near = np.matmul(group.rows_t, group.r)
+            else:
+                near = np.empty_like(self.hg) if near is None else near
+                near[group.places] = np.matmul(group.rows_t, group.r)
+        return np.multiply(np.add(near, self.hg, near), self.scale, near)
+
+    def leave(self, keep: np.ndarray) -> None:
+        for name in ("members", "anchor", "h", "gram_all", "gram", "reach", "const"):
+            setattr(self, name, getattr(self, name)[keep])
+        self.near = [near for near, kept in zip(self.near, keep.tolist()) if kept]
+        if len(self.near):
+            self._stack()
 
 
-def _descend(oracle, x0: np.ndarray, iters: int, plateau_tol: float):
-    """Monotone first-order descent on x = (w, t) with backtracking.
+def _reach(radius: float) -> float:
+    """The largest double v with sqrt(v) <= radius, so that a squared
+    distance d lies outside the ball, sqrt(d) > radius, exactly when d > v:
+    the square root rounds monotonically."""
+    v = radius * radius
+    if not math.isfinite(v):
+        return v
+    while math.sqrt(v) > radius:
+        v = math.nextafter(v, 0.0)
+    while math.sqrt(math.nextafter(v, math.inf)) <= radius:
+        v = math.nextafter(v, math.inf)
+    return v
 
-    ``oracle`` gives the objective at each trial point and the gradient at
-    each accepted one.  Accepts a step only when the objective does not
-    increase; on rejection the step size shrinks (up to _MAX_BACKTRACKS
-    times per iteration), on success it grows.  Stops early when the
-    decrease over a 50-step window falls below plateau_tol.  Returns
-    (x, checkpoints) with the objective recorded every 50 accepted steps plus
-    at entry and exit.
+
+def _descend(oracle, iters: int, plateau_tol: float):
+    """Monotone first-order descent on the x = (w, t) of each of the
+    oracle's members, in lockstep, with backtracking.
+
+    Each round, every running member scores one trial point x - lr g.  A
+    member accepts it only when its objective does not increase, and its
+    step size then grows; on rejection the step size shrinks, up to
+    _MAX_BACKTRACKS times per step.  A member stops after ``iters`` steps,
+    when no backtrack is accepted, or when its decrease over a 50-step
+    window falls below plateau_tol.  Returns (x, checkpoints): each
+    member's final point, a g x (k + 1) x 1 stack, and its objective at
+    entry, every 50 accepted steps and at exit.
+
+    The running members' numbers are r x p x 1 stacks, one slice each, so
+    that every operation broadcasts over the batch; ``members`` names them.
     """
-    x = x0.astype(float).copy()
-    obj = oracle.value(x)
-    oracle.accept()
-    checkpoints = [obj]
-    lr = _LR_INIT
-    window_start = obj
-    for it in range(iters):
-        g = oracle.gradient()
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            trial = x - lr * g
-            trial_obj = oracle.value(trial)
-            if np.isfinite(trial_obj) and trial_obj <= obj:
-                x, obj = trial, trial_obj
-                oracle.accept()
-                lr *= _LR_GROW
-                accepted = True
-                break
-            lr *= _LR_SHRINK
-        if not accepted:
-            break
-        if (it + 1) % _CHECKPOINT_EVERY == 0:
-            checkpoints.append(obj)
-            if window_start - obj < plateau_tol:
-                break
-            window_start = obj
-    if checkpoints[-1] != obj:
-        checkpoints.append(obj)
-    return x, tuple(checkpoints)
+    x = oracle.start.copy()
+    g = len(x)
+    obj = oracle.values(x, x)
+    checkpoints = [[value] for value in obj.ravel().tolist()]
+    final = x.copy()
+    if iters < 1:
+        return final, [tuple(c) for c in checkpoints]
+    members = np.arange(g)
+    grad = oracle.gradients(np.ones((g, 1, 1), dtype=bool))
+    lr = np.full(x.shape, _LR_INIT)  # one copy per entry of x, so lr * grad does not broadcast
+    window = obj.copy()
+    # A member's next mark, the step count of its next checkpoint or its
+    # last step; the accepted steps it still takes to reach it; and its
+    # rejections since its last accepted step.  The last two are brought
+    # up to date from the rounds' acceptance flags only in round ``check``:
+    # no member reaches its mark or runs out of backtracks before it.
+    mark = np.full(g, min(_CHECKPOINT_EVERY, iters))
+    togo, fails = mark.copy(), np.zeros(g, dtype=np.intp)
+    rnd, check, flags = 0, min(int(mark[0]), _MAX_BACKTRACKS), []
+    values, gradients = oracle.values, oracle.gradients
+    while members.size:
+        trial = np.subtract(x, np.multiply(lr, grad))
+        trial_obj = values(trial, x)
+        ok = np.logical_and(np.less_equal(trial_obj, obj), np.isfinite(trial_obj))
+        flags.append(ok)
+        rnd += 1
+        accepted = np.count_nonzero(ok)
+        if accepted == len(ok):
+            x, obj = trial, trial_obj
+            np.multiply(lr, _LR_GROW, lr)
+            if rnd < check:
+                grad = gradients(ok)
+                continue
+        elif accepted:
+            np.copyto(x, trial, where=ok)
+            np.copyto(obj, trial_obj, where=ok)
+            np.multiply(lr, np.where(ok, _LR_GROW, _LR_SHRINK), lr)
+            if rnd < check:
+                np.copyto(grad, gradients(ok), where=ok)
+                continue
+        else:
+            np.multiply(lr, _LR_SHRINK, lr)
+        if rnd < check:
+            continue
+        seen = np.concatenate(flags, axis=1)[:, :, 0]
+        flags = []
+        togo -= np.count_nonzero(seen, axis=1)
+        fails = np.where(seen.any(axis=1), np.argmax(seen[:, ::-1], axis=1), fails + seen.shape[1])
+        stop = fails == _MAX_BACKTRACKS
+        for i in np.flatnonzero(togo == 0).tolist():
+            steps = int(mark[i])
+            if steps % _CHECKPOINT_EVERY == 0:
+                checkpoints[members[i]].append(float(obj[i, 0, 0]))
+                stop[i] |= window[i, 0, 0] - obj[i, 0, 0] < plateau_tol
+                window[i] = obj[i]
+            stop[i] |= steps == iters
+            mark[i] = min(steps + _CHECKPOINT_EVERY, iters)
+            togo[i] = mark[i] - steps
+        going = ok & ~stop[:, None, None]
+        if np.count_nonzero(going):
+            np.copyto(grad, gradients(going), where=going)
+        if np.count_nonzero(stop):
+            for i in np.flatnonzero(stop).tolist():
+                j = members[i]
+                final[j] = x[i]
+                if checkpoints[j][-1] != obj[i, 0, 0]:
+                    checkpoints[j].append(float(obj[i, 0, 0]))
+            keep = ~stop
+            members, x, obj, grad, lr, window, mark, togo, fails = (
+                a[keep] for a in (members, x, obj, grad, lr, window, mark, togo, fails)
+            )
+            oracle.leave(keep)
+        if members.size:
+            check = rnd + min(int(togo.min()), _MAX_BACKTRACKS - int(fails.max()))
+    return final, [tuple(c) for c in checkpoints]
 
 
-def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
+def erm_regression(U, y, loss: LossSpec, iters: int = 2000):
     """Subgradient descent on the clipped-linear empirical risk.
 
     The predictor is u -> clip(w.u - t, -beta, beta); the optimized objective
@@ -853,39 +1044,63 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000) -> ErmReport:
     steps drops below 1e-10 * bound.  The labels are checked against the
     loss once, up front; the descent then evaluates the unchecked loss
     formula on predictions clipped into range.
+
+    U may also be a g x n x k stack of member designs that share the labels
+    y, or a lazy one: an object with that ``shape`` and a ``write(j, out)``
+    that writes design j into the n x k array ``out``.  The result is then a
+    tuple of g reports.  The members descend in lockstep, one numpy call per
+    operation for the batch, and each leaves it when its own rule stops it;
+    every member does the floating-point operations of its solo fit, so its
+    report equals the one ``erm_regression(U[j], y)`` gives bit for bit.
+    The squared loss holds one design at a time, rewritten from ``write``
+    at a member's start, at each of its anchors and for its final risk; kl
+    holds all g designs.
     """
     if loss.kind not in ("squared", "kl"):
         raise ValueError("erm_regression handles the squared and kl losses only")
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2:
-        raise ValueError("U must be an n x k array")
+    if hasattr(U, "write"):
+        write, shape = U.write, U.shape
+    else:
+        U = np.asarray(U, dtype=float)
+        if U.ndim not in (2, 3):
+            raise ValueError("U must be an n x k array or a g x n x k stack")
+        shape, stack = U.shape, U if U.ndim == 3 else U[None]
+
+        def write(j, out):
+            out[...] = stack[j]
+
+    g, n, k = shape if len(shape) == 3 else (1, *shape)
     y = np.asarray(y, dtype=float)
-    if y.shape != (U.shape[0],):
+    if y.shape != (n,):
         raise ValueError("y must have one label per row of U")
     # Validate the label domain up front against the loss.
     eval_loss(loss, 0.0, y)
-    k = U.shape[1]
     beta = loss.beta
 
-    Z = _design(U)
     if loss.kind == "squared":
-        oracle = _AnchoredSquares(Z, y, beta)
-        x0 = oracle.start
+        oracle = _AnchoredSquares(write, g, n, k, y, beta)
     else:
-        oracle, x0 = _KlRows(Z, y, beta), np.zeros(k + 1)
-    x, checkpoints = _descend(oracle, x0, iters, _PLATEAU_FACTOR * loss.bound)
-    del oracle  # its buffers live only as long as the descent
+        Z = _designs(g, n, k)
+        for j in range(g):
+            write(j, Z[j, :, :k])
+        oracle = _KlRows(Z, y, beta)
+    x, checkpoints = _descend(oracle, iters, _PLATEAU_FACTOR * loss.bound)
 
-    hypothesis = LinearHypothesis(w=x[:k], t=float(x[k]), mode="clip", beta=beta)
-    # Scored on the column-major design the descent used, so that the risk,
-    # like w and t, does not depend on U's layout.
-    risk = float(np.mean(eval_loss(loss, hypothesis.predict(Z[:, :k]), y)))
-    return ErmReport(
-        hypothesis=hypothesis,
-        empirical_risk=risk,
-        solver="surrogate",
-        objective_checkpoints=checkpoints,
-    )
+    reports = []
+    for j in range(g):
+        hypothesis = LinearHypothesis(w=x[j, :k, 0].copy(), t=float(x[j, k, 0]), mode="clip", beta=beta)
+        # Scored on the column-major design the descent used, so that the
+        # risk, like w and t, does not depend on U's layout.
+        risk = float(np.mean(eval_loss(loss, hypothesis.predict(oracle.design(j)[:, :k]), y)))
+        reports.append(
+            ErmReport(
+                hypothesis=hypothesis,
+                empirical_risk=risk,
+                solver="surrogate",
+                objective_checkpoints=checkpoints[j],
+            )
+        )
+    return tuple(reports) if len(shape) == 3 else reports[0]
 
 
 def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000):
@@ -897,25 +1112,27 @@ def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000):
     meaning descent on the clipped empirical risk.  Any other pairing raises
     ValueError.
 
-    A g x n x k stack of designs that share the labels y gives a tuple of g
-    reports, each equal bit for bit to the report of its design fit alone.
-    The Newton solver takes the whole stack in one call and runs its members
-    in lockstep; the exact sweep and the regression descent fit one design
-    after another.
+    A g x n x k stack of designs that share the labels y, or a lazy stack
+    (``shape`` and ``write(j, out)``, as ``erm_regression`` takes), gives a
+    tuple of g reports, each equal bit for bit to the report of its design
+    fit alone.  The Newton solver and the regression descent take the whole
+    stack in one call and run its members in lockstep; the exact sweep fits
+    one design after another.  A lazy stack is written out whole for the
+    classification solvers.
     """
-    if loss.kind == "zero_one":
-        if solver == "surrogate":
-            return erm_surrogate_classification(U, y, iters=iters)
-        if solver != "exact":
-            raise ValueError(f"unknown classification solver {solver!r}")
-        solve = erm_exact_classification
-    else:
+    if loss.kind != "zero_one":
         if solver != "surrogate":
             raise ValueError(f"the {loss.kind} loss takes solver 'surrogate' only, got {solver!r}")
-
-        def solve(design, y):
-            return erm_regression(design, y, loss, iters=iters)
-
+        return erm_regression(U, y, loss, iters=iters)
+    if solver not in ("surrogate", "exact"):
+        raise ValueError(f"unknown classification solver {solver!r}")
+    if hasattr(U, "write"):
+        stack = np.empty(U.shape)
+        for j, design in enumerate(stack):
+            U.write(j, design)
+        U = stack
+    if solver == "surrogate":
+        return erm_surrogate_classification(U, y, iters=iters)
     if np.ndim(U) == 3:
-        return tuple(solve(design, y) for design in U)
-    return solve(U, y)
+        return tuple(erm_exact_classification(design, y) for design in U)
+    return erm_exact_classification(U, y)

@@ -188,23 +188,25 @@ def sample_projection(family: str, k: int, d: int, seed: int) -> ProjectionMap:
     return ProjectionMap(matrix=matrix, family=family, seed=seed)
 
 
-def apply(pmap: ProjectionMap, X: np.ndarray) -> np.ndarray:
+def apply(pmap: ProjectionMap, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Compress the rows of an n x d matrix to n x k.
 
     Row j of the output is ``pmap.matrix @ X[j]``; inputs are not mutated.
     An ``AxisPoints`` set, such as an Assouad sample in training, is
     compressed by a column gather: its row j maps to
     ``scales[j] * pmap.matrix[:, axes[j]]``, which equals the dense product
-    bit for bit up to the sign of a zero.
+    bit for bit up to the sign of a zero.  Given ``out``, an n x k array or
+    view of either memory order, the rows are written there and ``out`` is
+    returned, with the values a new array would hold.
     """
     if isinstance(X, AxisPoints):
         if X.d != pmap.d:
             raise InvalidDimensionError(f"expected n x {pmap.d} input, got shape {X.shape}")
-        return pmap.matrix.T[X.axes] * X.scales[:, None]
+        return np.multiply(pmap.matrix.T[X.axes], X.scales[:, None], out=out)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != pmap.d:
         raise InvalidDimensionError(f"expected n x {pmap.d} input, got shape {X.shape}")
-    return X @ pmap.matrix.T
+    return np.matmul(X, pmap.matrix.T, out=out)
 
 
 def jl_target_dim(q: int, delta: float, epsilon: float) -> int:

@@ -287,18 +287,23 @@ def test_pulled_back_rule_predicts_as_the_compressed_rule(family):
 @pytest.mark.parametrize("case", ["atoms", "eta", "regression"])
 def test_evaluation_projects_no_rows(case, monkeypatch):
     """Training projects its sample; predict and member_excess_risks score
-    the members' pulled-back rules and send no row through ``apply``."""
+    the members' pulled-back rules and send no row through ``apply``.  The
+    squared loss's descent projects a member again at each of its anchors
+    and for its final risk, since it holds one design at a time."""
     dist, model, n_test = _trained_case(case)
     rows = []
 
-    def counted(pmap, X):
+    def counted(pmap, X, out=None):
         rows.append(len(X))
-        return apply(pmap, X)
+        return apply(pmap, X, out=out)
 
     monkeypatch.setattr("cerm.ensemble.apply", counted)
     X, y = dist.sample(50, seed=1)
     train_ensemble(X, y, dist.loss_spec, "gaussian", k=2, m=3, iters=20)
-    assert rows == [50] * 3
+    if dist.loss_spec.kind == "squared":
+        assert set(rows) == {50} and len(rows) > 3
+    else:
+        assert rows == [50] * 3
     rows.clear()
     predict(model, X)
     member_excess_risks(model, dist, n_test=n_test, seed=13)
@@ -420,6 +425,19 @@ def test_monte_carlo_evaluation_holds_no_test_set():
     peak = _traced_peak(lambda: reg.bayes_risk(mc_n=n, seed=5))
     assert peak < limit, f"bayes_risk peaked at {peak / 2**20:.1f} MiB"
 
+
+def test_squared_loss_training_holds_one_design():
+    """The criterion-9 law's ensemble at n = 8192, k = 10, m = 25: the
+    lockstep descent writes each member's design into one reused buffer,
+    so training peaks below X plus two designs.  All 25 designs at once
+    would add 18 MB."""
+    dist = RegressionDist(d=32, spectral_constant=1.0, spectral_decay=0.2, w=np.ones(32))
+    n, k, m = 8192, 10, 25
+    X, y = dist.sample(n, seed=8)
+    peak = _traced_peak(lambda: train_ensemble(X, y, dist.loss_spec, "gaussian", k=k, m=m,
+                                               master_seed=9, iters=300))
+    limit = X.nbytes + 2 * 8 * n * (k + 1)
+    assert peak < limit, f"training peaked at {peak / 2**20:.2f} MiB, limit {limit / 2**20:.2f} MiB"
 
 @pytest.mark.parametrize("solver", ["exact", "surrogate"])
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,9 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 import textwrap
 import warnings
 from itertools import combinations, islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,12 +222,14 @@ def test_squared_loss_start_is_the_design_least_squares_on_singular_designs():
 
 def test_squared_loss_fit_does_not_depend_on_the_blas_thread_count():
     """Criterion 9's law at n = 50 002, k = 11: (w, t), the empirical risk and
-    the objective checkpoints are equal at one and two BLAS threads.  The
-    start's normal equations are summed one row block at a time, in block
-    order; a least squares on the whole design split its sums among the
-    threads and moved w by up to 6e-12.  The anchor's constant is an einsum
-    sum: a BLAS dot over a block split it among the threads and moved the
-    checkpoints of projections 1 and 2 by up to 3 ulp."""
+    the objective checkpoints are equal at one and two BLAS threads, for the
+    three projections fit alone and as one lockstep batch, and the batch
+    equals the solo fits.  The start's normal equations are summed one row
+    block at a time, in block order; a least squares on the whole design
+    split its sums among the threads and moved w by up to 6e-12.  The
+    anchor's constant is an einsum sum: a BLAS dot over a block split it
+    among the threads and moved the checkpoints of projections 1 and 2 by up
+    to 3 ulp."""
     script = textwrap.dedent(
         """
         import numpy as np
@@ -234,9 +238,10 @@ def test_squared_loss_fit_does_not_depend_on_the_blas_thread_count():
         from cerm.synthdist import RegressionDist
         dist = RegressionDist(d=32, spectral_constant=1.0, spectral_decay=0.2, w=np.ones(32))
         X, y = dist.sample(50_002, 5)
-        for seed in range(3):
-            U = apply(sample_projection("gaussian", 11, 32, seed), X)
-            report = erm_regression(U, y, dist.loss_spec, iters=300)
+        stack = np.stack([apply(sample_projection("gaussian", 11, 32, seed), X) for seed in range(3)])
+        solo = [erm_regression(U, y, dist.loss_spec, iters=300) for U in stack]
+        batch = erm_regression(stack, y, dist.loss_spec, iters=300)
+        for report in solo + list(batch):
             h = report.hypothesis
             checkpoints = [c.hex() for c in report.objective_checkpoints]
             print(h.w.tobytes().hex(), h.t.hex(), report.empirical_risk.hex(), *checkpoints)
@@ -252,8 +257,9 @@ def test_squared_loss_fit_does_not_depend_on_the_blas_thread_count():
         )
         assert done.returncode == 0, done.stderr
         runs.append(done.stdout.splitlines())
-    assert len(runs[0]) == 3
+    assert len(runs[0]) == 6
     assert runs[0] == runs[1]
+    assert runs[0][:3] == runs[0][3:]  # the batch equals the solo fits
 
 
 def test_erm_regression_squared_fits_noiseless_linear_data():
@@ -1110,9 +1116,9 @@ def counted_anchors(monkeypatch):
     near_rows = []
     original = hypotheses._AnchoredSquares._anchor
 
-    def counted(self, x, pending):
-        original(self, x, pending)
-        near_rows.append(len(self.near_y))
+    def counted(self, i, x, pending):
+        original(self, i, x, pending)
+        near_rows.append(len(self.near[i][1]))
 
     monkeypatch.setattr(hypotheses._AnchoredSquares, "_anchor", counted)
     return near_rows
@@ -1127,27 +1133,33 @@ def test_the_anchored_model_is_the_direct_objective_inside_its_ball(monkeypatch)
     n, k, beta = 600, 4, 0.8
     U = rng.standard_normal((n, k))
     y = np.clip(0.5 * U[:, 0] + 0.3 * rng.standard_normal(n), -beta, beta)
-    Z = hypotheses._design(U)
-    model = hypotheses._AnchoredSquares(Z, y, beta)
+    Z = np.asfortranarray(np.column_stack([U, -np.ones(n)]))
+
+    def write(j, out):
+        out[...] = U
+
+    def column(x):
+        return x.reshape(1, k + 1, 1)
+
+    model = hypotheses._AnchoredSquares(write, 1, n, k, y, beta)  # anchored at its start
     x_a = np.array([0.6, -0.3, 0.2, 0.1, 0.05])
-    model.value(x_a)
-    model.accept()
-    # A trial 0.3 away leaves the first ball and re-anchors at x_a.
-    model.value(x_a + 0.3 * np.eye(k + 1)[0])
-    assert len(near_rows) == 2 and np.array_equal(model.anchor, x_a) and model.radius >= 0.299
+    # A trial 0.3 from the current point x_a, outside the start's ball,
+    # re-anchors at x_a with a radius that covers it.
+    model.values(column(x_a + 0.3 * np.eye(k + 1)[0]), column(x_a))
+    radius = math.sqrt(model.reach[0, 0, 0])  # within an ulp of the anchor's radius
+    assert len(near_rows) == 2 and np.array_equal(model.anchor[0, :, 0], x_a) and radius >= 0.299
 
     s_a = Z @ x_a
-    near = np.abs(beta - np.abs(s_a)) / np.linalg.norm(Z, axis=1) <= model.radius
+    near = np.abs(beta - np.abs(s_a)) / np.linalg.norm(Z, axis=1) <= radius
     inside = np.abs(s_a) < beta
     assert near.any() and (inside & ~near).any() and (~inside & ~near).any()
     assert near.sum() == near_rows[-1]
 
     for _ in range(50):
         direction = rng.standard_normal(k + 1)
-        x = x_a + model.radius * rng.random() * direction / np.linalg.norm(direction)
-        obj = model.value(x)
-        model.accept()
-        g = model.gradient()
+        x = x_a + radius * rng.random() * direction / np.linalg.norm(direction)
+        obj = model.values(column(x), column(x))[0, 0, 0]
+        g = model.gradients(np.ones((1, 1, 1), dtype=bool))[0, :, 0]
         s = Z @ x
         v = np.clip(s, -beta, beta)
         assert obj == pytest.approx(np.mean(np.square(v - y)), rel=1e-12, abs=0.0)
@@ -1487,6 +1499,130 @@ def test_fit_takes_a_stack_through_every_solver():
             assert report.hypothesis.t == alone.hypothesis.t, solver
             assert report.empirical_risk == alone.empirical_risk, solver
             assert report.objective_checkpoints == alone.objective_checkpoints, solver
+
+
+# ---------------------------------------------------------------------------
+# the regression descent in lockstep against solo fits
+# ---------------------------------------------------------------------------
+
+
+def solo_descent(U, y, loss, iters):
+    """The regression descent of one design as a loop of its own, on the
+    solver's oracle for that design alone: the reference each member of a
+    lockstep batch must equal bit for bit.
+
+    Returns (x, checkpoints, stop), where ``stop`` names the rule that ended
+    the descent.
+    """
+    n, k = U.shape
+
+    def write(j, out):
+        out[...] = U
+
+    if loss.kind == "squared":
+        oracle = hypotheses._AnchoredSquares(write, 1, n, k, y, loss.beta)
+    else:
+        Z = hypotheses._designs(1, n, k)
+        write(0, Z[0, :, :k])
+        oracle = hypotheses._KlRows(Z, y, loss.beta)
+    one = np.ones((1, 1, 1), dtype=bool)
+    x = oracle.start.copy()
+    obj = oracle.values(x, x)[0, 0, 0]
+    checkpoints, lr, window, stop = [obj], 1.0, obj, "cap"
+    grad = oracle.gradients(one) if iters else None
+    for it in range(iters):
+        for _ in range(40):
+            trial = x - lr * grad
+            trial_obj = oracle.values(trial, x)[0, 0, 0]
+            if np.isfinite(trial_obj) and trial_obj <= obj:
+                x, obj = trial, trial_obj
+                lr *= 1.3
+                break
+            lr *= 0.5
+        else:
+            stop = "backtracks"
+            break
+        if (it + 1) % 50 == 0:
+            checkpoints.append(obj)
+            if window - obj < 1e-10 * loss.bound:
+                stop = "plateau"
+                break
+            window = obj
+        if it + 1 < iters:
+            grad = oracle.gradients(one)
+    if checkpoints[-1] != obj:
+        checkpoints.append(obj)
+    return x[0, :, 0], tuple(checkpoints), stop
+
+
+def lockstep_cases():
+    """(name, loss, stack, y, iters) cases.  On the spectral law at
+    n = 512 and 2000 steps the members stop by the step cap and by a
+    plateau, in different rounds, and their anchors' near sets take
+    different lengths once a pending step sets the radius; a member whose
+    design is scaled by 1e20 overshoots at every one of its 40 backtracks.
+    The kl case runs the same loop on designs held whole."""
+    dist = RegressionDist(d=16, spectral_constant=1.0, spectral_decay=0.5, w=np.ones(16))
+    X, y = dist.sample(512, 7)
+    stack = np.stack([apply(sample_projection("gaussian", 7, 16, seed), X) for seed in range(6)])
+    stack[1] *= 1e20
+    rng = np.random.default_rng(98)
+    U = rng.standard_normal((4, 300, 3))
+    U[2] *= 1e20
+    binary = (np.sign(U[0] @ np.array([1.0, -0.5, 0.2]) + 0.5 * rng.standard_normal(300)) + 1.0) / 2.0
+    return [
+        ("squared", dist.loss_spec, stack, y, 2000),
+        ("kl", make_loss("kl", beta=1.5), U, binary, 400),
+    ]
+
+
+def assert_same_report(report, alone, where):
+    assert report.hypothesis.w.tobytes() == alone.hypothesis.w.tobytes(), where
+    assert report.hypothesis.t.hex() == alone.hypothesis.t.hex(), where
+    assert report.empirical_risk.hex() == alone.empirical_risk.hex(), where
+    assert [c.hex() for c in report.objective_checkpoints] == [
+        c.hex() for c in alone.objective_checkpoints
+    ], where
+
+
+def test_regression_batch_equals_solo_fits_bit_for_bit(monkeypatch):
+    """Each member of a lockstep batch reports what its design fit alone
+    reports, bit for bit, in any order and any split of the batch, and
+    with its design written on demand."""
+    groups = []
+    original = hypotheses._AnchoredSquares._stack
+
+    def recorded(self):
+        original(self)
+        groups.append(len(self.groups))
+
+    monkeypatch.setattr(hypotheses._AnchoredSquares, "_stack", recorded)
+    stops = set()
+    rng = np.random.default_rng(99)
+    for name, loss, stack, y, iters in lockstep_cases():
+        m, _, k = stack.shape
+        for steps in (0, iters):
+            solo = [erm_regression(U, y, loss, iters=steps) for U in stack]
+            for U, alone in zip(stack, solo):
+                x, checkpoints, stop = solo_descent(U, y, loss, steps)
+                assert np.array_equal(alone.hypothesis.w, x[:k]) and alone.hypothesis.t == x[k], name
+                assert alone.objective_checkpoints == checkpoints, name
+                stops.add((name, stop))
+            order = rng.permutation(m)
+            batches = [(order, erm_regression(stack[order], y, loss, iters=steps))]
+            for size in (2, 3, m):
+                for start in range(0, m, size):
+                    members = np.arange(start, min(m, start + size))
+                    batches.append((members, erm_regression(stack[members], y, loss, iters=steps)))
+            lazy = SimpleNamespace(shape=stack.shape, write=lambda j, out: np.copyto(out, stack[j]))
+            batches.append((np.arange(m), erm_regression(lazy, y, loss, iters=steps)))
+            for members, reports in batches:
+                assert len(reports) == len(members)
+                for j, report in zip(members.tolist(), reports):
+                    assert_same_report(report, solo[j], (name, steps, members.tolist(), j))
+    assert {("squared", "cap"), ("squared", "plateau"), ("squared", "backtracks")} <= stops, stops
+    assert {("kl", "cap"), ("kl", "backtracks")} <= stops, stops
+    assert max(groups) > 1  # near sets of different lengths, stacked apart
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -86,6 +90,39 @@ def test_apply_gathers_axis_points_exactly_as_the_dense_product(family):
         pmap = sample_projection(family, k, 8, 11)
         assert np.array_equal(apply(pmap, points), apply(pmap, dense))
 
+
+def test_apply_writes_into_a_design_buffer_bit_for_bit():
+    """``apply(pmap, X, out=Z[:, :k])`` into a column-major n x (k + 1)
+    design buffer fills it with the very bits of [apply(pmap, X), -1], for
+    dense and axis-point input, at one and two BLAS threads.  The buffer's
+    product runs numpy's transposed BLAS call, so the shapes include ones
+    whose row count is not a multiple of four and one of many row blocks."""
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from cerm.hypotheses import _designs
+        from cerm.projections import AxisPoints, apply, sample_projection
+        rng = np.random.default_rng(3)
+        for n, d, k in ((8192, 32, 10), (1024, 32, 7), (50_002, 32, 11), (4096, 50, 23), (8193, 32, 9)):
+            dense = rng.standard_normal((n, d))
+            axis = AxisPoints(rng.integers(0, d, n), rng.standard_normal(n), d)
+            for X in (dense, axis, np.asfortranarray(dense)):
+                pmap = sample_projection("gaussian", k, d, n)
+                Z = _designs(1, n, k)[0]
+                out = apply(pmap, X, out=Z[:, :k])
+                reference = np.asfortranarray(np.column_stack([apply(pmap, X), -np.ones(n)]))
+                assert np.shares_memory(out, Z)
+                assert Z.flags.f_contiguous and Z.tobytes("F") == reference.tobytes("F"), (n, d, k)
+        print("ok")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(projections.__file__)))
+    for blas_threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok"]
 
 def test_axis_points_validation():
     with pytest.raises(ValueError):
