@@ -439,6 +439,7 @@ def test_squared_loss_training_holds_one_design():
     limit = X.nbytes + 2 * 8 * n * (k + 1)
     assert peak < limit, f"training peaked at {peak / 2**20:.2f} MiB, limit {limit / 2**20:.2f} MiB"
 
+
 @pytest.mark.parametrize("solver", ["exact", "surrogate"])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_assouad_training_on_axis_points_equals_dense_training(family, solver):

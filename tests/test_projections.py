@@ -124,6 +124,7 @@ def test_apply_writes_into_a_design_buffer_bit_for_bit():
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["ok"]
 
+
 def test_axis_points_validation():
     with pytest.raises(ValueError):
         AxisPoints([0, 8], [1.0, 1.0], 8)
