@@ -20,11 +20,13 @@ Only training data is projected.  A member fit as u -> w.u - t on the
 compression A x predicts x -> (A^T w).x - t, so members are scored through
 these pulled-back rules on the evaluation points themselves.  A dense
 evaluation set is scored one row block at a time, every member on each
-block, so the pass reads the set from memory once; a Monte-Carlo test set
-is drawn block by block too, and no block outlives its scoring.  On a law
-with ``draw_scores`` the members are scored without any point: the test
-draws are made as the m scores x.(A_i^T w_i) and the margin, in the span
-of the members' weights, so evaluation costs nothing in d.
+block, so the pass reads the set from memory once.  A Monte-Carlo test set
+is drawn block by block too; each draw is scored by its conditional excess
+given x, with no label read, and each block is folded into running
+estimates before the next is drawn.  On a law with ``draw_scores`` the
+members are scored without any point: the test draws are made as the m
+scores x.(A_i^T w_i) and the margin, in the span of the members' weights,
+so evaluation costs nothing in d.
 """
 
 from __future__ import annotations
@@ -200,25 +202,23 @@ def member_excess_risks(
     member outputs, so member-vs-ensemble comparisons are paired rather
     than independent.
 
-    On a law with ``draw_scores`` (``gauss_margin``) no point is drawn: the
-    draw is of the m members' scores and the margin, in the span of the
-    members' weights, one row block at a time, and each block's
-    disagreements are folded into the m + 1 running estimates and dropped.
-    The pass then holds O(block) memory and O(m) numbers a draw, whatever
-    d is.  Because that draw depends on every member's weight, each
-    estimate equals what ``estimate_excess_risk`` gives for that member's
-    rule, or for ``predict(model, .)``, in law but not bit for bit.
+    A Monte-Carlo test set is scored one row block at a time: every member
+    and the vote score a block, each draw counts its conditional excess
+    given x (no label is read), and the block is folded into the m + 1
+    running estimates and dropped, so the pass holds O(block) memory.  On
+    a law with ``draw_scores`` (``gauss_margin``) no point is drawn: the
+    blocks are of the m members' scores and the margin, in the span of the
+    members' weights, so a draw costs O(m) numbers whatever d is.  Because
+    that draw depends on every member's weight, each estimate equals what
+    ``estimate_excess_risk`` gives for that member's rule, or for
+    ``predict(model, .)``, in law but not bit for bit.
 
-    On other laws a dense test set is drawn, scored and dropped one row
-    block at a time, every member on one block before the next block is
-    drawn, so the pass holds one block of points and, past its outputs, the
-    N noise weights and (m + 1) x N disagreement bits on the zero-one path,
-    or (m + 1) x N outputs on the regression path.  An Assouad law's atoms
-    are an ``AxisPoints`` set, which each member scores by gathering q + 1
-    of its pulled-back weights, so the pass takes O(m q) memory and no
-    (q+1)^2 coordinate array is built.  There each estimate equals what
-    ``estimate_excess_risk`` gives for that member's pulled-back rule, or
-    for ``predict(model, .)``, at the same ``n_test`` and ``seed``.
+    On other laws each estimate equals what ``estimate_excess_risk`` gives
+    for that member's pulled-back rule, or for ``predict(model, .)``, at the
+    same ``n_test`` and ``seed``.  An Assouad law's atoms are an
+    ``AxisPoints`` set, which each member scores by gathering q + 1 of its
+    pulled-back weights, so the pass takes O(m q) memory and no (q+1)^2
+    coordinate array is built.
     """
     m = model.m
 

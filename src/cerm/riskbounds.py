@@ -15,17 +15,22 @@ Distributions are duck-typed.  An object usable here provides:
 * ``d`` — ambient dimension;
 * ``loss_spec`` — the LossSpec its labels live under;
 * ``sample(n, seed) -> (X, y)`` — i.i.d. draws, deterministic per seed;
-* ``bayes_predict(X)`` — the risk-minimizing predictor, vectorized;
+* ``bayes_predict(X)`` — the risk-minimizing predictor, vectorized; under
+  the squared loss it is E[Y | X];
+* ``eta(X)`` — P(Y=+1 | X), required of a zero-one law without ``atoms()``.
 
-and optionally:
+Without ``atoms()``, a law is scored by Monte Carlo: each test point by
+its conditional excess given x, from ``eta`` or ``bayes_predict``, with no
+label read.  Such a law is refused unless its loss is zero-one or squared.
+Optionally a law provides:
 
 * ``draw_blocks(n, seed, visit) -> y`` — the draw ``sample(n, seed)``
   makes, with X handed to ``visit(rows, block)`` one row block at a time
   and dropped, and the n labels returned.  The Monte-Carlo estimators make
-  every dense test draw through it, so no evaluation holds an n x d array.
-  For a law that has only ``sample`` it is adapted in one place
-  (``_block_draw``): the whole draw, visited block by block, with the
-  same values;
+  every dense test draw through it and leave the labels unread, so no
+  evaluation holds an n x d array.  For a law that has only ``sample`` it
+  is adapted in one place (``_block_draw``): the whole draw, visited block
+  by block, with the same values;
 * ``draw_scores(V, n, seed, visit)`` with ``eta_at(M)``, for a zero-one
   law whose points reach eta and the Bayes side only through a signed
   margin M: the scores X @ V of n draws, for a d x r weight matrix V, and
@@ -37,9 +42,7 @@ and optionally:
   support, unlocking exact summation (std_error 0).  ``points`` is an
   s x d array or an ``AxisPoints`` set; either way it is handed to the
   predictors as is, and only its ``shape`` is read here.  ``label_values``
-  and ``label_probs`` are matching s x L arrays;
-* ``eta(X)`` — P(Y=+1 | X) for continuous classification laws, unlocking the
-  low-variance pointwise estimator E[|2 eta - 1| ; predictor != bayes].
+  and ``label_probs`` are matching s x L arrays.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import LinearHypothesis, fit
-from .losses import bayes_action, eval_loss
-from .projections import ProjectionMap, _longest_block, _row_blocks, apply, sample_projection
+from .losses import _check_range, bayes_action, eval_loss
+from .projections import ProjectionMap, _row_blocks, apply, sample_projection
 from .seeds import derive_seed
 
 __all__ = [
@@ -137,16 +140,20 @@ def _estimate_excess_risks(
     """Excess risk of r predictors under ``dist``, all scored on one evaluation set.
 
     ``predict_rows(X, out)`` writes predictor i's outputs on the rows of X
-    to ``out[i]``, for an r x len(X) array ``out``.  The evaluation set is
-    the atoms of a finite-support law, scored in one call, or else one draw
-    of ``n_test`` points that is a pure function of (dist, n_test, seed),
-    scored one row block at a time as ``_block_draw`` hands it over.  Each
-    block's Bayes side (the eta weights and Bayes signs, or the Bayes
-    predictions) is formed once, and each row is scored against it on its
-    own, so every estimate is exactly what a separate call with the same
-    seed would give.  The zero-one path keeps only the N weights and an
-    r x N boolean disagreement matrix; the regression path keeps the r x N
-    outputs and the N Bayes predictions until the labels are drawn.
+    to ``out[i]``, for an r x len(X) array ``out``.  On a finite-support law
+    the evaluation set is the atoms, scored in one call and summed exactly.
+    On any other law it is one draw of ``n_test`` points that is a pure
+    function of (dist, n_test, seed), scored one row block at a time as
+    ``_block_draw`` hands it over.  Each draw is scored by its conditional
+    excess given x, whose mean over x is the excess risk:
+    |2 eta(x) - 1| where a prediction differs from the Bayes sign under the
+    zero-one loss, and (prediction - bayes_predict(x))^2 under the squared
+    loss, whose Bayes rule is E[Y | x].  So no label is read.  Each block is
+    folded into the r running estimates (``_Moments``) and dropped, and the
+    pass holds O(block) memory.  Each row is scored on its own, so every
+    estimate is exactly what a separate call with the same seed would give.
+    Such a law under another loss, or under the zero-one loss without
+    ``eta``, is refused with ValueError before anything is drawn.
 
     ``span``, for predictors that read a point x only through x @ V,
     returns the pair (V, predict_scores) when called: V is d x q, and
@@ -154,9 +161,8 @@ def _estimate_excess_risks(
     would write on points whose scores X @ V are S.  It is called only on
     a law with ``draw_scores``, so other laws never build V.  There the
     test draws are made in the span of V and never in d: each block is
-    scored through ``predict_scores``, weighed against its Bayes side from
-    the margins, folded into the r estimates (``_Moments``) and dropped, so
-    the pass holds O(block) memory.  That draw depends on V, so an estimate
+    scored through ``predict_scores`` and weighed by ``eta_at`` of its
+    margins, then folded as above.  That draw depends on V, so an estimate
     equals a separate one with the same seed in law, not bit for bit; the
     r estimates of one pass still share their draws.
     """
@@ -177,47 +183,34 @@ def _estimate_excess_risks(
             )
         return estimates
 
+    law = type(dist).__name__
+    if loss.kind not in ("zero_one", "squared"):
+        raise ValueError(f"{law} has no atoms(), and a {loss.kind} loss has no Monte-Carlo estimate here")
+    if loss.kind == "zero_one" and not hasattr(dist, "eta"):
+        raise ValueError(f"{law} has no atoms() and no eta(X), which a zero-one law needs to be scored")
+    moments = _Moments(r)
+
+    def fold(predict, points, side):
+        """Score a block and fold its conditional excesses; ``side`` is eta or E[Y | x] there."""
+        out = np.empty((r, len(side)))
+        predict(points, out)
+        if loss.kind == "squared":
+            _check_range("predictions", out, loss.beta)
+            out -= side
+            moments.add(np.square(out, out=out))
+            return
+        # Bayes predicts the sign of 2 eta - 1; bayes_predict differs only at weight 0.
+        signed = 2.0 * side - 1.0
+        differs = np.not_equal(out, np.where(signed >= 0.0, 1.0, -1.0), out=out)
+        moments.add(np.multiply(differs, np.abs(signed), out=out))
+
     if span is not None and hasattr(dist, "draw_scores"):
         weights, predict_scores = span()
-        moments = _Moments(r)
-
-        def score_margins(S, M):
-            signed = 2.0 * dist.eta_at(M) - 1.0
-            out = np.empty((r, len(M)))
-            predict_scores(S, out)
-            differs = np.not_equal(out, np.where(signed >= 0.0, 1.0, -1.0), out=out)
-            moments.add(np.multiply(differs, np.abs(signed), out=out))
-
-        dist.draw_scores(weights, n_test, seed, score_margins)
-        return moments.estimates()
-
-    draw = _block_draw(dist)
-    if loss.kind == "zero_one" and hasattr(dist, "eta"):
-        weight = np.empty(n_test)
-        differs = np.empty((r, n_test), dtype=bool)
-        block_rows = np.empty((r, _longest_block(n_test, dist.d)))
-
-        def score_signs(rows, X):
-            # Bayes predicts the sign of 2 eta - 1; bayes_predict differs only at weight 0.
-            signed = 2.0 * dist.eta(X) - 1.0
-            np.abs(signed, out=weight[rows])
-            out = block_rows[:, : len(X)]
-            predict_rows(X, out)
-            np.not_equal(out, np.where(signed >= 0.0, 1.0, -1.0), out=differs[:, rows])
-
-        draw(n_test, seed, score_signs)
-        return [_mc_estimate(weight * row) for row in differs]
-
-    outputs = np.empty((r, n_test))
-    bayes = np.empty(n_test)
-
-    def score_values(rows, X):
-        predict_rows(X, outputs[:, rows])
-        bayes[rows] = dist.bayes_predict(X)
-
-    y = draw(n_test, seed, score_values)
-    bayes_loss = eval_loss(loss, bayes, y)
-    return [_mc_estimate(eval_loss(loss, row, y) - bayes_loss) for row in outputs]
+        dist.draw_scores(weights, n_test, seed, lambda S, M: fold(predict_scores, S, dist.eta_at(M)))
+    else:
+        side = dist.eta if loss.kind == "zero_one" else dist.bayes_predict
+        _block_draw(dist)(n_test, seed, lambda rows, X: fold(predict_rows, X, side(X)))
+    return moments.estimates()
 
 
 class _Moments:
@@ -254,15 +247,15 @@ class _Moments:
 
 def _block_draw(dist):
     """``dist.draw_blocks``, or for a law with only ``sample``, its whole
-    draw handed to the visitor block by block: one way to draw a test set."""
+    draw handed to the visitor block by block: one way to draw a test set,
+    whose labels are left unread."""
     if hasattr(dist, "draw_blocks"):
         return dist.draw_blocks
 
     def draw(n, seed, visit):
-        X, y = dist.sample(n, seed)
+        X, _ = dist.sample(n, seed)
         for rows in _row_blocks(*X.shape):
             visit(rows, X[rows])
-        return y
 
     return draw
 
@@ -278,15 +271,15 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
     to other predictors.  On a continuous law ``predictor`` is called once
     per row block of the test draw, so it must act row by row: its output on
     a row may not depend on the other rows passed with it.
-    Continuous classification laws use the pointwise form
-    E[|2 eta(X) - 1| ; predictor disagrees with Bayes], whose terms are
-    nonnegative and low-variance.
-    Continuous regression laws use paired loss differences on a shared draw.
-    The draw is a pure function of (dist, n_test, seed), so two estimates with
-    equal arguments share their test sample.  A ``LinearHypothesis`` reads a
-    point only through its weight, so on a law with ``draw_scores`` its test
-    draws are made in that one direction's span; elsewhere it is scored as
-    its ``predict``.  This is the one-predictor case of the evaluation pass
+    Continuous laws average the conditional excess given each test point,
+    which reads no label: E[|2 eta(X) - 1| ; predictor disagrees with Bayes]
+    under the zero-one loss, and E[(predictor(X) - bayes_predict(X))^2]
+    under the squared loss.  Its terms are nonnegative and carry no label
+    noise.  The draw is a pure function of (dist, n_test, seed), so two
+    estimates with equal arguments share their test sample.  A
+    ``LinearHypothesis`` reads a point only through its weight, so on a law
+    with ``draw_scores`` its test draws are made in that one direction's
+    span; elsewhere it is scored as its ``predict``.  This is the one-predictor case of the evaluation pass
     that ``member_excess_risks`` makes for a whole ensemble, and on a law
     without ``draw_scores`` it gives the same value for the same predictor
     and seed.

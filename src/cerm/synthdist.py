@@ -26,7 +26,8 @@ Duck-typed interface consumed by the risk estimators: attributes ``d`` and
 ``atoms()``; continuous classification laws add ``eta``.  The two dense laws
 add ``draw_blocks(n, seed, visit)``: the draw ``sample`` makes, handed over
 one row block at a time, which the Monte-Carlo risk estimators score without
-holding the n x d array; ``sample`` writes that draw into one array.
+holding the n x d array or reading the labels; ``sample`` writes that draw
+into one array.
 ``GaussMarginDist`` adds ``draw_scores(V, n, seed, visit)`` and ``eta_at``:
 the scores X @ V of n draws for a d x r weight matrix V, and their signed
 margins, drawn in the span of V and w without forming X, so that linear
@@ -558,8 +559,8 @@ class RegressionDist:
     beta]).  Noiseless, the Bayes predictor is clip(w.x + t) and the Bayes
     risk is exactly 0.  With bounded uniform noise the conditional mean has no
     tidy closed form post-clip, so it is computed by Gauss-Legendre quadrature
-    over the noise law, one row block at a time — a numeric oracle, not an
-    asserted formula.
+    over the noise law, one row block at a time, with the rule scaled once
+    when the law is built — a numeric oracle, not an asserted formula.
     """
 
     _QUAD_NODES = 201
@@ -608,21 +609,22 @@ class RegressionDist:
         ranks = np.arange(1, d + 1)
         self.eigenvalues = self.spectral_constant * self.spectral_decay**ranks
         self._scales = np.sqrt(self.eigenvalues)
+        if noise is not None and noise[1] > 0:
+            # the Gauss-Legendre rule scaled to the noise law, whose weights sum to 1
+            nodes, weights = np.polynomial.legendre.leggauss(self._QUAD_NODES)
+            self._nodes, self._weights = nodes * noise[1], weights / 2.0
 
     def _signal(self, X) -> np.ndarray:
         return _rows_dot(X, self.w) + self.t
 
     def _label_moments(self, s: np.ndarray, second: bool = False) -> np.ndarray:
         """E[Y | s], and E[Y^2 | s] as a second row if ``second``, at signals s = w.x + t."""
-        nodes, weights = np.polynomial.legendre.leggauss(self._QUAD_NODES)
-        nodes *= self.noise[1]
-        weights /= 2.0  # weights sum to 1 on the scaled law
         moments = np.empty((1 + second, s.shape[0]))
         for rows in _row_blocks(s.shape[0], self._QUAD_NODES):
-            clipped = np.clip(s[rows, None] + nodes, -self.beta, self.beta)
-            moments[0, rows] = _rows_dot(clipped, weights)
+            clipped = np.clip(s[rows, None] + self._nodes, -self.beta, self.beta)
+            moments[0, rows] = _rows_dot(clipped, self._weights)
             if second:
-                moments[1, rows] = _rows_dot(np.square(clipped, out=clipped), weights)
+                moments[1, rows] = _rows_dot(np.square(clipped, out=clipped), self._weights)
         return moments
 
     def draw_blocks(self, n: int, seed: int, visit=None, out=None) -> np.ndarray:

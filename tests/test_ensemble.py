@@ -410,7 +410,10 @@ def test_monte_carlo_evaluation_holds_no_test_set():
     """At N = 50 000 and d = 50 the test set alone takes N d 8 bytes (19 MiB).
     Drawn, scored and dropped block by block, an evaluation peaks below half
     of that: 25 members and their vote on a zero-one law, one predictor and
-    the Bayes risk on a noisy regression law."""
+    the Bayes risk on a noisy regression law.  25 regression members and
+    their vote, on the noiseless criterion-9 law (d = 32) and on the noisy
+    law, peak below their (m + 1) x N outputs (9.9 MiB): each block is
+    folded into the estimates as it is scored."""
     n, d = 50_000, 50
     limit = n * d * 8 / 2
     dist, X, y = classification_data(n=200, d=d, seed=3)
@@ -424,6 +427,13 @@ def test_monte_carlo_evaluation_holds_no_test_set():
     assert peak < limit, f"estimate_excess_risk peaked at {peak / 2**20:.1f} MiB"
     peak = _traced_peak(lambda: reg.bayes_risk(mc_n=n, seed=5))
     assert peak < limit, f"bayes_risk peaked at {peak / 2**20:.1f} MiB"
+    criterion_9 = RegressionDist(d=32, spectral_constant=1.0, spectral_decay=0.2, w=np.ones(32))
+    for law in (criterion_9, reg):
+        X, y = law.sample(200, seed=6)
+        model = train_ensemble(X, y, law.loss_spec, "gaussian", k=5, m=25, master_seed=7, iters=50)
+        peak = _traced_peak(lambda: member_excess_risks(model, law, n_test=n, seed=8))
+        outputs = (model.m + 1) * n * 8
+        assert peak < outputs, f"d = {law.d}: member_excess_risks peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_squared_loss_training_holds_one_design():

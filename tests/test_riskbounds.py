@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cerm.hypotheses import LinearHypothesis, fit
-from cerm.losses import make_loss
+from cerm.losses import LossDomainError, eval_loss, make_loss
 from cerm.projections import _row_blocks, apply, sample_projection
 from cerm.riskbounds import (
     RiskEstimate,
@@ -69,7 +69,7 @@ def test_risk_estimate_validation():
 
 
 # ---------------------------------------------------------------------------
-# excess-risk estimation: the three evaluation paths
+# excess-risk estimation: exact atom sums and the conditional-excess fold
 # ---------------------------------------------------------------------------
 
 
@@ -131,6 +131,112 @@ def test_excess_risk_paired_regression_path():
     zero = estimate_excess_risk(lambda X: np.zeros(X.shape[0]), dist, n_test=20_000, seed=1)
     assert zero.value > 0.0
     assert zero.value > 4.0 * zero.std_error
+
+
+def test_noiseless_regression_estimates_fold_the_paired_loss_differences():
+    """On a noiseless law each label is ``bayes_predict`` of its point bit
+    for bit, so a draw's conditional excess is its paired loss difference:
+    each estimate is the ``_Moments`` fold, block by block, of the
+    differences on ``sample(n_test, seed)``'s labels, exactly."""
+    dist = RegressionDist(d=5, spectral_constant=1.0, spectral_decay=0.5, w=np.full(5, 0.4), t=0.1)
+    loss = dist.loss_spec
+    n_test = 3 * _row_blocks(1 << 18, dist.d)[0].stop + 17
+    X, y = dist.sample(n_test, 11)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        rule = LinearHypothesis(w=rng.standard_normal(5), t=0.2, mode="clip")
+        fold = _Moments(1)
+        for rows in _row_blocks(*X.shape):
+            paired = eval_loss(loss, rule.predict(X[rows]), y[rows]) - eval_loss(
+                loss, dist.bayes_predict(X[rows]), y[rows]
+            )
+            fold.add(paired[None, :])
+        assert estimate_excess_risk(rule, dist, n_test=n_test, seed=11) == fold.estimates()[0]
+
+
+def test_regression_predictions_outside_the_label_range_are_refused():
+    dist = RegressionDist(d=3, spectral_constant=1.0, spectral_decay=0.5, w=np.full(3, 0.2))
+    with pytest.raises(LossDomainError, match="predictions outside"):
+        estimate_excess_risk(lambda X: np.full(len(X), 1.5), dist, n_test=100, seed=0)
+
+
+def test_noisy_regression_conditional_excess_agrees_with_paired_differences():
+    """With bounded-uniform noise the conditional excess and the paired loss
+    differences on the same draw's labels estimate one excess risk; the
+    conditional one, which carries no label noise, has the smaller error."""
+    dist = RegressionDist(d=5, spectral_constant=1.0, spectral_decay=0.5, w=np.full(5, 0.4), t=0.1,
+                          noise=("bounded_uniform", 0.3))
+    loss = dist.loss_spec
+    rule = LinearHypothesis(w=np.array([0.5, 0.3, 0.0, 0.2, 0.4]), t=0.05, mode="clip")
+    conditional = estimate_excess_risk(rule, dist, n_test=50_000, seed=12)
+    X, y = dist.sample(50_000, 12)
+    paired = _mc_estimate(eval_loss(loss, rule.predict(X), y) - eval_loss(loss, dist.bayes_predict(X), y))
+    gap = abs(conditional.value - paired.value)
+    assert gap <= 4.0 * math.hypot(conditional.std_error, paired.std_error), (conditional, paired)
+    assert 0.0 < conditional.std_error < paired.std_error
+
+
+def test_regression_evaluation_builds_no_quadrature_rule(monkeypatch):
+    """The noisy law scales its Gauss-Legendre rule once, when it is built:
+    an evaluation over several row blocks and its Bayes risk build none."""
+    dist = RegressionDist(d=5, spectral_constant=1.0, spectral_decay=0.5, w=np.full(5, 0.4),
+                          noise=("bounded_uniform", 0.3))
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda deg: calls.append(deg) or leggauss(deg))
+    n_test = 3 * _row_blocks(1 << 18, dist.d)[0].stop + 17
+    assert estimate_excess_risk(lambda X: np.zeros(len(X)), dist, n_test=n_test, seed=2).value > 0.0
+    assert dist.bayes_risk(mc_n=n_test, seed=2).value > 0.0
+    assert calls == []
+
+
+class _NoDrawLaw:
+    """A law without atoms whose draws must not be made: each draw method
+    records its call and fails."""
+
+    d = 3
+
+    def __init__(self, loss, **methods):
+        self.loss_spec, self.calls = loss, []
+        for name, method in methods.items():
+            setattr(self, name, method)
+
+    def bayes_predict(self, X):
+        return np.ones(len(X))
+
+    def _draw(self, name):
+        self.calls.append(name)
+        raise AssertionError(f"{name} called")
+
+    def sample(self, n, seed):
+        self._draw("sample")
+
+    def draw_blocks(self, n, seed, visit):
+        self._draw("draw_blocks")
+
+    def draw_scores(self, V, n, seed, visit):
+        self._draw("draw_scores")
+
+    def eta_at(self, M):
+        return np.ones(len(M))
+
+
+@pytest.mark.parametrize("loss, methods, lacks", [
+    (make_loss("zero_one"), {}, "no eta"),
+    (make_loss("kl"), {}, "kl loss"),
+    (make_loss("kl"), {"eta": lambda X: np.ones(len(X))}, "kl loss"),
+], ids=["zero_one_without_eta", "kl", "kl_with_eta"])
+@pytest.mark.parametrize("predictor", ["callable", "linear"])
+def test_a_law_the_fold_cannot_score_is_refused_before_any_draw(loss, methods, lacks, predictor):
+    """A law without atoms is scored by its conditional excess, which needs
+    eta under the zero-one loss and exists for no loss but the zero-one and
+    squared ones; any other such law is refused before a draw is made."""
+    dist = _NoDrawLaw(loss, **methods)
+    rule = LinearHypothesis(w=np.ones(3), t=0.0, mode="sign")
+    scored = rule if predictor == "linear" else rule.predict
+    with pytest.raises(ValueError, match=rf"_NoDrawLaw has no atoms\(\).*{lacks}"):
+        estimate_excess_risk(scored, dist, n_test=100, seed=0)
+    assert dist.calls == []
 
 
 class _SampleOnly:
