@@ -18,28 +18,21 @@ otherwise.
 
 Only training data is projected.  A member fit as u -> w.u - t on the
 compression A x predicts x -> (A^T w).x - t, so members are scored through
-these pulled-back rules on the evaluation points themselves.  A dense
-evaluation set is scored one row block at a time, every member on each
-block, so the pass reads the set from memory once.  A Monte-Carlo test set
-is drawn block by block too; each draw is scored by its conditional excess
-given x, with no label read, and each block is folded into running
-estimates before the next is drawn.  On a law with ``draw_scores`` the
-members are scored without any point: the test draws are made as the m
-scores x.(A_i^T w_i) and the margin, in the span of the members' weights,
-so evaluation costs nothing in d.
+these pulled-back rules on the evaluation points themselves, by the one
+evaluation pass of linear rules in ``riskbounds``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 
 from .hypotheses import ErmReport, LinearHypothesis, _batch_bytes, fit
 from .losses import LossSpec
-from .projections import _BLOCK_BYTES, AxisPoints, ProjectionMap, _row_blocks, apply, sample_projection
-from .riskbounds import RiskEstimate, _estimate_excess_risks
+from .projections import _BLOCK_BYTES, AxisPoints, ProjectionMap, apply, sample_projection
+from .riskbounds import RiskEstimate, _rule_excess_risks
 from .seeds import derive_seed
 
 __all__ = ["EnsembleModel", "train_ensemble", "predict", "member_excess_risks"]
@@ -51,7 +44,7 @@ class EnsembleModel:
 
     ``maps`` holds each member's projection map and ``member_reports`` its
     fit report, in the same order; ``members`` pairs each map with its
-    report's hypothesis, ``rules`` holds their pulled-back rules, and ``m``
+    report's hypothesis, ``rules`` forms their pulled-back rules, and ``m``
     counts them.  The members share one output mode and beta, as rules fit
     under one loss do.
     """
@@ -85,10 +78,10 @@ class EnsembleModel:
     def m(self) -> int:
         return len(self.maps)
 
-    @cached_property
+    @property
     def rules(self) -> tuple[LinearHypothesis, ...]:
-        """Each member's pulled-back rule on R^d, formed on first use and
-        kept, so the row blocks of one evaluation share them."""
+        """Each member's pulled-back rule on R^d, formed anew at each call;
+        an evaluation forms them once and holds them for its own pass."""
         return tuple(hyp.pull_back(pmap.matrix) for pmap, hyp in self.members)
 
 
@@ -154,30 +147,6 @@ class _Projections:
         apply(self.maps[j], self.X, out=out)
 
 
-def _member_outputs(model: EnsembleModel, X, out: np.ndarray | None = None) -> np.ndarray:
-    """The m x N member outputs on X, written to the first m rows of ``out``
-    (an r x N array with r >= m, possibly a view) or to a new m x N array.
-
-    X is an N x d array or an ``AxisPoints`` set.  Row i is member i's
-    pulled-back rule on X.  A dense X is read once, one row block at a time:
-    every member scores a block while it is in cache.  Axis points are
-    scored by a gather from the pulled-back weights.  X is never projected.
-    """
-    outputs = np.empty((model.m, len(X))) if out is None else out
-    if isinstance(X, AxisPoints):
-        # One length-d rule at a time: at large d, the m rules together
-        # would outweigh the gather.
-        for i, (pmap, hyp) in enumerate(model.members):
-            outputs[i] = hyp.pull_back(pmap.matrix).predict(X)
-        return outputs
-    X = np.asarray(X, dtype=float)
-    for rows in _row_blocks(len(X), X.shape[-1]):
-        block = X[rows]
-        for i, rule in enumerate(model.rules):
-            outputs[i, rows] = rule.predict(block)
-    return outputs
-
-
 def _combine(loss: LossSpec, outputs: np.ndarray) -> np.ndarray:
     """The loss's combination of the member output rows, one value per column."""
     if loss.combiner == "mode":
@@ -186,8 +155,9 @@ def _combine(loss: LossSpec, outputs: np.ndarray) -> np.ndarray:
 
 
 def predict(model: EnsembleModel, X) -> np.ndarray:
-    """Combined prediction: majority vote (ties to +1) or clipped mean."""
-    return _combine(model.loss, _member_outputs(model, X))
+    """Combined prediction on X (N x d or ``AxisPoints``, never projected):
+    majority vote (ties to +1) or clipped mean of the members' rules."""
+    return _combine(model.loss, np.stack([rule.predict(X) for rule in model.rules]))
 
 
 def member_excess_risks(
@@ -195,47 +165,30 @@ def member_excess_risks(
 ) -> tuple[list[RiskEstimate], RiskEstimate]:
     """Excess risk of each member alone and of the combined ensemble.
 
-    One evaluation pass serves all m + 1 estimates: the test set is drawn
-    once from ``seed`` (or, for a finite-support law, the atoms are built
-    once), each member scores it through its pulled-back rule without
-    projecting it, and the combined prediction is formed from those same
-    member outputs, so member-vs-ensemble comparisons are paired rather
-    than independent.
+    One evaluation pass (``riskbounds._rule_excess_risks``) serves all
+    m + 1 estimates: the test set is drawn once from ``seed`` (or, for a
+    finite-support law, the atoms are built once), each member scores it
+    through its pulled-back rule without projecting it, and the combined
+    prediction is formed from those same member outputs, so
+    member-vs-ensemble comparisons are paired rather than independent.
 
-    A Monte-Carlo test set is scored one row block at a time: every member
-    and the vote score a block, each draw counts its conditional excess
-    given x (no label is read), and the block is folded into the m + 1
-    running estimates and dropped, so the pass holds O(block) memory.  On
-    a law with ``draw_scores`` (``gauss_margin``) no point is drawn: the
-    blocks are of the m members' scores and the margin, in the span of the
-    members' weights, so a draw costs O(m) numbers whatever d is.  Because
-    that draw depends on every member's weight, each estimate equals what
-    ``estimate_excess_risk`` gives for that member's rule, or for
-    ``predict(model, .)``, in law but not bit for bit.
+    A Monte-Carlo test set is scored one row block at a time, by its
+    conditional excess given x (no label is read), and each block is folded
+    into the m + 1 running estimates and dropped, so the pass holds
+    O(block) memory.  On a law with ``draw_scores`` (``gauss_margin``) no
+    point is drawn: the blocks are of the m members' scores and the margin,
+    in the span of the members' weights, so a draw costs O(m) numbers
+    whatever d is.  Because that draw depends on every member's weight,
+    each estimate equals what ``estimate_excess_risk`` gives for that
+    member's rule, or for ``predict(model, .)``, in law but not bit for bit.
 
     On other laws each estimate equals what ``estimate_excess_risk`` gives
     for that member's pulled-back rule, or for ``predict(model, .)``, at the
     same ``n_test`` and ``seed``.  An Assouad law's atoms are an
     ``AxisPoints`` set, which each member scores by gathering q + 1 of its
-    pulled-back weights, so the pass takes O(m q) memory and no (q+1)^2
-    coordinate array is built.
+    pulled-back weights, so the pass holds the m rules and the
+    (m + 1) x (q + 1) outputs, O(m q) memory, and builds no (q+1)^2
+    coordinate array.
     """
-    m = model.m
-
-    def all_rows(X, out):
-        _member_outputs(model, X, out)
-        out[m] = _combine(model.loss, out[:m])
-
-    def span():
-        rules = model.rules
-        offsets = np.array([[rule.t] for rule in rules])
-
-        def all_scores(S, out):
-            # the members share one mode, so the first renders them all
-            out[:m] = rules[0].render(np.subtract(S.T, offsets, out=out[:m]))
-            out[m] = _combine(model.loss, out[:m])
-
-        return np.stack([rule.w for rule in rules], axis=1), all_scores
-
-    estimates = _estimate_excess_risks(all_rows, m + 1, dist, n_test=n_test, seed=seed, span=span)
-    return estimates[:m], estimates[m]
+    estimates = _rule_excess_risks(model.rules, dist, n_test, seed, combine=partial(_combine, model.loss))
+    return estimates[:-1], estimates[-1]

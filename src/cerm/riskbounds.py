@@ -9,6 +9,12 @@ inequality.
 Predictors are scored on uncompressed points.  A predictor fit on a
 compression is evaluated through its pulled-back rule on R^d
 (``LinearHypothesis.pull_back``), so only training data is projected.
+One pass (``_rule_excess_risks``) scores such rules, an ensemble's members
+and their vote or one rule alone: each rule on each row block of a test
+draw, which is scored by its conditional excess given x and folded into
+running estimates before the next block is drawn; or, on a law with
+``draw_scores``, with no point drawn, through their scores in the span of
+their weights, at no cost in d.
 
 Distributions are duck-typed.  An object usable here provides:
 
@@ -24,13 +30,13 @@ its conditional excess given x, from ``eta`` or ``bayes_predict``, with no
 label read.  Such a law is refused unless its loss is zero-one or squared.
 Optionally a law provides:
 
-* ``draw_blocks(n, seed, visit) -> y`` — the draw ``sample(n, seed)``
-  makes, with X handed to ``visit(rows, block)`` one row block at a time
-  and dropped, and the n labels returned.  The Monte-Carlo estimators make
-  every dense test draw through it and leave the labels unread, so no
-  evaluation holds an n x d array.  For a law that has only ``sample`` it
-  is adapted in one place (``_block_draw``): the whole draw, visited block
-  by block, with the same values;
+* ``draw_blocks(n, seed, visit)`` — the points of the draw
+  ``sample(n, seed)`` makes, handed to ``visit(rows, block)`` one row
+  block at a time and dropped; no label is drawn.  The Monte-Carlo
+  estimators make every dense test draw through it, so no evaluation
+  holds an n x d array.  For a law that has only ``sample`` it is adapted
+  in one place (``_block_draw``): the whole draw, visited block by block,
+  with the same values;
 * ``draw_scores(V, n, seed, visit)`` with ``eta_at(M)``, for a zero-one
   law whose points reach eta and the Bayes side only through a signed
   margin M: the scores X @ V of n draws, for a d x r weight matrix V, and
@@ -153,7 +159,8 @@ def _estimate_excess_risks(
     pass holds O(block) memory.  Each row is scored on its own, so every
     estimate is exactly what a separate call with the same seed would give.
     Such a law under another loss, or under the zero-one loss without
-    ``eta``, is refused with ValueError before anything is drawn.
+    ``eta``, or with ``n_test`` below 1, is refused with ValueError before
+    anything is drawn.
 
     ``span``, for predictors that read a point x only through x @ V,
     returns the pair (V, predict_scores) when called: V is d x q, and
@@ -184,6 +191,8 @@ def _estimate_excess_risks(
         return estimates
 
     law = type(dist).__name__
+    if n_test < 1:
+        raise ValueError(f"{law} has no atoms(), so its estimate needs n_test >= 1 draws, got {n_test}")
     if loss.kind not in ("zero_one", "squared"):
         raise ValueError(f"{law} has no atoms(), and a {loss.kind} loss has no Monte-Carlo estimate here")
     if loss.kind == "zero_one" and not hasattr(dist, "eta"):
@@ -247,8 +256,8 @@ class _Moments:
 
 def _block_draw(dist):
     """``dist.draw_blocks``, or for a law with only ``sample``, its whole
-    draw handed to the visitor block by block: one way to draw a test set,
-    whose labels are left unread."""
+    draw handed to the visitor block by block and its labels dropped: one
+    way to draw the points of a test set."""
     if hasattr(dist, "draw_blocks"):
         return dist.draw_blocks
 
@@ -258,6 +267,35 @@ def _block_draw(dist):
             visit(rows, X[rows])
 
     return draw
+
+
+def _rule_excess_risks(rules, dist, n_test: int, seed: int, combine=None) -> list[RiskEstimate]:
+    """Excess risk of each of ``rules``, linear rules on R^d that share one
+    mode and beta, and, when given, of ``combine`` of their output rows,
+    all on one evaluation set of ``_estimate_excess_risks``.  Each rule is
+    its ``predict`` on the atoms or on each row block while it is in cache,
+    or, on a law with ``draw_scores``, its offset and rendering of its score
+    column in the span of the rules' weights."""
+    m = len(rules)
+
+    def rows(X, out):
+        for i, rule in enumerate(rules):
+            out[i] = rule.predict(X)
+        if combine is not None:
+            out[m] = combine(out[:m])
+
+    def span():
+        offsets = np.array([[rule.t] for rule in rules])
+
+        def scores(S, out):
+            # the rules share one mode, so the first renders them all
+            out[:m] = rules[0].render(np.subtract(S.T, offsets, out=out[:m]))
+            if combine is not None:
+                out[m] = combine(out[:m])
+
+        return np.stack([rule.w for rule in rules], axis=1), scores
+
+    return _estimate_excess_risks(rows, m + (combine is not None), dist, n_test=n_test, seed=seed, span=span)
 
 
 def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) -> RiskEstimate:
@@ -271,29 +309,20 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
     to other predictors.  On a continuous law ``predictor`` is called once
     per row block of the test draw, so it must act row by row: its output on
     a row may not depend on the other rows passed with it.
+
     Continuous laws average the conditional excess given each test point,
     which reads no label: E[|2 eta(X) - 1| ; predictor disagrees with Bayes]
     under the zero-one loss, and E[(predictor(X) - bayes_predict(X))^2]
     under the squared loss.  Its terms are nonnegative and carry no label
     noise.  The draw is a pure function of (dist, n_test, seed), so two
-    estimates with equal arguments share their test sample.  A
-    ``LinearHypothesis`` reads a point only through its weight, so on a law
-    with ``draw_scores`` its test draws are made in that one direction's
-    span; elsewhere it is scored as its ``predict``.  This is the one-predictor case of the evaluation pass
-    that ``member_excess_risks`` makes for a whole ensemble, and on a law
-    without ``draw_scores`` it gives the same value for the same predictor
-    and seed.
+    estimates with equal arguments share their test sample; ``n_test``
+    below 1 is refused.  A ``LinearHypothesis`` is scored by the pass
+    ``member_excess_risks`` makes for a whole ensemble: in its one
+    direction's span on a law with ``draw_scores``, and elsewhere as its
+    ``predict``, with the ensemble pass's value for the same rule and seed.
     """
-    span = None
     if isinstance(predictor, LinearHypothesis):
-        rule = predictor
-        predictor = rule.predict
-
-        def one_score(S, out):
-            out[0] = rule.render(S[:, 0] - rule.t)
-
-        def span():
-            return rule.w[:, None], one_score
+        return _rule_excess_risks((predictor,), dist, n_test, seed)[0]
 
     def one_row(X, out):
         row = np.asarray(predictor(X))
@@ -303,7 +332,7 @@ def estimate_excess_risk(predictor, dist, n_test: int = 100_000, seed: int = 0) 
             )
         out[0] = row
 
-    return _estimate_excess_risks(one_row, 1, dist, n_test=n_test, seed=seed, span=span)[0]
+    return _estimate_excess_risks(one_row, 1, dist, n_test=n_test, seed=seed)[0]
 
 
 def estimate_compressibility(

@@ -24,10 +24,10 @@ Four families:
 Duck-typed interface consumed by the risk estimators: attributes ``d`` and
 ``loss_spec``; methods ``sample``, ``bayes_predict``; finite-support laws add
 ``atoms()``; continuous classification laws add ``eta``.  The two dense laws
-add ``draw_blocks(n, seed, visit)``: the draw ``sample`` makes, handed over
-one row block at a time, which the Monte-Carlo risk estimators score without
-holding the n x d array or reading the labels; ``sample`` writes that draw
-into one array.
+add ``draw_blocks(n, seed, visit)``: the points of the draw ``sample`` makes,
+handed over one row block at a time with no label drawn, which the
+Monte-Carlo risk estimators score without holding the n x d array;
+``sample`` writes that draw into one array and draws its labels after it.
 ``GaussMarginDist`` adds ``draw_scores(V, n, seed, visit)`` and ``eta_at``:
 the scores X @ V of n draws for a d x r weight matrix V, and their signed
 margins, drawn in the span of V and w without forming X, so that linear
@@ -445,15 +445,17 @@ class GaussMarginDist:
         e -= (e @ self.w) * self.w
         return e / np.linalg.norm(e)
 
-    def draw_blocks(self, n: int, seed: int, visit=None, out=None) -> np.ndarray:
+    def draw_blocks(self, n: int, seed: int, visit=None, out=None) -> np.ndarray | None:
         """The draw of ``sample(n, seed)``, one ``_row_blocks`` block of X at a
-        time; returns the n labels y.
+        time.
 
         Each block is built in place in its part of the Gaussian draw: each
         row is projected off w, scaled to unit length and then to its
         radius, and shifted by (M + t) w.  ``visit(rows, block)`` then sees
-        it, before the next block overwrites it; with ``out``, an n x d
-        array, the blocks are written into ``out[rows]`` and kept.
+        it, before the next block overwrites it.  With ``out``, an n x d
+        array, the blocks are written into ``out[rows]`` and kept, and the
+        n labels y are drawn after them and returned; without, no label is
+        drawn and None is returned.
         """
         rng = np.random.default_rng(seed)
         m, radius = self._draw_margin_radius(n, rng)
@@ -470,7 +472,7 @@ class GaussMarginDist:
             g += shift[rows, None] * self.w[None, :]
             if visit is not None:
                 visit(rows, g)
-        return np.where(rng.random(n) < self.eta_at(m), 1.0, -1.0)
+        return None if out is None else np.where(rng.random(n) < self.eta_at(m), 1.0, -1.0)
 
     def sample(self, n: int, seed: int):
         """n labeled draws (X, y), a pure function of (n, seed): the block
@@ -627,23 +629,26 @@ class RegressionDist:
                 moments[1, rows] = _rows_dot(np.square(clipped, out=clipped), self._weights)
         return moments
 
-    def draw_blocks(self, n: int, seed: int, visit=None, out=None) -> np.ndarray:
+    def draw_blocks(self, n: int, seed: int, visit=None, out=None) -> np.ndarray | None:
         """The draw of ``sample(n, seed)``, one ``_row_blocks`` block of X at a
-        time; returns the n labels y.
+        time.
 
         Each block is its part of the Gaussian draw scaled in place, and
-        ``visit(rows, block)`` sees it before the next block overwrites it;
-        with ``out``, an n x d array, the blocks are written into
-        ``out[rows]`` and kept.  The signals are kept as the blocks pass;
-        the noise is drawn after the last one.
+        ``visit(rows, block)`` sees it before the next block overwrites it.
+        With ``out``, an n x d array, the blocks are written into
+        ``out[rows]`` and kept, and the n labels y are returned: the signals
+        of ``out``, whose row blocks are the draw's own, plus the noise
+        drawn after the last block.  Without, no label is drawn and None is
+        returned.
         """
         rng = np.random.default_rng(seed)
-        s = np.empty(n)
         for rows, block in _normal_blocks(rng, n, self.d, out):
             block *= self._scales[None, :]
-            s[rows] = self._signal(block)
             if visit is not None:
                 visit(rows, block)
+        if out is None:
+            return None
+        s = self._signal(out)
         if self.noise is not None and self.noise[1] > 0:
             s += rng.uniform(-self.noise[1], self.noise[1], size=n)
         return np.clip(s, -self.beta, self.beta, out=s)

@@ -239,6 +239,27 @@ def test_a_law_the_fold_cannot_score_is_refused_before_any_draw(loss, methods, l
     assert dist.calls == []
 
 
+@pytest.mark.parametrize("path", ["span", "dense", "regression"])
+@pytest.mark.parametrize("n_test", [0, -5])
+def test_an_estimate_from_no_test_draws_is_refused_before_any_draw(path, n_test, monkeypatch):
+    """Fewer than one test draw is refused, not read as "no excess risk",
+    whichever way the draw would be made; an exact atom sum reads no n_test."""
+    if path == "regression":
+        dist = RegressionDist(d=4, spectral_constant=1.0, spectral_decay=0.5, w=np.full(4, 0.3))
+        predictor = LinearHypothesis(w=np.full(4, 0.2), t=0.0, mode="clip")
+    else:
+        dist = GaussMarginDist(5, gamma=2.0, rho=2.0, alpha=0.0)
+        predictor = LinearHypothesis(w=np.ones(5), t=0.0, mode="sign")
+    if path == "dense":
+        predictor = predictor.predict
+    for name in ("sample", "draw_blocks", "draw_scores"):
+        monkeypatch.setattr(dist, name, lambda *args, _name=name: pytest.fail(f"{_name} called"), raising=False)
+    with pytest.raises(ValueError, match=rf"{type(dist).__name__} has no atoms\(\).*n_test >= 1"):
+        estimate_excess_risk(predictor, dist, n_test=n_test, seed=0)
+    atoms = AssouadDist(q=4, r=1.5, v=0.5, epsilon=0.3, sigma=np.ones(4))
+    assert estimate_excess_risk(lambda X: np.ones(len(X)), atoms, n_test=n_test).exact
+
+
 class _SampleOnly:
     """A law that gives its test draws only through ``sample``."""
 

@@ -10,7 +10,7 @@ import pytest
 
 from cerm import synthdist
 from cerm.losses import make_loss
-from cerm.projections import AxisPoints, _row_blocks, _rows_dot
+from cerm.projections import AxisPoints, _longest_block, _row_blocks, _rows_dot
 from cerm.synthdist import (
     AssouadDist,
     FiniteSupportDist,
@@ -411,9 +411,10 @@ def test_regression_draw_scales_the_gaussian_draw_in_place():
 @pytest.mark.parametrize("law", ["gauss_margin", "regression", "noisy_regression"])
 def test_sample_is_the_block_draw_in_one_array(law):
     """The blocks the draw hands over are ``_row_blocks``' and, joined, are
-    ``sample``'s X, with its y, bit for bit: below one block, with a ragged
-    last block, and at j blocks + 1 row, where the lone row joins the last
-    block.  Both equal the whole-array Gaussian draw."""
+    ``sample``'s X bit for bit: below one block, with a ragged last block,
+    and at j blocks + 1 row, where the lone row joins the last block.  That
+    X is the whole-array Gaussian draw, and ``sample``'s y the labels drawn
+    after it from the same generator."""
     dist = {
         "gauss_margin": oblique_gauss_margin(50),
         "regression": RegressionDist(d=3, spectral_constant=1.0, spectral_decay=0.5,
@@ -423,10 +424,10 @@ def test_sample_is_the_block_draw_in_one_array(law):
     rows = _row_blocks(1 << 18, dist.d)[0].stop
     for n in (5, 2 * rows + 17, 3 * rows + 1):
         seen, blocks = [], []
-        y = dist.draw_blocks(n, n, lambda r, block: (seen.append(r), blocks.append(block.copy())))
+        dist.draw_blocks(n, n, lambda r, block: (seen.append(r), blocks.append(block.copy())))
         X_ref, y_ref = dist.sample(n, n)
         assert seen == _row_blocks(n, dist.d), n
-        assert np.array_equal(np.concatenate(blocks), X_ref) and np.array_equal(y, y_ref), n
+        assert np.array_equal(np.concatenate(blocks), X_ref), n
         if law == "gauss_margin":
             X_whole, y_whole = whole_array_gauss_margin_sample(dist, n, seed=n)
         else:
@@ -437,6 +438,36 @@ def test_sample_is_the_block_draw_in_one_array(law):
                 s = s + rng.uniform(-dist.noise[1], dist.noise[1], size=n)
             y_whole = np.clip(s, -dist.beta, dist.beta)
         assert np.array_equal(X_ref, X_whole) and np.array_equal(y_ref, y_whole), n
+
+
+@pytest.mark.parametrize("law", ["gauss_margin", "regression", "noisy_regression"])
+def test_an_evaluation_draw_makes_no_labels(law, monkeypatch):
+    """Without ``out`` the block draw hands over the points alone and
+    returns None.  A ``gauss_margin`` draw weighs no margin by eta.  A
+    regression draw of N = 50 000 points at d = 32 keeps no signal and
+    draws no noise: it peaks within half an N-vector of its one reused
+    block, where the N signals alone would take a whole one."""
+    n = 50_000
+    if law == "gauss_margin":
+        dist = oblique_gauss_margin(50)
+
+        def no_eta(m):
+            raise AssertionError("a label was drawn")
+
+        monkeypatch.setattr(dist, "eta_at", no_eta)
+        assert dist.draw_blocks(n, 3, lambda rows, block: None) is None
+        return
+    noise = ("bounded_uniform", 0.3) if law == "noisy_regression" else None
+    dist = RegressionDist(d=32, spectral_constant=1.0, spectral_decay=0.2, w=np.ones(32), noise=noise)
+    dist.draw_blocks(n, 3, lambda rows, block: None)  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        assert dist.draw_blocks(n, 3, lambda rows, block: None) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    limit = _longest_block(n, dist.d) * dist.d * 8 + n * 8 / 2
+    assert peak < limit, f"the draw peaked at {peak / 2**20:.2f} MiB, limit {limit / 2**20:.2f} MiB"
 
 
 def _unit(v):
