@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .harness import CSV_COLUMNS, ExperimentConfig, fit_rate, run_experiment
-from .hypotheses import EXACT_MAX_K, EXACT_MAX_N
+from .hypotheses import _check_fit
 from .projections import FAMILIES, empirical_jl_check, jl_target_dim, sample_projection
 from .riskbounds import estimate_compressibility, sketched_ols_ratio
 from .seeds import derive_seed
@@ -134,21 +134,18 @@ def _k_list(text: str) -> list[int]:
 
 
 def _cmd_compressibility(args) -> int:
-    if args.solver == "exact":
-        # The exact solver refuses larger fits, but only after the points
-        # are sampled; refuse the flags before any work, as configs are.
-        if args.pop_n > EXACT_MAX_N:
-            args.parser.error(f"--pop-n {args.pop_n}: the exact solver takes n <= {EXACT_MAX_N}")
-        if max(args.k_list) > EXACT_MAX_K:
-            args.parser.error(
-                f"--k-list has k = {max(args.k_list)}: the exact solver takes k <= {EXACT_MAX_K}"
-            )
     dist = _parse(args, args.dist_spec, dist_from_config)
-    if args.solver == "exact" and dist.loss_spec.kind != "zero_one":
-        args.parser.error(
-            f"--solver exact: the exact solver is only defined for the zero-one loss,"
-            f" not the law's {dist.loss_spec.kind!r}"
-        )
+    kind = dist.loss_spec.kind
+    # The fits would refuse these only after the points are sampled.
+    for flag, size, note in (
+        (f"--solver {args.solver}", {}, f", not the law's {kind!r}"),
+        (f"--pop-n {args.pop_n}", {"n": args.pop_n}, ""),
+        (f"--k-list has k = {max(args.k_list)}", {"k": max(args.k_list)}, ""),
+    ):
+        try:
+            _check_fit(kind, args.solver, **size)
+        except ValueError as exc:
+            args.parser.error(f"{flag}: {exc}{note}")
     out = []
     for i, k in enumerate(sorted(set(args.k_list))):
         est = estimate_compressibility(
@@ -176,7 +173,7 @@ def _cmd_check_dist(args) -> int:
             "C_hat": spectral["C_hat"],
             "rank_deficient": spectral["rank_deficient"],
         }
-        report["bayes_risk"] = dist.bayes_risk(seed=args.seed).value
+        report["bayes_risk"] = dist.bayes_risk(mc_n=args.mc_n, seed=args.seed).value
     elif hasattr(dist, "atoms"):
         report["atom_count"] = len(dist.atoms()[1])
         report["bayes_risk"] = dist.bayes_risk().value
@@ -200,7 +197,7 @@ def _cmd_check_dist(args) -> int:
             "target_exponent": tsy["target_exponent"],
             "pass_fraction": float(np.mean(tsy["passes"])),
         }
-        report["bayes_risk"] = dist.bayes_risk().value
+        report["bayes_risk"] = dist.bayes_risk(mc_n=args.mc_n, seed=args.seed).value
     _emit(report)
     return 0
 

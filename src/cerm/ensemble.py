@@ -3,15 +3,9 @@
 Each member gets its own projection map, drawn from the shared family with a
 seed derived from the ensemble's master seed, and a predictor fit by empirical
 risk minimization on its compressed view of the same training sample.
-Members are fit in groups, one ``fit`` call each, and a group's solver runs
-its members in lockstep.  A group is as many consecutive members as keep
-what the solver holds per member within ``projections._BLOCK_BYTES``: an
-n x (k + 1) design, so the Newton solver batches small members while a
-large member is fit alone, or, for the squared loss's descent, which holds
-one design for the whole group, an anchored model of about 2 % of the
-rows, so all the members of an ensemble usually share one descent.  A
-group's designs reach ``fit`` as a lazy stack that projects a member into
-a given buffer when the solver asks.  The grouping never changes a result.
+All the members reach one ``fit`` call as a lazy stack that projects a
+member into a given buffer when the solver asks; ``fit`` decides how many
+designs its solver holds at once, and that never changes a result.
 The combination rule is the loss's combiner: majority vote with ties broken
 toward +1 for the zero-one loss, the clipped mean of member outputs
 otherwise.
@@ -26,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
-from .hypotheses import ErmReport, LinearHypothesis, _batch_bytes, fit
+from .hypotheses import ErmReport, LinearHypothesis, fit
 from .losses import LossSpec
-from .projections import _BLOCK_BYTES, AxisPoints, ProjectionMap, apply, sample_projection
+from .projections import AxisPoints, ProjectionMap, apply, sample_projection
 from .riskbounds import RiskEstimate, _rule_excess_risks
 from .seeds import derive_seed
 
@@ -104,14 +99,10 @@ def train_ensemble(
     Assouad sample, is compressed by ``apply``'s gather, with no n x d array
     built; the members equal those fit on ``X.toarray()`` bit for bit.
 
-    Members are fit in groups of as many as keep what the solver holds per
-    member (an n x (k + 1) design, or a squared-loss member's anchored
-    model) within ``_BLOCK_BYTES``, at least one, one ``fit`` call per
-    group.  The designs are projected on demand: whole for the
-    classification solvers and the kl loss, and one at a time into one
-    reused buffer for the squared loss.  Each member's report equals the
-    one its design gives when fit alone, so the group size changes no
-    result.
+    The members are fit by one ``fit`` call on a lazy stack of their
+    designs, each projected when the solver asks, straight into the
+    solver's own buffer.  Each member's report equals the one its design
+    gives when fit alone.
     """
     X = X if isinstance(X, AxisPoints) else np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -119,32 +110,10 @@ def train_ensemble(
         raise ValueError("X must be n x d with matching labels y")
     if m < 1:
         raise ValueError("m must be >= 1")
-    n, d = X.shape
-    group = max(1, _BLOCK_BYTES // max(1, _batch_bytes(loss, n, k)))
-    maps = []
-    reports = []
-    for start in range(0, m, group):
-        group_maps = [sample_projection(family, k, d, derive_seed(master_seed, i))
-                      for i in range(start, min(m, start + group))]
-        reports.extend(fit(_Projections(group_maps, X), y, loss, solver, iters))
-        maps.extend(group_maps)
-    return EnsembleModel(maps=tuple(maps), member_reports=tuple(reports), loss=loss)
-
-
-class _Projections:
-    """The designs ``apply(pmap, X)`` of a group of maps as a lazy
-    g x n x k stack for ``fit``: ``write(j, out)`` projects design j
-    straight into the n x k array ``out``."""
-
-    def __init__(self, maps: list[ProjectionMap], X):
-        self.maps, self.X = maps, X
-        self.shape = (len(maps), len(X), maps[0].k)
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-    def write(self, j: int, out: np.ndarray) -> None:
-        apply(self.maps[j], self.X, out=out)
+    maps = tuple(sample_projection(family, k, X.shape[1], derive_seed(master_seed, i)) for i in range(m))
+    designs = SimpleNamespace(shape=(m, len(X), k), write=lambda j, out: apply(maps[j], X, out=out))
+    reports = fit(designs, y, loss, solver, iters)
+    return EnsembleModel(maps=maps, member_reports=reports, loss=loss)
 
 
 def _combine(loss: LossSpec, outputs: np.ndarray) -> np.ndarray:

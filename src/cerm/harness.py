@@ -42,7 +42,7 @@ import numpy as np
 
 from ._version import __version__
 from .ensemble import member_excess_risks, train_ensemble
-from .hypotheses import EXACT_MAX_K, EXACT_MAX_N, ScaleGuardError, SweepUncertifiedError
+from .hypotheses import ScaleGuardError, SweepUncertifiedError, _check_fit
 from .losses import LossDomainError
 from .projections import FAMILIES
 from .riskbounds import (
@@ -195,29 +195,26 @@ def _k_rule_matches_law(values: dict):
             )
 
 
-def _exact_solver_limits(values: dict):
-    """The exact solver takes the zero-one loss only, and refuses larger
-    inputs: such a config would only record ScaleGuardError in every trial
-    after sampling, or end the run in the compressibility fits."""
-    if values["solver"] != "exact":
-        return
-    zero_one = values["distribution"].loss_spec.kind == "zero_one"
-    _require(zero_one, "solver", "'exact' is only defined for the zero-one loss")
+def _fits_the_solver_takes(values: dict):
+    """Every fit the config asks for must pass ``hypotheses._check_fit``: a
+    refused fit would only record ScaleGuardError in every trial after
+    sampling, or end the run in the compressibility fits."""
+    kind, solver = values["distribution"].loss_spec.kind, values["solver"]
+
+    def check(path, context="", **size):
+        try:
+            _check_fit(kind, solver, **size)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {context}{exc}") from exc
+
+    check("solver")
     for n in values["n_list"]:
-        _require(n <= EXACT_MAX_N, "n_list", f"the exact solver takes n <= {EXACT_MAX_N}, got {n}")
+        check("n_list", n=n)
         k = _k_for(values["k_rule"], n)
-        _require(
-            k <= EXACT_MAX_K,
-            "k_rule",
-            f"the exact solver takes k <= {EXACT_MAX_K}, but the rule gives k = {k} at n = {n}",
-        )
+        check("k_rule", f"the rule gives k = {k} at n = {n}, but ", k=k)
     if values["compressibility"] is not None:
         pop_n = values["compressibility"]["pop_factor"] * max(values["n_list"])
-        _require(
-            pop_n <= EXACT_MAX_N,
-            "compressibility.pop_factor",
-            f"the exact solver takes n <= {EXACT_MAX_N}, but the fits use {pop_n} points",
-        )
+        check("compressibility.pop_factor", f"the fits use {pop_n} points, but ", n=pop_n)
 
 
 def _bracket_alpha_default(values: dict):
@@ -232,7 +229,7 @@ def _bracket_alpha_default(values: dict):
 
 #: The checks that involve more than one field, run in this order after the
 #: readers.
-_CROSS_FIELD_CHECKS = (_k_rule_matches_law, _exact_solver_limits, _bracket_alpha_default)
+_CROSS_FIELD_CHECKS = (_k_rule_matches_law, _fits_the_solver_takes, _bracket_alpha_default)
 
 
 @dataclass(frozen=True)

@@ -46,13 +46,11 @@ Three solvers:
   demand into one reused buffer, so a lazy stack that writes each design
   when asked never has all of them formed.
 
-``fit`` is the one dispatch from a (loss, solver) pair to these solvers.
-Its ``iters`` caps the Newton steps of the surrogate classifier and the
-descent steps of the regression solver; the exact solver takes no cap.  It
-takes one n x k design, a g x n x k stack of them or a lazy stack: a stack
-goes to the Newton solver and to the regression descent whole, and to the
-exact sweep one design at a time.  Either way a member's report is the one
-its design gives alone, bit for bit.
+``fit`` is the one front door to these solvers: it alone checks what each
+solver takes, reads a design in any of its forms and splits a stack into
+the runs its solver holds at once.  Its ``iters`` caps the Newton and the
+descent steps; the exact solver takes no cap.  A member's report is the
+one its design gives alone, bit for bit.
 
 Every report's ``empirical_risk`` is recomputed from the returned hypothesis
 on the training pairs, never taken from solver internals.
@@ -62,11 +60,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from .losses import LossSpec, eval_loss
-from .projections import AxisPoints, _row_blocks, _rows_dot
+from .projections import _BLOCK_BYTES, AxisPoints, _row_blocks, _rows_dot
 
 __all__ = [
     "LinearHypothesis",
@@ -178,18 +178,51 @@ class ErmReport:
     objective_checkpoints: tuple | None = None
 
 
-def _validate_classification(U, y, stack: bool = False):
-    """U and y as float arrays; with ``stack``, U may be a g x n x k stack of
-    designs that share the labels y."""
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 and not (stack and U.ndim == 3):
-        raise ValueError("U must be an n x k array" + (" or a g x n x k stack" if stack else ""))
-    y = np.asarray(y, dtype=float)
-    if y.shape != U.shape[-2:-1]:
+def _check_fit(kind: str, solver: str, n: int | None = None, k: int | None = None) -> None:
+    """Refuse what ``fit`` refuses, before any work: a solver the loss of
+    ``kind`` does not take (ValueError), or n rows or width k beyond the
+    exact solver's guards (ScaleGuardError).  A size left None is not
+    checked."""
+    if solver not in ("surrogate", "exact"):
+        raise ValueError(f"unknown solver {solver!r}")
+    if solver == "surrogate":
+        return
+    if kind != "zero_one":
+        raise ValueError("the exact solver is only defined for the zero-one loss")
+    if n is not None and n > EXACT_MAX_N:
+        raise ScaleGuardError(f"the exact solver takes n <= {EXACT_MAX_N}, got {n}")
+    if k is not None and k > EXACT_MAX_K:
+        raise ScaleGuardError(f"the exact solver takes k <= {EXACT_MAX_K}, got {k}")
+
+
+def _designs_of(U, y):
+    """The designs U as (g, n, k, write, lone), where ``write(j, out)``
+    writes design j into an n x k array ``out``.  U is one n x k array
+    (``lone``, g = 1), a g x n x k stack of them, or a lazy stack: an object
+    with that ``shape`` and its own ``write``.  Refused unless y has one
+    entry per row."""
+    if hasattr(U, "write"):
+        shape, write = U.shape, U.write
+    else:
+        U = np.asarray(U, dtype=float)
+        if U.ndim not in (2, 3):
+            raise ValueError("U must be an n x k array or a g x n x k stack")
+        shape, stack = U.shape, U if U.ndim == 3 else U[None]
+
+        def write(j, out):
+            out[...] = stack[j]
+
+    if np.shape(y) != shape[-2:-1]:
         raise ValueError("y must have one label per row of U")
+    lone = len(shape) == 2
+    return (1 if lone else shape[0]), *shape[-2:], write, lone
+
+
+def _signs(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("labels must be in {-1, +1}")
-    return U, y
+    return y
 
 
 def _zero_one_risk(h: LinearHypothesis, U, y) -> float:
@@ -429,15 +462,13 @@ def erm_exact_classification(U, y) -> ErmReport:
     resolves, such as nearly collinear or nearly coplanar points or
     near-duplicates.  Scale-guarded to k <= 3, n <= 200, whatever u is.
     """
-    U, y = _validate_classification(U, y)
-    n, k = U.shape
-    if k > EXACT_MAX_K or n > EXACT_MAX_N:
-        raise ScaleGuardError(
-            f"the exact solver takes k <= {EXACT_MAX_K} and n <= {EXACT_MAX_N}, "
-            f"got k={k}, n={n}"
-        )
+    _, n, k, _, lone = _designs_of(U, y)
+    if not lone:
+        raise ValueError("U must be an n x k array")
+    _check_fit("zero_one", "exact", n, k)
     if k < 1:
         raise ValueError("need k >= 1")
+    U, y = np.asarray(U, dtype=float), _signs(y)
 
     errors, v = _sweep(U, y)
     hypothesis = LinearHypothesis(w=v[:k].copy(), t=float(v[k]), mode="sign")
@@ -505,26 +536,25 @@ def erm_surrogate_classification(U, y, iters: int = 2000):
       is already 0.
 
     U may also be a g x n x k stack of member designs that share the labels
-    y; the result is then a tuple of g reports.  The members advance in
-    lockstep, one numpy call per step for the whole stack, and each leaves
-    the batch when its own stop rule fires, before any later work on it.
-    Every member does the floating-point operations of its solo solve, one
-    BLAS or LAPACK call per member for each product and solve, so its
-    report equals the one ``erm_surrogate_classification(U[j], y)`` gives
-    bit for bit.
+    y, or a lazy one (see ``fit``), written straight into the solver's own
+    g x n x (k + 1) design; the result is then a tuple of g reports.  The
+    members advance in lockstep, one numpy call per step for the whole
+    stack, and each leaves the batch when its own stop rule fires, before
+    any later work on it.  Every member does the floating-point operations
+    of its solo solve, one BLAS or LAPACK call per member for each product
+    and solve, so its report equals the one
+    ``erm_surrogate_classification(U[j], y)`` gives bit for bit.
 
     It runs no other solver; how far that risk is from the optimum is for a
     caller to measure with ``erm_exact_classification`` where that is
     feasible.  ``objective_checkpoints`` holds the objective at the start and
     after every accepted step.
     """
-    U, y = _validate_classification(U, y, stack=True)
-    stacked = U.ndim == 3
-    if not stacked:
-        U = U[None]
-    g, n, k = U.shape
-    Z = np.empty((g, n, k + 1))
-    Z[..., :k] = U
+    g, n, k, write, lone = _designs_of(U, y)
+    y = _signs(y)
+    designs = Z = np.empty((g, n, k + 1))
+    for j in range(g):
+        write(j, Z[j, :, :k])
     Z[..., k] = -1.0
     # At the start, x = 0, every q is 1/2.
     grad_floor = _GRAD_RTOL * np.max(np.abs(Z.transpose(0, 2, 1) @ y), axis=1) / (2 * n)
@@ -604,12 +634,12 @@ def erm_surrogate_classification(U, y, iters: int = 2000):
         reports.append(
             ErmReport(
                 hypothesis=hypothesis,
-                empirical_risk=_zero_one_risk(hypothesis, U[j], y),
+                empirical_risk=_zero_one_risk(hypothesis, designs[j, :, :k], y),
                 solver="surrogate",
                 objective_checkpoints=tuple(checkpoints[j]),
             )
         )
-    return tuple(reports) if stacked else reports[0]
+    return reports[0] if lone else tuple(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +712,9 @@ _NEAR_FLOOR = 0.02
 
 
 def _batch_bytes(loss: LossSpec, n: int, k: int) -> int:
-    """About the bytes a regression batch holds per member at n rows and
-    width k: its n x (k + 1) design, or for the squared loss, which holds
-    one design for the whole batch, the near rows of its anchored model."""
+    """About the bytes a lockstep solver holds per member at n rows and
+    width k: its n x (k + 1) design, or the squared loss's anchored near
+    rows, as that descent holds one design for the whole batch."""
     rows = math.ceil(_NEAR_FLOOR * n) if loss.kind == "squared" else n
     return 8 * rows * (k + 1)
 
@@ -1058,9 +1088,8 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000):
     formula on predictions clipped into range.
 
     U may also be a g x n x k stack of member designs that share the labels
-    y, or a lazy one: an object with that ``shape`` and a ``write(j, out)``
-    that writes design j into the n x k array ``out``.  The result is then a
-    tuple of g reports.  The members descend in lockstep, one numpy call per
+    y, or a lazy one (see ``fit``).  The result is then a tuple of g
+    reports.  The members descend in lockstep, one numpy call per
     operation for the batch, and each leaves it when its own rule stops it;
     every member does the floating-point operations of its solo fit, so its
     report equals the one ``erm_regression(U[j], y)`` gives bit for bit.
@@ -1070,21 +1099,8 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000):
     """
     if loss.kind not in ("squared", "kl"):
         raise ValueError("erm_regression handles the squared and kl losses only")
-    if hasattr(U, "write"):
-        write, shape = U.write, U.shape
-    else:
-        U = np.asarray(U, dtype=float)
-        if U.ndim not in (2, 3):
-            raise ValueError("U must be an n x k array or a g x n x k stack")
-        shape, stack = U.shape, U if U.ndim == 3 else U[None]
-
-        def write(j, out):
-            out[...] = stack[j]
-
-    g, n, k = shape if len(shape) == 3 else (1, *shape)
+    g, n, k, write, lone = _designs_of(U, y)
     y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise ValueError("y must have one label per row of U")
     # Validate the label domain up front against the loss.
     eval_loss(loss, 0.0, y)
     beta = loss.beta
@@ -1112,7 +1128,7 @@ def erm_regression(U, y, loss: LossSpec, iters: int = 2000):
                 objective_checkpoints=checkpoints[j],
             )
         )
-    return tuple(reports) if len(shape) == 3 else reports[0]
+    return reports[0] if lone else tuple(reports)
 
 
 def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000):
@@ -1122,29 +1138,32 @@ def fit(U, y, loss: LossSpec, solver: str = "surrogate", iters: int = 2000):
     certified rotational sweep for k <= 3) or ``"surrogate"`` (Newton on
     the logistic surrogate); the regression losses take ``"surrogate"`` only,
     meaning descent on the clipped empirical risk.  Any other pairing raises
-    ValueError.
+    ValueError, and a size the exact solver does not take ScaleGuardError,
+    before any design is written.
 
     A g x n x k stack of designs that share the labels y, or a lazy stack
-    (``shape`` and ``write(j, out)``, as ``erm_regression`` takes), gives a
-    tuple of g reports, each equal bit for bit to the report of its design
-    fit alone.  The Newton solver and the regression descent take the whole
-    stack in one call and run its members in lockstep; the exact sweep fits
-    one design after another.  A lazy stack is written out whole for the
-    classification solvers.
+    (an object with that ``shape`` and a ``write(j, out)`` that writes
+    design j into the n x k array ``out``), gives a tuple of g reports, each
+    equal bit for bit to the report of its design fit alone.  The exact
+    sweep takes one design at a time, written into one buffer.  The other
+    solvers take runs of consecutive designs, as many as keep what the
+    solver holds per member (``_batch_bytes``) within ``_BLOCK_BYTES``, at
+    least one, and run each in lockstep.
     """
-    if loss.kind != "zero_one":
-        if solver != "surrogate":
-            raise ValueError(f"the {loss.kind} loss takes solver 'surrogate' only, got {solver!r}")
-        return erm_regression(U, y, loss, iters=iters)
-    if solver not in ("surrogate", "exact"):
-        raise ValueError(f"unknown classification solver {solver!r}")
-    if hasattr(U, "write"):
-        stack = np.empty(U.shape)
-        for j, design in enumerate(stack):
-            U.write(j, design)
-        U = stack
-    if solver == "surrogate":
-        return erm_surrogate_classification(U, y, iters=iters)
-    if np.ndim(U) == 3:
-        return tuple(erm_exact_classification(design, y) for design in U)
-    return erm_exact_classification(U, y)
+    g, n, k, write, lone = _designs_of(U, y)
+    _check_fit(loss.kind, solver, n, k)
+    reports = []
+    if solver == "exact":
+        design = np.empty((n, k))
+        for j in range(g):
+            write(j, design)
+            reports.append(erm_exact_classification(design, y))
+    else:
+        solve = erm_surrogate_classification if loss.kind == "zero_one" else partial(erm_regression, loss=loss)
+        run = max(1, _BLOCK_BYTES // max(1, _batch_bytes(loss, n, k)))
+        for start in range(0, g, run):
+            designs = SimpleNamespace(
+                shape=(min(run, g - start), n, k), write=lambda j, out, start=start: write(start + j, out)
+            )
+            reports.extend(solve(designs, y, iters=iters))
+    return reports[0] if lone else tuple(reports)

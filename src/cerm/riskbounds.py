@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypotheses import LinearHypothesis, fit
+from .hypotheses import LinearHypothesis, _check_fit, fit
 from .losses import _check_range, bayes_action, eval_loss
 from .projections import ProjectionMap, _row_blocks, apply, sample_projection
 from .seeds import derive_seed
@@ -355,11 +355,13 @@ def estimate_compressibility(
     fitting draw, so reps share no test points.  The returned standard error
     is across the ``reps`` map draws, which is the genuine randomness being
     averaged.  ``solver`` is dispatched by ``hypotheses.fit``: a solver the
-    loss does not take raises ValueError.
+    loss does not take raises ValueError, and a size the exact solver does
+    not take ScaleGuardError, before any point is drawn.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     loss = dist.loss_spec
+    _check_fit(loss.kind, solver, pop_n, k)
     values = np.empty(reps)
     for rep in range(reps):
         a_seed = derive_seed(seed, 3 * rep)

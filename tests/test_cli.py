@@ -7,6 +7,7 @@ import pytest
 
 from cerm.cli import main
 from cerm.harness import CSV_COLUMNS
+from cerm.synthdist import dist_from_config
 
 
 def run_cli(capsys, argv):
@@ -175,6 +176,25 @@ def test_cli_check_dist_classification(tmp_path, capsys):
     ):
         assert isinstance(out[block][field], float)
         assert 0.0 <= out[block]["pass_fraction"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        {"type": "gauss_margin", "d": 4, "gamma": 2.0, "rho": 2.0, "alpha": 0.0},
+        {"type": "regression", "d": 4, "spectral_constant": 1.0, "spectral_decay": 0.5,
+         "w": [0.3, 0.3, 0.3, 0.3], "noise": {"kind": "bounded_uniform", "amplitude": 0.3}},
+    ],
+    ids=lambda law: law["type"],
+)
+def test_cli_check_dist_draws_the_bayes_risk_at_its_flags(tmp_path, capsys, law):
+    spec = tmp_path / "law.json"
+    spec.write_text(json.dumps(law))
+    dist = dist_from_config(law)
+    for mc_n, seed in ((2000, 1), (3000, 7)):
+        rc, out = run_cli(capsys, ["check-dist", str(spec), "--mc-n", str(mc_n), "--seed", str(seed)])
+        assert rc == 0
+        assert out["bayes_risk"] == dist.bayes_risk(mc_n=mc_n, seed=seed).value > 0.0
 
 
 def test_cli_check_dist_assouad(tmp_path, capsys):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cerm import ensemble
+from cerm import hypotheses
 from cerm.ensemble import (
     EnsembleModel,
     member_excess_risks,
@@ -507,26 +507,35 @@ def _grouping_cases():
     ]
 
 
+def _solver_calls(monkeypatch) -> list[int]:
+    """The number of designs in each solver call that ``fit`` makes, in
+    call order, recorded as the calls happen."""
+    calls = []
+    for name in ("erm_surrogate_classification", "erm_regression", "erm_exact_classification"):
+
+        def recorded(U, *args, original=getattr(hypotheses, name), **kwargs):
+            calls.append(U.shape[0] if len(U.shape) == 3 else 1)
+            return original(U, *args, **kwargs)
+
+        monkeypatch.setattr(hypotheses, name, recorded)
+    return calls
+
+
 @pytest.mark.parametrize("case", _grouping_cases(), ids=lambda case: case[0])
 def test_members_do_not_depend_on_their_grouping(case, monkeypatch):
-    """The default budget puts all 25 members in one group at these sizes;
-    a budget of one byte fits each member alone, and changes no result."""
+    """The default budget puts all 25 members in one solver call; a budget
+    of one byte fits each member alone, and changes no result.  The exact
+    sweep takes one design a call at any budget."""
     _, X, y, loss, solver, k = case
-    groups = []
-    original = ensemble.fit
-
-    def recorded(U, *args):
-        groups.append(len(U))
-        return original(U, *args)
-
-    monkeypatch.setattr(ensemble, "fit", recorded)
+    calls = _solver_calls(monkeypatch)
+    one_run = [1] * 25 if solver == "exact" else [25]
     models = [train_ensemble(X, y, loss, "gaussian", k=k, m=25, solver=solver,
                              master_seed=24, iters=200)]
-    assert groups == [25]
-    monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 1)
+    assert calls == one_run
+    monkeypatch.setattr(hypotheses, "_BLOCK_BYTES", 1)
     models.append(train_ensemble(X, y, loss, "gaussian", k=k, m=25, solver=solver,
                                  master_seed=24, iters=200))
-    assert groups == [25] + [1] * 25
+    assert calls == one_run + [1] * 25
     grouped, alone = models
     for (pa, ha), (pb, hb) in zip(grouped.members, alone.members):
         assert pa.seed == pb.seed and np.array_equal(ha.w, hb.w) and ha.t == hb.t
@@ -537,15 +546,8 @@ def test_members_do_not_depend_on_their_grouping(case, monkeypatch):
 
 def test_large_members_are_fit_one_at_a_time(monkeypatch):
     """At n = 4096 and k = 23 one member's design takes 0.75 MiB, so no two
-    members share a group."""
+    members share a Newton call."""
     _, X, y = classification_data(n=4096, d=50, seed=25)
-    groups = []
-    original = ensemble.fit
-
-    def recorded(U, *args):
-        groups.append(len(U))
-        return original(U, *args)
-
-    monkeypatch.setattr(ensemble, "fit", recorded)
+    calls = _solver_calls(monkeypatch)
     train_ensemble(X, y, make_loss("zero_one"), "gaussian", k=23, m=3, master_seed=26, iters=20)
-    assert groups == [1, 1, 1]
+    assert calls == [1, 1, 1]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from itertools import combinations, islice
 from types import SimpleNamespace
@@ -1499,6 +1500,34 @@ def test_fit_takes_a_stack_through_every_solver():
             assert report.hypothesis.t == alone.hypothesis.t, solver
             assert report.empirical_risk == alone.empirical_risk, solver
             assert report.objective_checkpoints == alone.objective_checkpoints, solver
+
+
+def test_fit_refuses_the_exact_solver_before_writing_a_design():
+    writes = []
+    lazy = SimpleNamespace(shape=(3, 201, 2), write=lambda j, out: writes.append(j))
+    with pytest.raises(ScaleGuardError, match="n <= 200, got 201"):
+        fit(lazy, np.ones(201), make_loss("zero_one"), "exact")
+    lazy = SimpleNamespace(shape=(3, 50, 2), write=lambda j, out: writes.append(j))
+    with pytest.raises(ValueError, match="only defined for the zero-one loss"):
+        fit(lazy, np.zeros(50), make_loss("squared"), "exact")
+    assert writes == []
+
+
+def test_newton_holds_each_design_once():
+    """A lone member's design is written into the solver's own n x (k + 1)
+    design, with no copy of the stack beside it."""
+    n, k = 4096, 23
+    rng = np.random.default_rng(97)
+    U = rng.standard_normal((n, k))
+    y = np.where(U[:, 0] + 0.5 * rng.standard_normal(n) >= 0.0, 1.0, -1.0)
+    lazy = SimpleNamespace(shape=(1, n, k), write=lambda j, out: np.copyto(out, U))
+    tracemalloc.start()
+    try:
+        fit(lazy, y, make_loss("zero_one"), "surrogate", iters=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * (k + 1) * 8, f"peak {peak / (n * (k + 1) * 8):.2f} design-sizes"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cerm.hypotheses import LinearHypothesis, fit
+from cerm.hypotheses import LinearHypothesis, ScaleGuardError, fit
 from cerm.losses import LossDomainError, eval_loss, make_loss
 from cerm.projections import _row_blocks, apply, sample_projection
 from cerm.riskbounds import (
@@ -439,7 +439,14 @@ def test_compressibility_rejects_bad_reps():
         estimate_compressibility(dist, "gaussian", 2, reps=0)
 
 
-def test_compressibility_rejects_solvers_the_loss_does_not_take():
+def test_compressibility_rejects_solvers_the_loss_does_not_take(monkeypatch):
+    """Refused before any draw, as is a size the exact solver does not take."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before refusing the solver")
+
+    for law in (RegressionDist, GaussMarginDist, AssouadDist):
+        monkeypatch.setattr(law, "sample", refuse)
     dist = RegressionDist(d=4, spectral_constant=1.0, spectral_decay=0.5, w=np.full(4, 0.2))
     for solver in ("annealing", "exact"):
         with pytest.raises(ValueError, match=solver):
@@ -447,6 +454,9 @@ def test_compressibility_rejects_solvers_the_loss_does_not_take():
     cls = GaussMarginDist(4, gamma=2.0, rho=3.0, alpha=0.5)
     with pytest.raises(ValueError, match="annealing"):
         estimate_compressibility(cls, "gaussian", 2, reps=1, pop_n=50, solver="annealing")
+    assouad = AssouadDist(q=16, r=2.0, v=0.5, epsilon=0.25)
+    with pytest.raises(ScaleGuardError, match="n <= 200, got 201"):
+        estimate_compressibility(assouad, "gaussian", 2, reps=1, pop_n=201, solver="exact")
 
 
 # ---------------------------------------------------------------------------
